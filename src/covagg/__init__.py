@@ -9,11 +9,11 @@ rotation-invariant scoring and retrieval evaluation built on top.
 from .aggregate import (
     ModulatedVector,
     aggregate,
-    aggregate_from_embedded,
     aggregate_raw_sum,
     aggregate_rotations,
     block_order,
     modulate,
+    rotate_blocks,
 )
 from .angle_map import (
     COSINE_POWER,
@@ -87,7 +87,6 @@ from .scoring import (
     count_block_dots,
     max_score,
     query_multi_rotation,
-    rotate_blocks,
     score_cosine,
     score_polynomial,
 )

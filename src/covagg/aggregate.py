@@ -9,7 +9,9 @@ first, then the cosine and sine blocks of each frequency, each block
 contiguous with the base embedding dimension. This is a fixed
 permutation of the raw Kronecker (per-component interleaved) order and
 therefore preserves inner products; it makes the per-frequency subvector
-reads used by rotation-aware scoring contiguous.
+reads used by rotation-aware scoring contiguous. A global rotation of the
+image turns each frequency's (cos, sin) block pair by a 2-D rotation, so
+every rotation hypothesis follows from one aggregate (``rotate_blocks``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angle_map import FourierCoefficients, angle_feature_batch, wrap_angle
+from .angle_map import FourierCoefficients, angle_feature_batch
 from .descriptors import DescriptorSet, EmbeddingConfig, embed_batch
 from .errors import ContractError, DegenerateDataError
 
@@ -60,22 +62,39 @@ class ModulatedVector:
     def dim(self) -> int:
         return self.values.size
 
-    def block_const(self) -> np.ndarray:
-        return self.values[: self.base_dim]
+    @property
+    def blocks(self) -> np.ndarray:
+        """Read-only (2N+1, base_dim) view: const, then cos n and sin n at rows 2n-1, 2n."""
+        return self.values.reshape(2 * self.n_freq + 1, self.base_dim)
 
-    def _block(self, index: int) -> np.ndarray:
-        d = self.base_dim
-        return self.values[index * d : (index + 1) * d]
+    def block_const(self) -> np.ndarray:
+        return self.blocks[0]
 
     def block_cos(self, n: int) -> np.ndarray:
         if not 1 <= n <= self.n_freq:
             raise ContractError(f"frequency {n} outside 1..{self.n_freq}")
-        return self._block(2 * n - 1)
+        return self.blocks[2 * n - 1]
 
     def block_sin(self, n: int) -> np.ndarray:
         if not 1 <= n <= self.n_freq:
             raise ContractError(f"frequency {n} outside 1..{self.n_freq}")
-        return self._block(2 * n)
+        return self.blocks[2 * n]
+
+
+def rotate_blocks(X: ModulatedVector, theta: float) -> ModulatedVector:
+    """The vector that re-encoding the set rotated by theta gives.
+
+    Rotating the image shifts every angle by -theta, which turns each
+    frequency's (cos, sin) block pair by the 2-D rotation of angle n*theta.
+    """
+    blocks = X.blocks
+    n_theta = np.arange(1, X.n_freq + 1)[:, None] * theta
+    cn, sn = np.cos(n_theta), np.sin(n_theta)
+    c, s = blocks[1::2], blocks[2::2]
+    out = blocks.copy()
+    out[1::2] = c * cn + s * sn
+    out[2::2] = s * cn - c * sn
+    return ModulatedVector(values=out.ravel(), base_dim=X.base_dim, n_freq=X.n_freq)
 
 
 def modulate(v, a) -> np.ndarray:
@@ -88,93 +107,48 @@ def modulate(v, a) -> np.ndarray:
     return np.multiply.outer(a[block_order(n_freq)], v).ravel()
 
 
-def _accumulate_blocks(
-    dset: DescriptorSet,
-    embedding: EmbeddingConfig,
-    coeffs: FourierCoefficients,
-    thetas: np.ndarray,
-    chunk_size: int,
+def aggregate_raw_sum(
+    dset: DescriptorSet, embedding: EmbeddingConfig, coeffs: FourierCoefficients
 ) -> np.ndarray:
-    """Sum of modulated embeddings for every global rotation in ``thetas``.
+    """Unnormalized sum of modulated embeddings, flattened.
 
-    Returns an array of shape (len(thetas), 2N+1, D). Descriptors are
-    consumed in record order, chunk partial sums are added in chunk
-    order, so results are machine-deterministic.
+    Descriptors are consumed in record order, ``AGGREGATE_CHUNK`` at a
+    time, and chunk partial sums are added in chunk order, so results
+    are machine-deterministic.
     """
     if len(dset) == 0:
         raise ContractError("cannot encode an empty descriptor set")
     order = block_order(coeffs.n_freq)
-    totals = None
-    for start in range(0, len(dset), chunk_size):
-        stop = start + chunk_size
+    total = None
+    for start in range(0, len(dset), AGGREGATE_CHUNK):
+        stop = start + AGGREGATE_CHUNK
         emb = embed_batch(dset.descriptors[start:stop], embedding)
-        if totals is None:
-            totals = np.zeros((thetas.size, 2 * coeffs.n_freq + 1, emb.shape[1]))
-        for r, theta in enumerate(thetas):
-            angles = np.asarray(wrap_angle(dset.angles[start:stop] - theta))
-            feats = angle_feature_batch(angles, coeffs)[:, order]
-            totals[r] += feats.T @ emb
-    return totals
-
-
-def _normalize_flat(flat: np.ndarray, base_dim: int, n_freq: int) -> ModulatedVector:
-    norm = float(np.linalg.norm(flat))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise DegenerateDataError("aggregated vector has no usable magnitude")
-    return ModulatedVector(values=flat / norm, base_dim=base_dim, n_freq=n_freq)
-
-
-def aggregate_raw_sum(
-    dset: DescriptorSet,
-    embedding: EmbeddingConfig,
-    coeffs: FourierCoefficients,
-    chunk_size: int = AGGREGATE_CHUNK,
-) -> np.ndarray:
-    """Unnormalized sum of modulated embeddings, flattened."""
-    totals = _accumulate_blocks(dset, embedding, coeffs, np.zeros(1), chunk_size)
-    return totals[0].ravel()
+        feats = angle_feature_batch(dset.angles[start:stop], coeffs)[:, order]
+        part = feats.T @ emb
+        total = part if total is None else total + part
+    return total.ravel()
 
 
 def aggregate(
-    dset: DescriptorSet,
-    embedding: EmbeddingConfig,
-    coeffs: FourierCoefficients,
-    chunk_size: int = AGGREGATE_CHUNK,
+    dset: DescriptorSet, embedding: EmbeddingConfig, coeffs: FourierCoefficients
 ) -> ModulatedVector:
     """Normalized aggregated image vector."""
-    flat = aggregate_raw_sum(dset, embedding, coeffs, chunk_size)
-    return _normalize_flat(flat, embedding.output_dim, coeffs.n_freq)
+    flat = aggregate_raw_sum(dset, embedding, coeffs)
+    norm = float(np.linalg.norm(flat))
+    if norm == 0.0 or not np.isfinite(norm):
+        raise DegenerateDataError("aggregated vector has no usable magnitude")
+    return ModulatedVector(
+        values=flat / norm, base_dim=embedding.output_dim, n_freq=coeffs.n_freq
+    )
 
 
 def aggregate_rotations(
-    dset: DescriptorSet,
-    embedding: EmbeddingConfig,
-    coeffs: FourierCoefficients,
-    thetas,
-    chunk_size: int = AGGREGATE_CHUNK,
+    dset: DescriptorSet, embedding: EmbeddingConfig, coeffs: FourierCoefficients, thetas
 ) -> list[ModulatedVector]:
     """Aggregated vectors of the image under several global rotations.
 
-    Embeds each descriptor once and re-modulates per rotation, which is
+    Aggregates once and block-rotates the result per rotation, which is
     exactly equivalent to re-encoding the rotated sets.
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    totals = _accumulate_blocks(dset, embedding, coeffs, thetas, chunk_size)
-    return [
-        _normalize_flat(totals[r].ravel(), embedding.output_dim, coeffs.n_freq)
-        for r in range(thetas.size)
-    ]
-
-
-def aggregate_from_embedded(
-    embedded, angles, coeffs: FourierCoefficients
-) -> ModulatedVector:
-    """Aggregate descriptors that are already embedded."""
-    embedded = np.asarray(embedded, dtype=np.float64)
-    if embedded.ndim != 2 or embedded.shape[0] == 0:
-        raise ContractError("expected a non-empty 2-D array of embedded descriptors")
-    feats = angle_feature_batch(angles, coeffs)[:, block_order(coeffs.n_freq)]
-    if feats.shape[0] != embedded.shape[0]:
-        raise ContractError("need exactly one angle per embedded descriptor")
-    flat = (feats.T @ embedded).ravel()
-    return _normalize_flat(flat, embedded.shape[1], coeffs.n_freq)
+    base = aggregate(dset, embedding, coeffs)
+    return [rotate_blocks(base, float(t)) for t in np.atleast_1d(thetas)]

@@ -112,19 +112,32 @@ def _pipeline_config(args) -> PipelineConfig:
         adapted_power_law=args.adapted_power_law is not None,
         rn_path=args.rn,
         truncate=args.truncate,
-        rotations=getattr(args, "rotations", 1),
+    )
+
+
+def _add_angle_flags(parser):
+    parser.add_argument("--kappa", type=float, default=8.0)
+    parser.add_argument("--nfreq", type=int, default=3)
+    parser.add_argument(
+        "--angle-family", choices=("von-mises", "cosine-power"), default="von-mises"
+    )
+    parser.add_argument("--cosine-power", type=int, default=None, metavar="P")
+
+
+def _angle_map_config(args) -> AngleMapConfig:
+    family = args.angle_family.replace("-", "_")
+    return AngleMapConfig(
+        kappa=args.kappa,
+        n_freq=args.nfreq,
+        family=family,
+        power=args.cosine_power if family == COSINE_POWER else None,
     )
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("pipeline")
     group.add_argument("--family", required=True, choices=FAMILIES)
-    group.add_argument("--kappa", type=float, default=8.0)
-    group.add_argument("--nfreq", type=int, default=3)
-    group.add_argument(
-        "--angle-family", choices=("von-mises", "cosine-power"), default="von-mises"
-    )
-    group.add_argument("--cosine-power", type=int, default=None, metavar="P")
+    _add_angle_flags(group)
     group.add_argument(
         "--input-dim", type=int, default=None,
         help="descriptor dim for monomial families when no pca model is given",
@@ -269,18 +282,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_angle_kernel_dump(args) -> int:
     _write_manifest(args)
-    family = args.angle_family.replace("-", "_")
-    config = AngleMapConfig(
-        kappa=args.kappa,
-        n_freq=args.nfreq,
-        family=family,
-        power=args.cosine_power if family == COSINE_POWER else None,
-    )
+    config = _angle_map_config(args)
     coeffs = fourier_coeffs(config)
     if args.grid < 2:
         raise ContractError("grid must have at least 2 points")
     deltas = np.linspace(-np.pi, np.pi, args.grid)
-    if family == VON_MISES:
+    if config.family == VON_MISES:
         target = vm_kernel(deltas, args.kappa)
     else:
         target = np.cos(deltas / 2.0) ** config.power
@@ -312,15 +319,8 @@ def cmd_sim_hist(args) -> int:
         )
         for i in range(len(set_a))
     ]
-    family = args.angle_family.replace("-", "_")
-    config = AngleMapConfig(
-        kappa=args.kappa,
-        n_freq=args.nfreq,
-        family=family,
-        power=args.cosine_power if family == COSINE_POWER else None,
-    )
     rows = fileio.similarity_histogram(
-        pairs, args.bins, fourier_coeffs(config), value_bins=args.value_bins
+        pairs, args.bins, fourier_coeffs(_angle_map_config(args)), value_bins=args.value_bins
     )
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
@@ -452,11 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("angle-kernel-dump", help="CSV of the angle kernel and its series")
-    p.add_argument("--kappa", type=float, default=8.0)
-    p.add_argument("--nfreq", type=int, default=3)
-    p.add_argument("--angle-family", choices=("von-mises", "cosine-power"),
-                   default="von-mises")
-    p.add_argument("--cosine-power", type=int, default=None, metavar="P")
+    _add_angle_flags(p)
     p.add_argument("--grid", type=int, default=1024)
     p.add_argument("--out", default=None)
     _add_manifest_flag(p)
@@ -467,11 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="descriptor file: second element of each pair")
     p.add_argument("--bins", type=int, default=8)
     p.add_argument("--value-bins", type=int, default=24)
-    p.add_argument("--kappa", type=float, default=8.0)
-    p.add_argument("--nfreq", type=int, default=3)
-    p.add_argument("--angle-family", choices=("von-mises", "cosine-power"),
-                   default="von-mises")
-    p.add_argument("--cosine-power", type=int, default=None, metavar="P")
+    _add_angle_flags(p)
     p.add_argument("--out", default=None)
     _add_manifest_flag(p)
     p.set_defaults(func=cmd_sim_hist)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ContractError, DegenerateDataError
 
@@ -251,17 +250,23 @@ def _log_density(X: np.ndarray, model: GmmModel) -> np.ndarray:
     return np.log(model.weights)[None, :] - 0.5 * (const + logdet[None, :] + maha)
 
 
+def _logsumexp_rows(lp: np.ndarray) -> np.ndarray:
+    """log(sum(exp(lp), axis=1)) without overflow, as an (n, 1) column."""
+    top = np.max(lp, axis=1, keepdims=True)
+    return top + np.log(np.sum(np.exp(lp - top), axis=1, keepdims=True))
+
+
 def gmm_posteriors(X, model: GmmModel) -> np.ndarray:
     """Per-point component responsibilities; rows sum to 1."""
     X = _as_matrix(X, "data")
     lp = _log_density(X, model)
-    return np.exp(lp - logsumexp(lp, axis=1, keepdims=True))
+    return np.exp(lp - _logsumexp_rows(lp))
 
 
 def gmm_log_likelihood(data, model: GmmModel) -> float:
     """Mean per-point log density under the mixture."""
     data = _as_matrix(data, "data")
-    return float(np.mean(logsumexp(_log_density(data, model), axis=1)))
+    return float(np.mean(_logsumexp_rows(_log_density(data, model))))
 
 
 def gmm_train(data, k: int, max_iter: int = 100, seed: int = 0) -> GmmModel:

@@ -212,6 +212,12 @@ def read_vector_file(path) -> VectorStore:
     dim = base_dim * (2 * n_freq + 1)
     if dim < 1:
         raise FormatError(f"{path}: vector length computes to {dim}")
+    min_size = reader.offset + count * (4 + 4 * dim)
+    if len(data) < min_size:
+        raise FormatError(
+            f"{path}: truncated: header declares {count} vectors of {dim} components, "
+            f"which need at least {min_size} bytes; file has {len(data)}"
+        )
     ids = []
     vectors = np.empty((count, dim))
     for i in range(count):

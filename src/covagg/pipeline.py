@@ -125,8 +125,8 @@ class Pipeline:
     def encode_rotations(self, dset: DescriptorSet, thetas) -> np.ndarray:
         """One fully post-processed vector per global rotation hypothesis.
 
-        Descriptors are embedded once and re-modulated per rotation,
-        which matches re-encoding the rotated sets exactly.
+        The set is aggregated once and block-rotated per rotation before
+        post-processing, which matches encoding the rotated sets exactly.
         """
         prepared = self.prepare(dset)
         vecs = aggregate_rotations(prepared, self.embedding, self.coeffs, thetas)
@@ -152,13 +152,10 @@ class PipelineConfig:
     adapted_power_law: bool = False
     rn_path: Optional[str] = None
     truncate: Optional[int] = None
-    rotations: int = 1
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ContractError(f"unknown coding family {self.family!r}; choose from {FAMILIES}")
-        if self.rotations < 1:
-            raise ContractError("rotations must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -52,19 +52,15 @@ def adapted_power_law(X: ModulatedVector, exponent: float) -> ModulatedVector:
     zero. The whole vector is l2-normalized at the end.
     """
     _check_exponent(exponent)
-    d = X.base_dim
-    vals = X.values.copy()
-    vals[:d] = _signed_power(vals[:d], exponent)
-    for n in range(1, X.n_freq + 1):
-        cs = slice((2 * n - 1) * d, 2 * n * d)
-        ss = slice(2 * n * d, (2 * n + 1) * d)
-        modulus = np.hypot(vals[cs], vals[ss])
-        scale = np.zeros_like(modulus)
-        nz = modulus > 0.0
-        scale[nz] = modulus[nz] ** (exponent - 1.0)
-        vals[cs] = vals[cs] * scale
-        vals[ss] = vals[ss] * scale
-    return ModulatedVector(values=_unit(vals), base_dim=d, n_freq=X.n_freq)
+    blocks = X.blocks.copy()
+    blocks[0] = _signed_power(blocks[0], exponent)
+    modulus = np.hypot(blocks[1::2], blocks[2::2])
+    scale = np.zeros_like(modulus)
+    nz = modulus > 0.0
+    scale[nz] = modulus[nz] ** (exponent - 1.0)
+    blocks[1::2] *= scale
+    blocks[2::2] *= scale
+    return ModulatedVector(values=_unit(blocks.ravel()), base_dim=X.base_dim, n_freq=X.n_freq)
 
 
 @dataclass(frozen=True)

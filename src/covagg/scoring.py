@@ -121,20 +121,6 @@ def score_polynomial(X: ModulatedVector, Y: ModulatedVector) -> ScorePolynomial:
     return ScorePolynomial(c0=c0, a=a, b=b)
 
 
-def rotate_blocks(X: ModulatedVector, theta: float) -> ModulatedVector:
-    """The vector that re-encoding with all angles shifted by theta gives."""
-    d = X.base_dim
-    vals = X.values.copy()
-    for n in range(1, X.n_freq + 1):
-        c = X.block_cos(n)
-        s = X.block_sin(n)
-        cn = math.cos(n * theta)
-        sn = math.sin(n * theta)
-        vals[(2 * n - 1) * d : 2 * n * d] = c * cn + s * sn
-        vals[2 * n * d : (2 * n + 1) * d] = -c * sn + s * cn
-    return ModulatedVector(values=vals, base_dim=d, n_freq=X.n_freq)
-
-
 def _golden_max(f, lo: float, hi: float, steps: int = GOLDEN_STEPS):
     """Golden-section maximization on [lo, hi]; returns (arg, value)."""
     x1 = hi - _INV_GOLDEN * (hi - lo)
@@ -192,9 +178,10 @@ def max_score(poly: ScorePolynomial, samples: int = 64):
 def query_multi_rotation(query: DescriptorSet, pipeline, db_vectors, n_rot: int = 8):
     """Best score per database vector over n_rot query rotation hypotheses.
 
-    The query is re-encoded once per hypothesis (the full pipeline,
-    including any non-linear post-processing) and all hypotheses are
-    scored against the whole database with a single matrix product.
+    The query is aggregated once, its blocks are rotated per hypothesis
+    and each rotated vector goes through the full post-processing; all
+    hypotheses are scored against the whole database with a single
+    matrix product.
     Returns (scores, thetas): the per-database maximum and the rotation
     hypothesis that achieved it.
     """

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,17 @@ from hypothesis import strategies as st
 from conftest import random_set
 from covagg import (
     AngleMapConfig,
+    CodebookModel,
     ContractError,
     DegenerateDataError,
     DescriptorSet,
+    FisherEmbedding,
+    GmmModel,
     ModulatedVector,
     MonomialConfig,
+    Pipeline,
+    RnModel,
+    VladEmbedding,
     aggregate,
     aggregate_raw_sum,
     aggregate_rotations,
@@ -24,6 +32,8 @@ from covagg import (
 from covagg import oracle
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
+# the package namespace binds ``aggregate`` to the function, not the module
+AGGREGATE_MODULE = importlib.import_module("covagg.aggregate")
 
 
 class TestModulate:
@@ -116,11 +126,13 @@ class TestAggregate:
         b = aggregate(shuffled, emb, K8_N3)
         assert np.max(np.abs(a.values - b.values)) < 1e-10
 
-    def test_chunking_does_not_change_result(self, rng):
+    def test_chunking_does_not_change_result(self, rng, monkeypatch):
         emb = MonomialConfig(1, 8)
         dset = random_set(rng, 33, 8)
-        a = aggregate(dset, emb, K8_N3, chunk_size=4)
-        b = aggregate(dset, emb, K8_N3, chunk_size=512)
+        monkeypatch.setattr(AGGREGATE_MODULE, "AGGREGATE_CHUNK", 4)
+        a = aggregate(dset, emb, K8_N3)
+        monkeypatch.setattr(AGGREGATE_MODULE, "AGGREGATE_CHUNK", 512)
+        b = aggregate(dset, emb, K8_N3)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
     def test_global_rotation_preserves_sum_norm(self, rng):
@@ -140,6 +152,35 @@ class TestAggregate:
         for theta, vec in zip(thetas, multi):
             direct = aggregate(rotate_set(dset, theta), emb, K8_N3)
             assert np.max(np.abs(vec.values - direct.values)) < 1e-12
+
+    @pytest.mark.parametrize("family", ["phi2", "vlad", "fisher"])
+    def test_encode_rotations_match_rotated_sets(self, rng, family):
+        # block rotation comes before every post-processing stage, so each
+        # row must equal the full encode of the rotated set
+        if family == "phi2":
+            pipe = Pipeline("phi2", MonomialConfig(2, 8), K8_N3, power_exponent=0.5, adapted=True)
+        elif family == "vlad":
+            emb = VladEmbedding(CodebookModel(rng.standard_normal((4, 8))))
+            pipe = Pipeline("vlad", emb, K8_N3, power_exponent=0.4)
+        else:
+            weights = rng.uniform(0.5, 1.5, 3)
+            gmm = GmmModel(
+                weights / weights.sum(), rng.standard_normal((3, 8)), rng.uniform(0.5, 2.0, (3, 8))
+            )
+            emb = FisherEmbedding(gmm)
+            full_dim = emb.output_dim * (2 * K8_N3.n_freq + 1)
+            rotation, _ = np.linalg.qr(rng.standard_normal((full_dim, full_dim)))
+            pipe = Pipeline(
+                "fisher", emb, K8_N3, power_exponent=0.4,
+                rn=RnModel(rotation=rotation, exponent=0.5), truncate_dim=40,
+            )
+        query = random_set(rng, 30, 8)
+        thetas = np.array([0.0, 0.7, 2.5, -1.3])
+        rows = pipe.encode_rotations(query, thetas)
+        assert rows.shape == (thetas.size, pipe.output_dim)
+        for theta, row in zip(thetas, rows):
+            direct = pipe.encode(rotate_set(query, theta))
+            assert np.max(np.abs(row - direct)) < 1e-10
 
     def test_empty_set_rejected(self, rng):
         emb = MonomialConfig(1, 8)

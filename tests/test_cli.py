@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -201,6 +202,25 @@ class TestExitCodes:
         code = main(["encode", str(cancel), "--out", str(tmp_path / "o.cvv"),
                      "--family", "phi1", "--input-dim", "4", "--nfreq", "0"])
         assert code == 4
+
+    def test_oversized_vector_header_is_2(self, tmp_path, capsys):
+        db = tmp_path / "huge.cvv"
+        db.write_bytes(b"CVAGVEC1" + struct.pack("<IIII", 100000, 100000, 3, 1))
+        query = tmp_path / "q.cvd"
+        write_descriptor_file(random_set(np.random.default_rng(0), 4, 8), query)
+        code = main(["query", "--db", str(db), "--query-desc", str(query),
+                     "--family", "phi1", "--input-dim", "8"])
+        assert code == 2
+        assert "header declares" in capsys.readouterr().err
+
+    def test_zero_rotations_is_3(self, corpus_dir, tmp_path, capsys):
+        db = tmp_path / "db.cvv"
+        assert main(encode_args(corpus_dir, db)) == 0
+        query = sorted((corpus_dir / "queries").iterdir())[0]
+        code = main(["query", "--db", str(db), "--query-desc", str(query), "--rotations", "0",
+                     "--family", "phi1", "--input-dim", "8", "--power-law", "0.2"])
+        assert code == 3
+        assert "n_rot" in capsys.readouterr().err
 
     def test_missing_input_is_3(self, tmp_path, capsys):
         code = main(["encode", str(tmp_path / "nope.cvd"),

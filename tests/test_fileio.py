@@ -129,6 +129,13 @@ class TestVectorFile:
         with pytest.raises(FormatError, match="truncated"):
             read_vector_file(path)
 
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        # 100000 records of 100000 * 7 components would need 522 GiB
+        path = tmp_path / "huge.cvv"
+        path.write_bytes(b"CVAGVEC1" + struct.pack("<IIII", 100000, 100000, 3, 1))
+        with pytest.raises(FormatError, match="header declares 100000 vectors"):
+            read_vector_file(path)
+
 
 class TestModelFiles:
     def test_pca_round_trip(self, rng, tmp_path):
