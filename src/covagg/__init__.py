@@ -24,6 +24,7 @@ from .angle_map import (
     angle_feature_batch,
     bessel_i,
     fourier_coeffs,
+    similarity_histogram,
     truncated_kernel,
     vm_kernel,
     wrap_angle,
@@ -40,7 +41,6 @@ from .codebooks import (
     quantization_error,
 )
 from .descriptors import (
-    DescriptorRecord,
     DescriptorSet,
     EmbeddingConfig,
     FisherEmbedding,
@@ -60,7 +60,6 @@ from .fileio import (
     read_descriptor_file,
     read_vector_file,
     save_model,
-    similarity_histogram,
     write_descriptor_file,
     write_vector_file,
 )

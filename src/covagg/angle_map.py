@@ -104,6 +104,7 @@ class AngleMapConfig:
 
     For the ``cosine_power`` family the expansion terminates at
     ``power // 2`` frequencies, so ``n_freq`` is forced to that value.
+    The von Mises family has no power, so ``power`` is dropped to None.
     """
 
     kappa: float = 8.0
@@ -120,6 +121,7 @@ class AngleMapConfig:
                     f"n_freq must be a non-negative integer, got {self.n_freq!r}"
                 )
             object.__setattr__(self, "n_freq", int(self.n_freq))
+            object.__setattr__(self, "power", None)
         elif self.family == COSINE_POWER:
             p = self.power
             if p is None or int(p) != p or p < 2 or p % 2 != 0:
@@ -214,3 +216,59 @@ def angle_feature_batch(thetas, coeffs: FourierCoefficients) -> np.ndarray:
 def angle_feature(theta: float, coeffs: FourierCoefficients) -> np.ndarray:
     """Feature vector of a single angle; see ``angle_feature_batch``."""
     return angle_feature_batch(np.asarray([theta]), coeffs)[0]
+
+
+SIM_HIST_HEADER = (
+    "angle_bin", "delta_lo", "delta_hi", "sim_lo", "sim_hi", "count_raw", "count_modulated",
+)
+
+
+def similarity_histogram(set_a, set_b, bins: int, coeffs: FourierCoefficients,
+                         value_bins: int = 24):
+    """Per-angle-bin histograms of raw and angle-weighted pair similarities.
+
+    Row i of the descriptor sets ``set_a`` and ``set_b`` is one matched
+    pair. Angle differences split [-pi, pi] into ``bins`` equal bins;
+    within each, both the plain inner products and the products weighted
+    by the angle kernel are histogrammed over [-1, 1] with ``value_bins``
+    cells. Returns a list of rows matching ``SIM_HIST_HEADER``.
+    """
+    if int(bins) != bins or bins < 1:
+        raise ContractError(f"bins must be a positive integer, got {bins!r}")
+    if int(value_bins) != value_bins or value_bins < 1:
+        raise ContractError(f"value_bins must be a positive integer, got {value_bins!r}")
+    if len(set_a) != len(set_b):
+        raise ContractError(
+            f"paired sets must have equal record counts, got {len(set_a)} and {len(set_b)}"
+        )
+    if set_a.dim != set_b.dim:
+        raise ContractError(
+            f"paired sets must have equal descriptor dims, got {set_a.dim} and {set_b.dim}"
+        )
+    # one dot product per row, each the same as np.dot of the pair
+    sims = (set_a.descriptors[:, None, :] @ set_b.descriptors[:, :, None]).ravel()
+    deltas = wrap_angle(set_a.angles - set_b.angles)
+    modulated = sims * truncated_kernel(deltas, coeffs)
+    angle_idx = np.clip(((deltas + np.pi) / (2.0 * np.pi) * bins).astype(int), 0, bins - 1)
+    raw_counts = np.zeros((bins, value_bins), dtype=np.int64)
+    mod_counts = np.zeros((bins, value_bins), dtype=np.int64)
+    for values, counts in ((sims, raw_counts), (modulated, mod_counts)):
+        value_idx = np.clip(((values + 1.0) / 2.0 * value_bins).astype(int), 0, value_bins - 1)
+        np.add.at(counts, (angle_idx, value_idx), 1)
+    angle_edges = np.linspace(-np.pi, np.pi, bins + 1)
+    value_edges = np.linspace(-1.0, 1.0, value_bins + 1)
+    rows = []
+    for bi in range(bins):
+        for vi in range(value_bins):
+            rows.append(
+                (
+                    bi,
+                    float(angle_edges[bi]),
+                    float(angle_edges[bi + 1]),
+                    float(value_edges[vi]),
+                    float(value_edges[vi + 1]),
+                    int(raw_counts[bi, vi]),
+                    int(mod_counts[bi, vi]),
+                )
+            )
+    return rows

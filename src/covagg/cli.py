@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -22,16 +23,17 @@ import numpy as np
 
 from . import fileio, retrieval
 from .angle_map import (
-    COSINE_POWER,
+    SIM_HIST_HEADER,
     VON_MISES,
     AngleMapConfig,
     fourier_coeffs,
+    similarity_histogram,
     truncated_kernel,
     vm_kernel,
 )
 from .codebooks import gmm_train, kmeans_train, pca_train
-from .descriptors import DescriptorRecord, preprocess_batch, rootsift_batch
-from .errors import ContractError, CovaggError
+from .descriptors import preprocess_batch, rootsift_batch
+from .errors import ContractError, CovaggError, FormatError
 from .pipeline import FAMILIES, PipelineConfig
 from .postprocess import rn_train
 from .scoring import query_multi_rotation
@@ -61,6 +63,8 @@ def _collect_descriptor_paths(inputs) -> list:
 
 def _load_training_matrix(args) -> np.ndarray:
     """Stack descriptors from the training files, preprocessed as requested."""
+    if args.sample is not None:
+        _require_positive("--sample", args.sample)
     paths = _collect_descriptor_paths(args.train_descriptors)
     blocks = []
     for path in paths:
@@ -75,11 +79,10 @@ def _load_training_matrix(args) -> np.ndarray:
     if getattr(args, "pca", None):
         pca = fileio.load_model(args.pca)
         data = preprocess_batch(data, pca, args.pca_reduce)
-    if getattr(args, "sample", None):
-        if args.sample < data.shape[0]:
-            rng = np.random.default_rng(args.seed)
-            keep = rng.choice(data.shape[0], size=args.sample, replace=False)
-            data = data[np.sort(keep)]
+    if args.sample is not None and args.sample < data.shape[0]:
+        rng = np.random.default_rng(args.seed)
+        keep = rng.choice(data.shape[0], size=args.sample, replace=False)
+        data = data[np.sort(keep)]
     return data
 
 
@@ -95,22 +98,33 @@ def _write_manifest(args):
     fileio.atomic_write_bytes(args.manifest, text.encode("utf-8") + b"\n")
 
 
+def _require_positive(flag: str, value: int):
+    if value < 1:
+        raise ContractError(f"{flag} must be a positive integer, got {value}")
+
+
+def _absolute(path):
+    return None if path is None else os.path.abspath(path)
+
+
 def _pipeline_config(args) -> PipelineConfig:
+    """The canonical config of the encode flags, model paths made absolute."""
+    amap = _angle_map_config(args)
     return PipelineConfig(
         family=args.family,
-        kappa=args.kappa,
-        n_freq=args.nfreq,
-        angle_family=args.angle_family.replace("-", "_"),
-        cosine_power=args.cosine_power,
+        kappa=amap.kappa,
+        n_freq=amap.n_freq,
+        angle_family=amap.family,
+        cosine_power=amap.power,
         input_dim=args.input_dim,
-        pca_path=args.pca,
+        pca_path=_absolute(args.pca),
         pca_reduce=args.pca_reduce,
-        codebook_path=args.codebook,
-        gmm_path=args.gmm,
+        codebook_path=_absolute(args.codebook),
+        gmm_path=_absolute(args.gmm),
         power_law=args.adapted_power_law if args.adapted_power_law is not None else args.power_law,
         skip_power_law=args.no_power_law,
         adapted_power_law=args.adapted_power_law is not None,
-        rn_path=args.rn,
+        rn_path=_absolute(args.rn),
         truncate=args.truncate,
     )
 
@@ -125,12 +139,11 @@ def _add_angle_flags(parser):
 
 
 def _angle_map_config(args) -> AngleMapConfig:
-    family = args.angle_family.replace("-", "_")
     return AngleMapConfig(
         kappa=args.kappa,
         n_freq=args.nfreq,
-        family=family,
-        power=args.cosine_power if family == COSINE_POWER else None,
+        family=args.angle_family.replace("-", "_"),
+        power=args.cosine_power,
     )
 
 
@@ -202,26 +215,38 @@ def cmd_train_rn(args) -> int:
     return 0
 
 
-def _encode_paths(paths, config: PipelineConfig, jobs: int):
-    pipeline = config.build()
+def _map_jobs(func, items, jobs: int) -> list:
+    """``func`` over ``items`` in order, on ``jobs`` threads."""
+    _require_positive("--jobs", jobs)
+    if jobs == 1:
+        return [func(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(func, items))
 
-    def encode_one(path):
-        dset = fileio.read_descriptor_file(path)
-        return dset.image_id, pipeline.encode(dset)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(encode_one, paths))
-    else:
-        results = [encode_one(path) for path in paths]
-    return pipeline, results
+def _open_database(path):
+    """The vector store at ``path`` and the pipeline its header names."""
+    store = fileio.read_vector_file(path)
+    pipeline = store.config.build()
+    if pipeline.stored_layout() != (store.base_dim, store.n_freq):
+        raise FormatError(
+            f"{path}: header layout {(store.base_dim, store.n_freq)} does not match "
+            f"the layout {pipeline.stored_layout()} of its pipeline config"
+        )
+    return store, pipeline
 
 
 def cmd_encode(args) -> int:
     _write_manifest(args)
     config = _pipeline_config(args)
+    pipeline = config.build()
     paths = _collect_descriptor_paths(args.descriptors)
-    pipeline, results = _encode_paths(paths, config, args.jobs)
+
+    def encode_one(path):
+        dset = fileio.read_descriptor_file(path)
+        return dset.image_id, pipeline.encode(dset)
+
+    results = _map_jobs(encode_one, paths, args.jobs)
     base_dim, n_freq = pipeline.stored_layout()
     fileio.write_vector_file(
         args.out,
@@ -229,7 +254,7 @@ def cmd_encode(args) -> int:
         np.stack([vec for _, vec in results]),
         base_dim=base_dim,
         n_freq=n_freq,
-        family=args.family,
+        config=config,
     )
     print(f"encoded {len(results)} images ({pipeline.output_dim} dims) -> {args.out}")
     return 0
@@ -237,9 +262,9 @@ def cmd_encode(args) -> int:
 
 def cmd_query(args) -> int:
     _write_manifest(args)
-    store = fileio.read_vector_file(args.db)
-    config = _pipeline_config(args)
-    pipeline = config.build()
+    if args.top < 0:
+        raise ContractError(f"--top must be non-negative, got {args.top}")
+    store, pipeline = _open_database(args.db)
     query = fileio.read_descriptor_file(args.query_desc)
     scores, thetas = query_multi_rotation(query, pipeline, store.vectors, args.rotations)
     order = sorted(
@@ -255,10 +280,8 @@ def cmd_query(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _write_manifest(args)
-    store = fileio.read_vector_file(args.db)
+    store, pipeline = _open_database(args.db)
     ground_truth = retrieval.read_ground_truth(args.gt, exclude_query=args.exclude_query)
-    config = _pipeline_config(args)
-    pipeline = config.build()
     paths = _collect_descriptor_paths(args.queries)
 
     def evaluate_one(path):
@@ -269,11 +292,7 @@ def cmd_evaluate(args) -> int:
         ranked = retrieval.rank_by_score(store.image_ids, scores)
         return query.image_id, retrieval.average_precision(ranked, ground_truth[query.image_id])
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(evaluate_one, paths))
-    else:
-        results = [evaluate_one(path) for path in paths]
+    results = _map_jobs(evaluate_one, paths, args.jobs)
     for query_id, ap in results:
         print(f"{query_id}\t{ap:.6f}")
     print(f"mAP\t{retrieval.mean_ap([ap for _, ap in results]):.6f}")
@@ -306,26 +325,17 @@ def cmd_angle_kernel_dump(args) -> int:
 
 def cmd_sim_hist(args) -> int:
     _write_manifest(args)
-    set_a = fileio.read_descriptor_file(args.a)
-    set_b = fileio.read_descriptor_file(args.b)
-    if len(set_a) != len(set_b):
-        raise ContractError(
-            f"pair files must have equal record counts, got {len(set_a)} and {len(set_b)}"
-        )
-    pairs = [
-        (
-            DescriptorRecord(set_a.descriptors[i], float(set_a.angles[i])),
-            DescriptorRecord(set_b.descriptors[i], float(set_b.angles[i])),
-        )
-        for i in range(len(set_a))
-    ]
-    rows = fileio.similarity_histogram(
-        pairs, args.bins, fourier_coeffs(_angle_map_config(args)), value_bins=args.value_bins
+    rows = similarity_histogram(
+        fileio.read_descriptor_file(args.a),
+        fileio.read_descriptor_file(args.b),
+        args.bins,
+        fourier_coeffs(_angle_map_config(args)),
+        value_bins=args.value_bins,
     )
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(fileio.SIM_HIST_HEADER)
+        writer.writerow(SIM_HIST_HEADER)
         for row in rows:
             writer.writerow(row)
     finally:
@@ -435,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True)
     p.add_argument("--query-desc", required=True)
     p.add_argument("--rotations", type=int, default=1)
-    p.add_argument("--top", type=int, default=10)
-    _add_pipeline_flags(p)
+    p.add_argument("--top", type=int, default=10, help="rows to print (0: all)")
     _add_manifest_flag(p)
     p.set_defaults(func=cmd_query)
 
@@ -447,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rotations", type=int, default=1)
     p.add_argument("--exclude-query", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
-    _add_pipeline_flags(p)
     _add_manifest_flag(p)
     p.set_defaults(func=cmd_evaluate)
 

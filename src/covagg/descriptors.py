@@ -13,7 +13,7 @@ families before aggregation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -27,11 +27,6 @@ from .codebooks import (
 )
 from .errors import ContractError, DegenerateDataError
 from .monomial import MonomialConfig, phi_monomial_batch
-
-
-class DescriptorRecord(NamedTuple):
-    descriptor: np.ndarray
-    angle: float
 
 
 @dataclass(frozen=True)
@@ -72,13 +67,6 @@ class DescriptorSet:
     @property
     def dim(self) -> int:
         return self.descriptors.shape[1]
-
-    @property
-    def records(self) -> list[DescriptorRecord]:
-        return [
-            DescriptorRecord(self.descriptors[i], float(self.angles[i]))
-            for i in range(len(self))
-        ]
 
 
 def rotate_set(dset: DescriptorSet, theta: float) -> DescriptorSet:

@@ -2,20 +2,20 @@
 
 A ``Pipeline`` bundles everything needed to turn a descriptor set into a
 database-ready vector. ``PipelineConfig`` is its serializable
-counterpart: plain parameters plus model file paths, as written into run
-manifests by the CLI.
+counterpart: plain parameters plus model file paths, as stored in the
+header of every vector file.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .aggregate import ModulatedVector, aggregate, aggregate_rotations
 from .angle_map import (
-    COSINE_POWER,
     VON_MISES,
     AngleMapConfig,
     FourierCoefficients,
@@ -133,6 +133,16 @@ class Pipeline:
         return np.stack([self.postprocess_vector(v) for v in vecs])
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field annotated ``hint``; ints pass as floats."""
+    kinds = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in kinds
+    if isinstance(value, int) and float in kinds:
+        return True
+    return isinstance(value, kinds)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Serializable pipeline description; model files referenced by path."""
@@ -159,6 +169,22 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data) -> PipelineConfig:
+        """Inverse of ``to_dict``: every field present, each of its declared type."""
+        if not isinstance(data, dict):
+            raise ContractError(f"pipeline config must be a mapping, got {type(data).__name__}")
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in data]
+        unknown = sorted(set(data) - set(names))
+        if missing or unknown:
+            raise ContractError(f"pipeline config lacks keys {missing}, has unknown keys {unknown}")
+        hints = typing.get_type_hints(cls)
+        for name in names:
+            if not _has_type(data[name], hints[name]):
+                raise ContractError(f"pipeline config {name!r} has a wrong type: {data[name]!r}")
+        return cls(**data)
 
     def build(self) -> Pipeline:
         """Load referenced models, resolve defaults, and validate dims."""
@@ -208,13 +234,9 @@ class PipelineConfig:
                     f"{self.family} model expects {embedding.input_dim}"
                 )
 
-        amap = AngleMapConfig(
-            kappa=self.kappa,
-            n_freq=self.n_freq,
-            family=self.angle_family,
-            power=self.cosine_power if self.angle_family == COSINE_POWER else None,
+        coeffs = fourier_coeffs(
+            AngleMapConfig(self.kappa, self.n_freq, self.angle_family, self.cosine_power)
         )
-        coeffs = fourier_coeffs(amap)
 
         if self.skip_power_law:
             exponent = None

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import random_set
-from covagg import read_vector_file, write_descriptor_file
+from covagg import (
+    PipelineConfig,
+    query_multi_rotation,
+    read_descriptor_file,
+    read_vector_file,
+    write_descriptor_file,
+    write_vector_file,
+)
 from covagg.cli import main
 
 
@@ -51,7 +58,6 @@ def test_encode_query_evaluate_round(corpus_dir, tmp_path, capsys):
         [
             "query", "--db", str(db_path), "--query-desc", str(query_file),
             "--rotations", "8", "--top", "5",
-            "--family", "phi1", "--input-dim", "8", "--power-law", "0.2",
         ]
     )
     assert code == 0
@@ -69,7 +75,6 @@ def test_encode_query_evaluate_round(corpus_dir, tmp_path, capsys):
             "--queries", str(corpus_dir / "queries"),
             "--gt", str(corpus_dir / "groundtruth.txt"),
             "--rotations", "8",
-            "--family", "phi1", "--input-dim", "8", "--power-law", "0.2",
         ]
     )
     assert code == 0
@@ -92,6 +97,89 @@ def test_manifest_replay_is_bit_identical(corpus_dir, tmp_path, capsys):
     manifest.write_text(json.dumps(payload))
     assert main(["run-manifest", str(manifest)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_query_scores_with_the_stored_config(corpus_dir, tmp_path, capsys):
+    db = tmp_path / "db.cvv"
+    assert main(["encode", str(corpus_dir / "database"), "--out", str(db), "--family", "phi1",
+                 "--input-dim", "8", "--kappa", "8", "--adapted-power-law", "0.7"]) == 0
+    query = sorted((corpus_dir / "queries").iterdir())[0]
+    capsys.readouterr()
+    assert main(["query", "--db", str(db), "--query-desc", str(query),
+                 "--rotations", "4", "--top", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    config = PipelineConfig(family="phi1", input_dim=8, kappa=8.0, power_law=0.7,
+                            adapted_power_law=True)
+    store = read_vector_file(db)
+    assert store.config == config
+    scores, thetas = query_multi_rotation(
+        read_descriptor_file(query), config.build(), store.vectors, 4
+    )
+    order = sorted(range(len(store)), key=lambda i: (-scores[i], store.image_ids[i]))
+    assert lines == ["rank\timage_id\tscore\ttheta_star"] + [
+        f"{rank}\t{store.image_ids[i]}\t{scores[i]:.8f}\t{thetas[i]:.8f}"
+        for rank, i in enumerate(order, start=1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "flags, stored",
+    [
+        (["--cosine-power", "6"], {"angle_family": "von_mises", "cosine_power": None, "n_freq": 3}),
+        (["--angle-family", "cosine-power", "--cosine-power", "6", "--nfreq", "1"],
+         {"angle_family": "cosine_power", "cosine_power": 6, "n_freq": 3}),
+    ],
+)
+def test_stored_angle_config_is_canonical(corpus_dir, tmp_path, flags, stored):
+    db = tmp_path / "db.cvv"
+    assert main(["encode", str(corpus_dir / "database"), "--out", str(db), "--family", "phi1",
+                 "--input-dim", "8", *flags]) == 0
+    config = read_vector_file(db).config.to_dict()
+    assert {key: config[key] for key in stored} == stored
+
+
+@pytest.mark.parametrize("command", ["query", "evaluate"])
+def test_pipeline_flags_are_refused(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    for flag in ("--family", "--kappa", "--nfreq", "--angle-family", "--input-dim", "--pca",
+                 "--codebook", "--gmm", "--power-law", "--rn ", "--truncate"):
+        assert flag not in help_text
+    inputs = {"query": ["--query-desc", "q.cvd"],
+              "evaluate": ["--queries", "queries", "--gt", "gt.txt"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--db", "db.cvv", *inputs, "--kappa", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kappa 2" in capsys.readouterr().err
+
+
+def test_model_paths_are_stored_absolute(corpus_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train-kmeans", "--train-descriptors", str(corpus_dir / "database"),
+                 "--k", "4", "--seed", "5", "--out", "km.cvm"]) == 0
+    assert main(["encode", str(corpus_dir / "database"), "--out", "db.cvv",
+                 "--family", "vlad", "--codebook", "km.cvm"]) == 0
+    assert read_vector_file("db.cvv").config.codebook_path == str(tmp_path / "km.cvm")
+    monkeypatch.chdir(corpus_dir)
+    query = sorted((corpus_dir / "queries").iterdir())[0]
+    assert main(["query", "--db", str(tmp_path / "db.cvv"), "--query-desc", str(query)]) == 0
+
+
+def test_evaluate_manifest_replay_reproduces_stdout(corpus_dir, tmp_path, capsys):
+    db = tmp_path / "db.cvv"
+    assert main(encode_args(corpus_dir, db)) == 0
+    manifest = tmp_path / "evaluate.json"
+    capsys.readouterr()
+    assert main(["evaluate", "--db", str(db), "--queries", str(corpus_dir / "queries"),
+                 "--gt", str(corpus_dir / "groundtruth.txt"), "--rotations", "4",
+                 "--manifest", str(manifest)]) == 0
+    first = capsys.readouterr().out
+    assert "kappa" not in json.loads(manifest.read_text())["args"]
+    assert main(["run-manifest", str(manifest)]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_encode_parallel_matches_serial(corpus_dir, tmp_path):
@@ -205,11 +293,10 @@ class TestExitCodes:
 
     def test_oversized_vector_header_is_2(self, tmp_path, capsys):
         db = tmp_path / "huge.cvv"
-        db.write_bytes(b"CVAGVEC1" + struct.pack("<IIII", 100000, 100000, 3, 1))
+        db.write_bytes(b"CVAGVEC2" + struct.pack("<IIII", 100000, 100000, 3, 2) + b"{}")
         query = tmp_path / "q.cvd"
         write_descriptor_file(random_set(np.random.default_rng(0), 4, 8), query)
-        code = main(["query", "--db", str(db), "--query-desc", str(query),
-                     "--family", "phi1", "--input-dim", "8"])
+        code = main(["query", "--db", str(db), "--query-desc", str(query)])
         assert code == 2
         assert "header declares" in capsys.readouterr().err
 
@@ -217,10 +304,49 @@ class TestExitCodes:
         db = tmp_path / "db.cvv"
         assert main(encode_args(corpus_dir, db)) == 0
         query = sorted((corpus_dir / "queries").iterdir())[0]
-        code = main(["query", "--db", str(db), "--query-desc", str(query), "--rotations", "0",
-                     "--family", "phi1", "--input-dim", "8", "--power-law", "0.2"])
+        code = main(["query", "--db", str(db), "--query-desc", str(query), "--rotations", "0"])
         assert code == 3
         assert "n_rot" in capsys.readouterr().err
+
+    def test_layout_not_matching_config_is_2(self, tmp_path, capsys):
+        db = tmp_path / "db.cvv"
+        write_vector_file(db, ["a"], np.ones((1, 7)), base_dim=1, n_freq=3,
+                          config=PipelineConfig(family="phi1", input_dim=8))
+        query = tmp_path / "q.cvd"
+        write_descriptor_file(random_set(np.random.default_rng(0), 4, 8), query)
+        assert main(["query", "--db", str(db), "--query-desc", str(query)]) == 2
+        assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sample", ["-5", "0"])
+    def test_non_positive_sample_is_3(self, corpus_dir, tmp_path, capsys, sample):
+        code = main(["train-pca", "--train-descriptors", str(corpus_dir / "database"),
+                     "--out-dim", "4", "--out", str(tmp_path / "pca.cvm"), "--sample", sample])
+        assert code == 3
+        assert "--sample must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "pca.cvm").exists()
+
+    def test_negative_top_is_3(self, corpus_dir, tmp_path, capsys):
+        db = tmp_path / "db.cvv"
+        assert main(encode_args(corpus_dir, db)) == 0
+        query = sorted((corpus_dir / "queries").iterdir())[0]
+        capsys.readouterr()
+        assert main(["query", "--db", str(db), "--query-desc", str(query), "--top", "-2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--top must be non-negative" in captured.err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_is_3(self, corpus_dir, tmp_path, capsys, jobs):
+        db = tmp_path / "db.cvv"
+        assert main(encode_args(corpus_dir, tmp_path / "other.cvv", ("--jobs", jobs))) == 3
+        assert not (tmp_path / "other.cvv").exists()
+        assert main(encode_args(corpus_dir, db)) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--db", str(db), "--queries", str(corpus_dir / "queries"),
+                     "--gt", str(corpus_dir / "groundtruth.txt"), "--jobs", jobs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs must be a positive integer" in captured.err
 
     def test_missing_input_is_3(self, tmp_path, capsys):
         code = main(["encode", str(tmp_path / "nope.cvd"),

@@ -38,13 +38,6 @@ class TestDescriptorSet:
         with pytest.raises(ContractError):
             DescriptorSet(bad, [0.0, 0.0])
 
-    def test_records_view(self, rng):
-        dset = DescriptorSet(unit_rows(rng, 2, 4), [0.3, -0.7], image_id="a")
-        records = dset.records
-        assert len(records) == 2
-        assert records[1].angle == pytest.approx(-0.7)
-        assert np.array_equal(records[0].descriptor, dset.descriptors[0])
-
     def test_rotate_set_shifts_and_wraps(self, rng):
         dset = DescriptorSet(unit_rows(rng, 2, 4), [3.0, -3.0])
         rotated = rotate_set(dset, 0.5)

@@ -1,17 +1,21 @@
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_set, unit_rows
 from covagg import (
     AngleMapConfig,
     CodebookModel,
     ContractError,
-    DescriptorRecord,
+    CovaggError,
     DescriptorSet,
     FormatError,
     GmmModel,
+    PipelineConfig,
     RnModel,
     fourier_coeffs,
     load_model,
@@ -25,9 +29,13 @@ from covagg import (
     write_descriptor_file,
     write_vector_file,
 )
-from covagg.fileio import DESCRIPTOR_MAGIC, SIM_HIST_HEADER
+from covagg.angle_map import SIM_HIST_HEADER
+from covagg.fileio import DESCRIPTOR_MAGIC, VECTOR_MAGIC
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
+CONFIG = PipelineConfig(family="phi1", input_dim=8, power_law=0.2)
+# magic, then u32 count, base_dim, n_freq and config length
+VECTOR_HEADER = len(VECTOR_MAGIC) + 16
 
 
 class TestDescriptorFile:
@@ -101,29 +109,29 @@ class TestVectorFile:
         vectors = rng.standard_normal((5, 21)).astype(np.float32).astype(np.float64)
         ids = [f"img{i:02d}" for i in range(5)]
         path = tmp_path / "vecs.cvv"
-        write_vector_file(path, ids, vectors, base_dim=3, n_freq=3, family="phi2")
+        write_vector_file(path, ids, vectors, base_dim=3, n_freq=3, config=CONFIG)
         store = read_vector_file(path)
         assert store.image_ids == ids
-        assert store.base_dim == 3 and store.n_freq == 3 and store.family == "phi2"
+        assert store.base_dim == 3 and store.n_freq == 3 and store.config == CONFIG
         assert np.array_equal(store.vectors, vectors)
 
     def test_unicode_ids(self, rng, tmp_path):
         vectors = rng.standard_normal((1, 7))
         path = tmp_path / "vecs.cvv"
-        write_vector_file(path, ["croisé_07"], vectors, base_dim=1, n_freq=3, family="phi1")
+        write_vector_file(path, ["croisé_07"], vectors, base_dim=1, n_freq=3, config=CONFIG)
         assert read_vector_file(path).image_ids == ["croisé_07"]
 
     def test_layout_mismatch_rejected(self, rng, tmp_path):
         with pytest.raises(ContractError, match="base_dim"):
             write_vector_file(
                 tmp_path / "bad.cvv", ["a"], rng.standard_normal((1, 10)),
-                base_dim=3, n_freq=1, family="phi1",
+                base_dim=3, n_freq=1, config=CONFIG,
             )
 
     def test_truncated_payload(self, rng, tmp_path):
         path = tmp_path / "vecs.cvv"
         write_vector_file(path, ["a"], rng.standard_normal((1, 7)),
-                          base_dim=1, n_freq=3, family="phi1")
+                          base_dim=1, n_freq=3, config=CONFIG)
         data = path.read_bytes()
         path.write_bytes(data[:-4])
         with pytest.raises(FormatError, match="truncated"):
@@ -132,8 +140,77 @@ class TestVectorFile:
     def test_oversized_header_rejected_before_allocating(self, tmp_path):
         # 100000 records of 100000 * 7 components would need 522 GiB
         path = tmp_path / "huge.cvv"
-        path.write_bytes(b"CVAGVEC1" + struct.pack("<IIII", 100000, 100000, 3, 1))
+        path.write_bytes(b"CVAGVEC2" + struct.pack("<IIII", 100000, 100000, 3, 2) + b"{}")
         with pytest.raises(FormatError, match="header declares 100000 vectors"):
+            read_vector_file(path)
+
+    def test_layout_is_header_config_ids_matrix(self, tmp_path):
+        vectors = np.arange(14.0).reshape(2, 7)
+        path = tmp_path / "vecs.cvv"
+        write_vector_file(path, ["a", "bc"], vectors, base_dim=1, n_freq=3, config=CONFIG)
+        config_json = json.dumps(CONFIG.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert path.read_bytes() == (
+            b"CVAGVEC2" + struct.pack("<IIII", 2, 1, 3, len(config_json))
+            + config_json.encode("ascii")
+            + struct.pack("<I", 1) + b"a" + struct.pack("<I", 2) + b"bc"
+            + vectors.astype("<f4").tobytes()
+        )
+
+    def test_non_finite_value_reports_offset(self, tmp_path):
+        path = tmp_path / "vecs.cvv"
+        write_vector_file(path, ["a"], np.ones((1, 7)), base_dim=1, n_freq=3, config=CONFIG)
+        data = bytearray(path.read_bytes())
+        data[-8:-4] = struct.pack("<f", np.inf)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"non-finite vector value at byte {len(data) - 8}"):
+            read_vector_file(path)
+
+    def test_invalid_utf8_id_rejected(self, tmp_path):
+        path = tmp_path / "vecs.cvv"
+        write_vector_file(path, ["a"], np.ones((1, 7)), base_dim=1, n_freq=3, config=CONFIG)
+        data = bytearray(path.read_bytes())
+        id_at = VECTOR_HEADER + struct.unpack_from("<I", data, VECTOR_HEADER - 4)[0] + 4
+        assert data[id_at : id_at + 1] == b"a"
+        data[id_at] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"invalid UTF-8 image id at byte {id_at}"):
+            read_vector_file(path)
+
+    def test_v1_file_rejected(self, tmp_path):
+        path = tmp_path / "old.cvv"
+        path.write_bytes(
+            b"CVAGVEC1" + struct.pack("<IIIII", 1, 1, 0, 1, 1) + b"a" + struct.pack("<f", 1.0)
+        )
+        with pytest.raises(FormatError, match="bad magic"):
+            read_vector_file(path)
+
+    @pytest.mark.parametrize(
+        "config_json",
+        [
+            b"{not json",
+            b"\xff\xfe",
+            b"[]",
+            json.dumps({**CONFIG.to_dict(), "colour": "red"}).encode(),
+            json.dumps({k: v for k, v in CONFIG.to_dict().items() if k != "kappa"}).encode(),
+            json.dumps({**CONFIG.to_dict(), "kappa": "8"}).encode(),
+            json.dumps({**CONFIG.to_dict(), "n_freq": 3.0}).encode(),
+            json.dumps({**CONFIG.to_dict(), "skip_power_law": 0}).encode(),
+            json.dumps({**CONFIG.to_dict(), "rn_path": 7}).encode(),
+            json.dumps({**CONFIG.to_dict(), "family": "phi9"}).encode(),
+        ],
+        ids=["malformed", "not-utf8", "not-an-object", "unknown-key", "missing-key",
+             "str-for-float", "float-for-int", "int-for-bool", "int-for-path", "bad-family"],
+    )
+    def test_bad_config_rejected(self, tmp_path, config_json):
+        path = tmp_path / "vecs.cvv"
+        write_vector_file(path, ["a"], np.ones((1, 7)), base_dim=1, n_freq=3, config=CONFIG)
+        data = path.read_bytes()
+        old_len = struct.unpack_from("<I", data, VECTOR_HEADER - 4)[0]
+        path.write_bytes(
+            data[: VECTOR_HEADER - 4] + struct.pack("<I", len(config_json)) + config_json
+            + data[VECTOR_HEADER + old_len :]
+        )
+        with pytest.raises(FormatError, match=f"bad pipeline config at byte {VECTOR_HEADER}"):
             read_vector_file(path)
 
 
@@ -173,6 +250,16 @@ class TestModelFiles:
         assert loaded.exponent == model.exponent
         assert loaded.whiten == model.whiten
 
+    @pytest.mark.parametrize("kind", ["pca", "codebook", "gmm", "rn"])
+    def test_non_finite_value_reports_offset(self, rng, tmp_path, kind):
+        path = tmp_path / f"{kind}.cvm"
+        save_model(path, _small_model(kind, rng))
+        data = bytearray(path.read_bytes())
+        data[-8:] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"non-finite .* value at byte {len(data) - 8}"):
+            load_model(path)
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "mystery.cvm"
         path.write_bytes(b"CVAGMDL1" + b"XYZ\x00" + struct.pack("<I", 0))
@@ -181,18 +268,19 @@ class TestModelFiles:
 
 
 class TestSimilarityHistogram:
-    def make_pairs(self, rng, descriptors, deltas):
-        pairs = []
-        for x, delta in zip(descriptors, deltas):
-            pairs.append(
-                (DescriptorRecord(x, 0.0), DescriptorRecord(x.copy(), -float(delta)))
-            )
-        return pairs
+    EMPTY = DescriptorSet(np.empty((0, 8)), np.empty(0))
+
+    def make_pairs(self, descriptors, deltas):
+        """Two sets pairing each row with itself at angle difference ``delta``."""
+        return (
+            DescriptorSet(descriptors, np.zeros(len(deltas))),
+            DescriptorSet(descriptors.copy(), -np.asarray(deltas)),
+        )
 
     def test_point_mass_at_identical_pairs(self, rng):
         X = unit_rows(rng, 10, 8)
-        pairs = self.make_pairs(rng, X, np.zeros(10))
-        rows = similarity_histogram(pairs, bins=8, coeffs=K8_N3, value_bins=10)
+        set_a, set_b = self.make_pairs(X, np.zeros(10))
+        rows = similarity_histogram(set_a, set_b, bins=8, coeffs=K8_N3, value_bins=10)
         assert len(rows) == 80
         header_idx = {name: i for i, name in enumerate(SIM_HIST_HEADER)}
         populated = [r for r in rows if r[header_idx["count_raw"]] > 0]
@@ -208,8 +296,8 @@ class TestSimilarityHistogram:
         # is the raw histogram relocated to sim * k(delta)
         delta = 1.1
         X = unit_rows(rng, 16, 8)
-        pairs = self.make_pairs(rng, X, np.full(16, delta))
-        rows = similarity_histogram(pairs, bins=8, coeffs=K8_N3, value_bins=400)
+        set_a, set_b = self.make_pairs(X, np.full(16, delta))
+        rows = similarity_histogram(set_a, set_b, bins=8, coeffs=K8_N3, value_bins=400)
         header_idx = {name: i for i, name in enumerate(SIM_HIST_HEADER)}
         expected = 1.0 * truncated_kernel(delta, K8_N3)
         hit = [
@@ -221,10 +309,92 @@ class TestSimilarityHistogram:
         assert sum(r[header_idx["count_modulated"]] for r in hit) == 16
 
     def test_eight_bins_default_shape(self, rng):
-        rows = similarity_histogram([], bins=8, coeffs=K8_N3, value_bins=24)
+        rows = similarity_histogram(self.EMPTY, self.EMPTY, bins=8, coeffs=K8_N3, value_bins=24)
         assert len(rows) == 8 * 24
         assert all(r[5] == 0 and r[6] == 0 for r in rows)
 
     def test_rejects_bad_bins(self):
         with pytest.raises(ContractError):
-            similarity_histogram([], bins=0, coeffs=K8_N3)
+            similarity_histogram(self.EMPTY, self.EMPTY, bins=0, coeffs=K8_N3)
+
+    def test_rejects_unequal_sets(self, rng):
+        with pytest.raises(ContractError, match="record counts"):
+            similarity_histogram(random_set(rng, 3, 8), random_set(rng, 2, 8), 8, K8_N3)
+        with pytest.raises(ContractError, match="descriptor dims"):
+            similarity_histogram(random_set(rng, 3, 8), random_set(rng, 3, 4), 8, K8_N3)
+
+    def test_pair_similarities_are_row_dot_products(self, rng):
+        # each pair lands in the value bin of np.dot of its rows
+        set_a, set_b = random_set(rng, 50, 16), random_set(rng, 50, 16)
+        rows = similarity_histogram(set_a, set_b, bins=1, coeffs=K8_N3, value_bins=50)
+        sims = np.array([np.dot(a, b) for a, b in zip(set_a.descriptors, set_b.descriptors)])
+        expected = np.bincount(np.clip(((sims + 1.0) / 2.0 * 50).astype(int), 0, 49),
+                               minlength=50)
+        assert [r[5] for r in rows] == expected.tolist()
+
+
+def _small_model(kind, rng):
+    if kind == "pca":
+        return pca_train(rng.standard_normal((20, 4)), 3)
+    if kind == "codebook":
+        return CodebookModel(rng.standard_normal((3, 4)))
+    if kind == "gmm":
+        return GmmModel(np.array([0.25, 0.75]), rng.standard_normal((2, 3)), np.ones((2, 3)))
+    return rn_train(rng.standard_normal((12, 5)), exponent=0.5)
+
+
+def _mutations(size):
+    """A truncation to fewer than ``size`` bytes, or up to 8 byte overwrites."""
+    cut = st.integers(0, size - 1).map(lambda n: ("cut", n))
+    writes = st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, 255)),
+                      min_size=1, max_size=8).map(lambda w: ("set", w))
+    return st.one_of(cut, writes)
+
+
+def _mutate(data, mutation):
+    how, arg = mutation
+    if how == "cut":
+        return data[:arg]
+    out = bytearray(data)
+    for pos, value in arg:
+        out[pos] = value
+    return bytes(out)
+
+
+FUZZ = settings(derandomize=True, max_examples=100, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestParsersNeverCrash:
+    """Every truncation or overwrite of a valid file parses or raises a CovaggError."""
+
+    def check(self, path, original, parse, data):
+        path.write_bytes(_mutate(original, data.draw(_mutations(len(original)))))
+        try:
+            parse(path)
+        except CovaggError:
+            pass
+
+    @FUZZ
+    @given(data=st.data())
+    def test_descriptor_file(self, tmp_path, data):
+        path = tmp_path / "fuzz.cvd"
+        write_descriptor_file(random_set(np.random.default_rng(0), 3, 4), path)
+        self.check(path, path.read_bytes(), read_descriptor_file, data)
+
+    @pytest.mark.parametrize("kind", ["pca", "codebook", "gmm", "rn"])
+    @FUZZ
+    @given(data=st.data())
+    def test_model_file(self, tmp_path, kind, data):
+        path = tmp_path / "fuzz.cvm"
+        save_model(path, _small_model(kind, np.random.default_rng(0)))
+        self.check(path, path.read_bytes(), load_model, data)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_vector_file(self, tmp_path, data):
+        path = tmp_path / "fuzz.cvv"
+        vectors = np.random.default_rng(0).standard_normal((2, 7))
+        write_vector_file(path, ["a", "b"], vectors, base_dim=1, n_freq=3, config=CONFIG)
+        self.check(path, path.read_bytes(), read_vector_file, data)
