@@ -46,10 +46,7 @@ from .descriptors import (
     FisherEmbedding,
     VladEmbedding,
     embed_batch,
-    embed_descriptor,
-    preprocess,
     preprocess_batch,
-    rootsift,
     rootsift_batch,
     rotate_set,
 )

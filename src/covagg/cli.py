@@ -34,7 +34,7 @@ from .angle_map import (
 from .codebooks import gmm_train, kmeans_train, pca_train
 from .descriptors import preprocess_batch, rootsift_batch
 from .errors import ContractError, CovaggError, FormatError
-from .pipeline import FAMILIES, PipelineConfig
+from .pipeline import FAMILIES, PipelineConfig, default_power_exponent
 from .postprocess import rn_train
 from .scoring import query_multi_rotation
 from .synth import SynthConfig, generate_corpus
@@ -78,7 +78,7 @@ def _load_training_matrix(args) -> np.ndarray:
     data = np.vstack(blocks)
     if getattr(args, "pca", None):
         pca = fileio.load_model(args.pca)
-        data = preprocess_batch(data, pca, args.pca_reduce)
+        data = preprocess_batch(data, pca)
     if args.sample is not None and args.sample < data.shape[0]:
         rng = np.random.default_rng(args.seed)
         keep = rng.choice(data.shape[0], size=args.sample, replace=False)
@@ -108,8 +108,14 @@ def _absolute(path):
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    """The canonical config of the encode flags, model paths made absolute."""
+    """The canonical config of the encode flags, model paths made absolute.
+
+    With no power-law flag, the family's default exponent is stored.
+    """
     amap = _angle_map_config(args)
+    exponent = args.power_law if args.adapted_power_law is None else args.adapted_power_law
+    if exponent is None and not args.no_power_law:
+        exponent = default_power_exponent(args.family)
     return PipelineConfig(
         family=args.family,
         kappa=amap.kappa,
@@ -118,11 +124,9 @@ def _pipeline_config(args) -> PipelineConfig:
         cosine_power=amap.power,
         input_dim=args.input_dim,
         pca_path=_absolute(args.pca),
-        pca_reduce=args.pca_reduce,
         codebook_path=_absolute(args.codebook),
         gmm_path=_absolute(args.gmm),
-        power_law=args.adapted_power_law if args.adapted_power_law is not None else args.power_law,
-        skip_power_law=args.no_power_law,
+        power_law=exponent,
         adapted_power_law=args.adapted_power_law is not None,
         rn_path=_absolute(args.rn),
         truncate=args.truncate,
@@ -156,18 +160,15 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser):
         help="descriptor dim for monomial families when no pca model is given",
     )
     group.add_argument("--pca", default=None, metavar="MODEL")
-    group.add_argument(
-        "--pca-reduce", action=argparse.BooleanOptionalAction, default=None,
-        help="truncate to the pca components (default: yes except for vlad)",
-    )
     group.add_argument("--codebook", default=None, metavar="MODEL")
     group.add_argument("--gmm", default=None, metavar="MODEL")
-    group.add_argument("--power-law", type=float, default=None, metavar="A")
-    group.add_argument(
+    power = group.add_mutually_exclusive_group()
+    power.add_argument("--power-law", type=float, default=None, metavar="A")
+    power.add_argument(
         "--adapted-power-law", type=float, default=None, metavar="A",
         help="use the pair-modulus power law with this exponent",
     )
-    group.add_argument("--no-power-law", action="store_true")
+    power.add_argument("--no-power-law", action="store_true")
     group.add_argument("--rn", default=None, metavar="MODEL")
     group.add_argument("--truncate", type=int, default=None, metavar="D")
 
@@ -408,21 +409,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = training_parser("train-pca", "train a PCA model on descriptors")
     p.add_argument("--out-dim", type=int, required=True)
-    p.set_defaults(func=cmd_train_pca, pca=None, pca_reduce=True)
+    p.set_defaults(func=cmd_train_pca)
 
     p = training_parser("train-kmeans", "train a k-means codebook")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--iters", type=int, default=25)
     p.add_argument("--pca", default=None, metavar="MODEL")
-    p.add_argument("--pca-reduce", action=argparse.BooleanOptionalAction, default=False,
-                   help="reduce during preprocessing (default: rotation only)")
     p.set_defaults(func=cmd_train_kmeans)
 
     p = training_parser("train-gmm", "train a diagonal GMM")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--pca", default=None, metavar="MODEL")
-    p.add_argument("--pca-reduce", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_train_gmm)
 
     p = sub.add_parser("train-rn", help="learn the rotation + renormalization model")

@@ -123,7 +123,7 @@ class CodebookModel:
             raise ContractError("centroids must be finite")
         d2 = _pairwise_sq_dists(c, c)
         np.fill_diagonal(d2, np.inf)
-        if np.min(d2) <= 0.0:
+        if not np.min(d2) > 0.0:  # NaN from overflowing distances counts as a duplicate
             raise ContractError("codebook contains duplicate centroids")
         object.__setattr__(self, "centroids", _freeze(c))
 

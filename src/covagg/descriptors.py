@@ -94,16 +94,11 @@ def rootsift_batch(raw) -> np.ndarray:
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 
-def rootsift(raw) -> np.ndarray:
-    return rootsift_batch(np.asarray(raw, dtype=np.float64)[None, :])[0]
+def preprocess_batch(X, pca: PcaModel) -> np.ndarray:
+    """Center by the PCA mean, project on its basis, re-normalize rows.
 
-
-def preprocess_batch(X, pca: PcaModel, reduce: bool) -> np.ndarray:
-    """Center by the PCA mean, rotate by its basis, re-normalize rows.
-
-    With ``reduce`` the output keeps the model's ``out_dim`` leading
-    components (the basis rows); without it the basis must cover the full
-    input dimension so the transform is a pure rotation.
+    The output keeps the model's ``out_dim`` leading components; a model
+    with ``out_dim == input_dim`` makes the transform a pure rotation.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -112,20 +107,11 @@ def preprocess_batch(X, pca: PcaModel, reduce: bool) -> np.ndarray:
         raise ContractError(
             f"descriptor dim {X.shape[1]} does not match pca input dim {pca.input_dim}"
         )
-    if not reduce and pca.out_dim != pca.input_dim:
-        raise ContractError(
-            "rotation-only preprocessing requires a full-dimension pca basis; "
-            f"got {pca.out_dim} rows for {pca.input_dim} dims"
-        )
     Y = (X - pca.mean) @ pca.basis.T
     norms = np.linalg.norm(Y, axis=1)
     if np.any(norms == 0.0):
         raise DegenerateDataError("descriptor vanished after centering and rotation")
     return Y / norms[:, None]
-
-
-def preprocess(x, pca: PcaModel, reduce: bool) -> np.ndarray:
-    return preprocess_batch(np.asarray(x, dtype=np.float64)[None, :], pca, reduce)[0]
 
 
 @dataclass(frozen=True)
@@ -200,8 +186,3 @@ def embed_batch(X, config: EmbeddingConfig) -> np.ndarray:
             return _vlad_batch(X, config.codebook)
         return _fisher_batch(X, config.gmm)
     raise ContractError(f"unknown embedding config {type(config).__name__}")
-
-
-def embed_descriptor(x, config: EmbeddingConfig) -> np.ndarray:
-    """Embed a single descriptor."""
-    return embed_batch(np.asarray(x, dtype=np.float64)[None, :], config)[0]

@@ -56,7 +56,6 @@ class Pipeline:
     embedding: EmbeddingConfig
     coeffs: FourierCoefficients
     pca: Optional[PcaModel] = None
-    pca_reduce: bool = True
     power_exponent: Optional[float] = None
     adapted: bool = False
     rn: Optional[RnModel] = None
@@ -94,15 +93,11 @@ class Pipeline:
             X = rootsift_batch(X)
             changed = True
         if self.pca is not None:
-            X = preprocess_batch(X, self.pca, self.pca_reduce)
+            X = preprocess_batch(X, self.pca)
             changed = True
         if not changed:
             return dset
         return DescriptorSet(X, dset.angles, image_id=dset.image_id)
-
-    def encode_modulated(self, dset: DescriptorSet) -> ModulatedVector:
-        """Aggregated vector before any non-linear post-processing."""
-        return aggregate(self.prepare(dset), self.embedding, self.coeffs)
 
     def postprocess_vector(self, vec: ModulatedVector) -> np.ndarray:
         if self.power_exponent is not None:
@@ -120,7 +115,7 @@ class Pipeline:
 
     def encode(self, dset: DescriptorSet) -> np.ndarray:
         """Full pipeline: database-ready vector for one image."""
-        return self.postprocess_vector(self.encode_modulated(dset))
+        return self.postprocess_vector(aggregate(self.prepare(dset), self.embedding, self.coeffs))
 
     def encode_rotations(self, dset: DescriptorSet, thetas) -> np.ndarray:
         """One fully post-processed vector per global rotation hypothesis.
@@ -145,7 +140,13 @@ def _has_type(value, hint) -> bool:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Serializable pipeline description; model files referenced by path."""
+    """Serializable pipeline description; model files referenced by path.
+
+    Every field is a resolved decision: ``power_law`` is the exponent
+    (``None``: no power law), and a PCA model's ``out_dim`` is the
+    dimension the embedding receives. Fields the family never reads are
+    refused rather than stored.
+    """
 
     family: str
     kappa: float = 8.0
@@ -154,11 +155,9 @@ class PipelineConfig:
     cosine_power: Optional[int] = None
     input_dim: Optional[int] = None
     pca_path: Optional[str] = None
-    pca_reduce: Optional[bool] = None
     codebook_path: Optional[str] = None
     gmm_path: Optional[str] = None
     power_law: Optional[float] = None
-    skip_power_law: bool = False
     adapted_power_law: bool = False
     rn_path: Optional[str] = None
     truncate: Optional[int] = None
@@ -166,6 +165,18 @@ class PipelineConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ContractError(f"unknown coding family {self.family!r}; choose from {FAMILIES}")
+        if self.codebook_path is not None and self.family != "vlad":
+            raise ContractError(f"{self.family} reads no codebook model; only vlad does")
+        if self.gmm_path is not None and self.family != "fisher":
+            raise ContractError(f"{self.family} reads no gmm model; only fisher does")
+        if self.input_dim is not None and (
+            self.pca_path is not None or self.family not in MONOMIAL_DEGREES
+        ):
+            raise ContractError(
+                "input_dim is read only by monomial families without a pca model"
+            )
+        if self.adapted_power_law and self.power_law is None:
+            raise ContractError("the adapted power law needs an exponent")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -187,7 +198,7 @@ class PipelineConfig:
         return cls(**data)
 
     def build(self) -> Pipeline:
-        """Load referenced models, resolve defaults, and validate dims."""
+        """Load referenced models and validate dims."""
         from .fileio import load_model  # deferred to keep module imports acyclic
 
         pca = None
@@ -195,13 +206,10 @@ class PipelineConfig:
             pca = load_model(self.pca_path)
             if not isinstance(pca, PcaModel):
                 raise ContractError(f"{self.pca_path} does not hold a pca model")
-        reduce = self.pca_reduce
-        if reduce is None:
-            reduce = self.family != "vlad"
 
         if self.family in MONOMIAL_DEGREES:
             if pca is not None:
-                dim = pca.out_dim if reduce else pca.input_dim
+                dim = pca.out_dim
             elif self.input_dim is not None:
                 dim = int(self.input_dim)
             else:
@@ -227,23 +235,15 @@ class PipelineConfig:
             embedding = FisherEmbedding(gmm=gmm)
 
         if pca is not None and not isinstance(embedding, MonomialConfig):
-            expected = pca.out_dim if reduce else pca.input_dim
-            if embedding.input_dim != expected:
+            if embedding.input_dim != pca.out_dim:
                 raise ContractError(
-                    f"pca produces {expected}-dim descriptors but the "
+                    f"pca produces {pca.out_dim}-dim descriptors but the "
                     f"{self.family} model expects {embedding.input_dim}"
                 )
 
         coeffs = fourier_coeffs(
             AngleMapConfig(self.kappa, self.n_freq, self.angle_family, self.cosine_power)
         )
-
-        if self.skip_power_law:
-            exponent = None
-        elif self.power_law is not None:
-            exponent = float(self.power_law)
-        else:
-            exponent = default_power_exponent(self.family)
 
         rn = None
         if self.rn_path is not None:
@@ -261,8 +261,7 @@ class PipelineConfig:
             embedding=embedding,
             coeffs=coeffs,
             pca=pca,
-            pca_reduce=reduce,
-            power_exponent=exponent,
+            power_exponent=None if self.power_law is None else float(self.power_law),
             adapted=self.adapted_power_law,
             rn=rn,
             truncate_dim=self.truncate,

@@ -139,6 +139,61 @@ def test_stored_angle_config_is_canonical(corpus_dir, tmp_path, flags, stored):
     assert {key: config[key] for key in stored} == stored
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--no-power-law", "--power-law", "0.3"],
+        ["--power-law", "0.3", "--adapted-power-law", "0.5"],
+        ["--no-power-law", "--adapted-power-law", "0.5"],
+    ],
+    ids=["none-and-plain", "plain-and-adapted", "none-and-adapted"],
+)
+def test_conflicting_power_law_flags_are_2(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", str(tmp_path / "x.cvd"), "--out", str(tmp_path / "o.cvv"),
+              "--family", "phi1", "--input-dim", "8", *flags])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family, flags, stored",
+    [
+        ("phi1", [], 0.2),
+        ("vlad", [], 0.4),
+        ("phi1", ["--no-power-law"], None),
+    ],
+    ids=["phi1-default", "vlad-default", "phi1-none"],
+)
+def test_encode_stores_the_resolved_power_law(corpus_dir, tmp_path, family, flags, stored):
+    db_dir = str(corpus_dir / "database")
+    if family == "vlad":
+        assert main(["train-kmeans", "--train-descriptors", db_dir, "--k", "4",
+                     "--seed", "5", "--out", str(tmp_path / "km.cvm")]) == 0
+        model_flags = ["--codebook", str(tmp_path / "km.cvm")]
+    else:
+        model_flags = ["--input-dim", "8"]
+    db = tmp_path / "db.cvv"
+    assert main(["encode", db_dir, "--out", str(db), "--family", family,
+                 *model_flags, *flags]) == 0
+    config = read_vector_file(db).config
+    assert config.power_law == stored
+    assert config.build().power_exponent == stored
+
+
+def test_vlad_recipe_on_a_reduced_pca(corpus_dir, tmp_path):
+    db_dir = str(corpus_dir / "database")
+    pca, km = str(tmp_path / "pca.cvm"), str(tmp_path / "km.cvm")
+    assert main(["train-pca", "--train-descriptors", db_dir, "--out-dim", "4",
+                 "--out", pca]) == 0
+    assert main(["train-kmeans", "--train-descriptors", db_dir, "--k", "3", "--seed", "0",
+                 "--out", km, "--pca", pca]) == 0
+    db = tmp_path / "db.cvv"
+    assert main(["encode", db_dir, "--out", str(db), "--family", "vlad",
+                 "--pca", pca, "--codebook", km, "--power-law", "0.4"]) == 0
+    assert read_vector_file(db).base_dim == 3 * 4
+
+
 @pytest.mark.parametrize("command", ["query", "evaluate"])
 def test_pipeline_flags_are_refused(command, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -118,6 +118,11 @@ class TestKmeans:
         with pytest.raises(ContractError):
             CodebookModel(np.array([[1.0, 2.0], [1.0, 2.0]]))
 
+    def test_large_duplicate_centroids_rejected(self):
+        # squared distances overflow to inf - inf = NaN, which must not pass
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractError):
+            CodebookModel(np.array([[1e200, 0.0], [1e200, 0.0]]))
+
 
 class TestGmm:
     def test_recovers_two_gaussians(self):

@@ -15,10 +15,9 @@ from covagg import (
     PcaModel,
     VladEmbedding,
     embed_batch,
-    embed_descriptor,
     pca_train,
-    preprocess,
-    rootsift,
+    preprocess_batch,
+    rootsift_batch,
     rotate_set,
 )
 
@@ -49,10 +48,10 @@ class TestRootsift:
     def test_one_hot_unchanged(self):
         x = np.zeros(8)
         x[3] = 7.0
-        assert rootsift(x) == pytest.approx(np.eye(8)[3], abs=0)
+        assert rootsift_batch(x[None])[0] == pytest.approx(np.eye(8)[3], abs=0)
 
     def test_uniform_vector(self):
-        out = rootsift(np.full(128, 0.25))
+        out = rootsift_batch(np.full((1, 128), 0.25))[0]
         assert out == pytest.approx(np.full(128, 1.0 / np.sqrt(128)), rel=1e-12)
 
     @settings(max_examples=40)
@@ -60,25 +59,25 @@ class TestRootsift:
     def test_unit_norm(self, seed):
         raw = np.random.default_rng(seed).uniform(0.0, 10.0, 64)
         raw[0] += 1e-3  # keep at least one positive component
-        assert np.linalg.norm(rootsift(raw)) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(rootsift_batch(raw[None])[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_zero_and_negative(self):
         with pytest.raises(ContractError):
-            rootsift(np.zeros(4))
+            rootsift_batch(np.zeros((1, 4)))
         with pytest.raises(ContractError):
-            rootsift(np.array([1.0, -0.5, 0.0]))
+            rootsift_batch(np.array([[1.0, -0.5, 0.0]]))
 
 
 class TestPreprocess:
     def test_identity_model_keeps_vector(self, rng):
-        x = unit_rows(rng, 1, 4)[0]
+        x = unit_rows(rng, 1, 4)
         model = PcaModel(mean=np.zeros(4), basis=np.eye(4), eigenvalues=np.ones(4))
-        assert preprocess(x, model, reduce=False) == pytest.approx(x, abs=1e-12)
+        assert preprocess_batch(x, model) == pytest.approx(x, abs=1e-12)
 
     def test_reduce_to_80_dims(self, rng):
         data = rng.standard_normal((400, 128))
         model = pca_train(data, 80)
-        out = preprocess(unit_rows(rng, 1, 128)[0], model, reduce=True)
+        out = preprocess_batch(unit_rows(rng, 1, 128), model)[0]
         assert out.shape == (80,)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
@@ -92,16 +91,10 @@ class TestPreprocess:
         after = rotated @ rotated.T
         assert np.max(np.abs(before - after)) < 1e-10
 
-    def test_rotation_only_needs_square_basis(self, rng):
-        data = rng.standard_normal((400, 8))
-        model = pca_train(data, 4)
-        with pytest.raises(ContractError):
-            preprocess(unit_rows(rng, 1, 8)[0], model, reduce=False)
-
     def test_zero_after_centering_is_degenerate(self):
         model = PcaModel(mean=np.array([1.0, 0.0]), basis=np.eye(2), eigenvalues=np.ones(2))
         with pytest.raises(DegenerateDataError):
-            preprocess(np.array([1.0, 0.0]), model, reduce=False)
+            preprocess_batch(np.array([[1.0, 0.0]]), model)
 
 
 class TestVlad:
@@ -111,7 +104,7 @@ class TestVlad:
 
     def test_centroid_input_gives_zero_vector(self, codebook):
         emb = VladEmbedding(codebook)
-        out = embed_descriptor(codebook.centroids[2], emb)
+        out = embed_batch(codebook.centroids[2][None], emb)[0]
         assert np.all(out == 0.0)
 
     def test_single_nonzero_block_with_unit_residual(self, rng, codebook):
@@ -134,7 +127,7 @@ class TestVlad:
 
     def test_tie_breaks_to_lowest_index(self):
         codebook = CodebookModel(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        out = embed_descriptor(np.array([0.0, 1.0]), VladEmbedding(codebook))
+        out = embed_batch(np.array([[0.0, 1.0]]), VladEmbedding(codebook))[0]
         assert np.linalg.norm(out[:2]) > 0
         assert np.all(out[2:] == 0.0)
 
@@ -151,7 +144,7 @@ class TestFisher:
             variances=np.array([[4.0, 1.0, 0.25]]),
         )
         x = np.array([1.5, 0.5, 1.0])
-        out = embed_descriptor(x, FisherEmbedding(gmm))
+        out = embed_batch(x[None], FisherEmbedding(gmm))[0]
         assert out == pytest.approx((x - gmm.means[0]) / np.sqrt(gmm.variances[0]))
 
     def test_output_dim(self, rng):
@@ -162,15 +155,14 @@ class TestFisher:
     def test_deterministic(self, rng):
         weights = np.array([0.3, 0.7])
         gmm = GmmModel(weights, rng.standard_normal((2, 6)), np.ones((2, 6)))
-        x = unit_rows(rng, 1, 6)[0]
+        x = unit_rows(rng, 1, 6)
         emb = FisherEmbedding(gmm)
-        assert np.array_equal(embed_descriptor(x, emb), embed_descriptor(x, emb))
+        assert np.array_equal(embed_batch(x, emb), embed_batch(x, emb))
 
 
 def test_embed_monomial_dispatch(rng):
-    x = unit_rows(rng, 1, 6)[0]
-    out = embed_descriptor(x, MonomialConfig(2, 6))
-    assert out.shape == (21,)
+    out = embed_batch(unit_rows(rng, 1, 6), MonomialConfig(2, 6))
+    assert out.shape == (1, 21)
 
 
 def test_embed_dim_mismatch(rng):

@@ -194,12 +194,16 @@ class TestVectorFile:
             json.dumps({k: v for k, v in CONFIG.to_dict().items() if k != "kappa"}).encode(),
             json.dumps({**CONFIG.to_dict(), "kappa": "8"}).encode(),
             json.dumps({**CONFIG.to_dict(), "n_freq": 3.0}).encode(),
-            json.dumps({**CONFIG.to_dict(), "skip_power_law": 0}).encode(),
+            json.dumps({**CONFIG.to_dict(), "adapted_power_law": 0}).encode(),
             json.dumps({**CONFIG.to_dict(), "rn_path": 7}).encode(),
             json.dumps({**CONFIG.to_dict(), "family": "phi9"}).encode(),
+            json.dumps({**CONFIG.to_dict(), "pca_reduce": None}).encode(),
+            json.dumps({**CONFIG.to_dict(), "skip_power_law": False}).encode(),
+            json.dumps({**CONFIG.to_dict(), "power_law": None, "adapted_power_law": True}).encode(),
         ],
         ids=["malformed", "not-utf8", "not-an-object", "unknown-key", "missing-key",
-             "str-for-float", "float-for-int", "int-for-bool", "int-for-path", "bad-family"],
+             "str-for-float", "float-for-int", "int-for-bool", "int-for-path", "bad-family",
+             "pca-reduce-key", "skip-power-law-key", "adapted-without-exponent"],
     )
     def test_bad_config_rejected(self, tmp_path, config_json):
         path = tmp_path / "vecs.cvv"

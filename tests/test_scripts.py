@@ -1,0 +1,48 @@
+"""Smoke runs of the scripts under ``scripts/`` with tiny arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import covagg
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, args, cwd):
+    # the scripts import the same covagg package the tests do
+    package_root = str(Path(covagg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_synthetic_retrieval_experiment(tmp_path):
+    result = run_script(
+        "synthetic_retrieval_experiment.py",
+        ["--queries", "2", "--distractors", "6", "--nfreqs", "0", "3"],
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = result.stdout.strip().splitlines()[-2:]
+    assert [row.split()[0] for row in rows] == ["0", "3"]
+    for row in rows:
+        assert 0.0 <= float(row.split()[2]) <= 1.0
+
+
+def test_angle_kernel_study(tmp_path):
+    out_dir = tmp_path / "study"
+    result = run_script(
+        "angle_kernel_study.py",
+        ["--kappas", "8", "--nfreqs", "3", "--grid", "16", "--out-dir", str(out_dir)],
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = (out_dir / "summary.csv").read_text().strip().splitlines()
+    assert summary[0] == "kappa,n_freq,sup_error"
+    assert len(summary) == 2
+    assert 0.0 <= float(summary[1].split(",")[2]) < 1.0
