@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angle_map import FourierCoefficients, angle_feature_batch
-from .descriptors import DescriptorSet, EmbeddingConfig, embed_batch
+from .descriptors import DescriptorSet, EmbeddingConfig, embed_weighted_sum
 from .errors import ContractError, DegenerateDataError
 
 AGGREGATE_CHUNK = 512
@@ -122,9 +122,8 @@ def aggregate_raw_sum(
     total = None
     for start in range(0, len(dset), AGGREGATE_CHUNK):
         stop = start + AGGREGATE_CHUNK
-        emb = embed_batch(dset.descriptors[start:stop], embedding)
         feats = angle_feature_batch(dset.angles[start:stop], coeffs)[:, order]
-        part = feats.T @ emb
+        part = embed_weighted_sum(feats, dset.descriptors[start:stop], embedding)
         total = part if total is None else total + part
     return total.ravel()
 

@@ -31,7 +31,7 @@ from .angle_map import (
     truncated_kernel,
     vm_kernel,
 )
-from .codebooks import gmm_train, kmeans_train, pca_train
+from .codebooks import PcaModel, gmm_train, kmeans_train, pca_train
 from .descriptors import preprocess_batch, rootsift_batch
 from .errors import ContractError, CovaggError, FormatError
 from .pipeline import FAMILIES, PipelineConfig, default_power_exponent
@@ -78,6 +78,8 @@ def _load_training_matrix(args) -> np.ndarray:
     data = np.vstack(blocks)
     if getattr(args, "pca", None):
         pca = fileio.load_model(args.pca)
+        if not isinstance(pca, PcaModel):
+            raise ContractError(f"{args.pca} does not hold a pca model")
         data = preprocess_batch(data, pca)
     if args.sample is not None and args.sample < data.shape[0]:
         rng = np.random.default_rng(args.seed)

@@ -26,7 +26,7 @@ from .codebooks import (
     gmm_posteriors,
 )
 from .errors import ContractError, DegenerateDataError
-from .monomial import MonomialConfig, phi_monomial_batch
+from .monomial import MonomialConfig, phi_monomial_batch, phi_monomial_weighted_sum
 
 
 @dataclass(frozen=True)
@@ -186,3 +186,14 @@ def embed_batch(X, config: EmbeddingConfig) -> np.ndarray:
             return _vlad_batch(X, config.codebook)
         return _fisher_batch(X, config.gmm)
     raise ContractError(f"unknown embedding config {type(config).__name__}")
+
+
+def embed_weighted_sum(W, X, config: EmbeddingConfig) -> np.ndarray:
+    """``W.T @ embed_batch(X, config)``: per-column weighted sums of the embeddings.
+
+    Monomial families take them from moments of X and never build the
+    n x output_dim embedding; the codebook families embed, then multiply.
+    """
+    if isinstance(config, MonomialConfig):
+        return phi_monomial_weighted_sum(W, X, config)
+    return np.asarray(W, dtype=np.float64).T @ embed_batch(X, config)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregate import ModulatedVector, aggregate, aggregate_rotations
+from .aggregate import ModulatedVector, aggregate, aggregate_rotations, rotate_blocks
 from .angle_map import (
     VON_MISES,
     AngleMapConfig,
@@ -120,11 +120,17 @@ class Pipeline:
     def encode_rotations(self, dset: DescriptorSet, thetas) -> np.ndarray:
         """One fully post-processed vector per global rotation hypothesis.
 
-        The set is aggregated once and block-rotated per rotation before
-        post-processing, which matches encoding the rotated sets exactly.
+        The set is aggregated once. Post-processing that commutes with
+        ``rotate_blocks`` (none or the adapted power law, with no RN and no
+        truncation) runs once before the block rotations; any other runs on
+        each rotated vector. Both match encoding the rotated sets.
         """
-        prepared = self.prepare(dset)
-        vecs = aggregate_rotations(prepared, self.embedding, self.coeffs, thetas)
+        if self.rn is None and self.truncate_dim is None and (
+            self.power_exponent is None or self.adapted
+        ):
+            base = ModulatedVector(self.encode(dset), self.base_dim, self.n_freq)
+            return np.stack([rotate_blocks(base, float(t)).values for t in np.atleast_1d(thetas)])
+        vecs = aggregate_rotations(self.prepare(dset), self.embedding, self.coeffs, thetas)
         return np.stack([self.postprocess_vector(v) for v in vecs])
 
 

@@ -1,4 +1,5 @@
 import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from covagg import (
     aggregate_raw_sum,
     aggregate_rotations,
     angle_feature,
+    angle_feature_batch,
+    block_order,
     fourier_coeffs,
     modulate,
     rotate_set,
@@ -30,6 +33,7 @@ from covagg import (
     truncated_kernel,
 )
 from covagg import oracle
+from covagg.monomial import phi_monomial_batch
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 # the package namespace binds ``aggregate`` to the function, not the module
@@ -135,6 +139,44 @@ class TestAggregate:
         b = aggregate(dset, emb, K8_N3)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_raw_sum_matches_dense_embedding(self, rng, degree):
+        # 600 descriptors cross the AGGREGATE_CHUNK boundary
+        emb = MonomialConfig(degree, 8)
+        dset = random_set(rng, 600, 8)
+        feats = angle_feature_batch(dset.angles, K8_N3)[:, block_order(K8_N3.n_freq)]
+        dense = feats.T @ phi_monomial_batch(dset.descriptors, emb)
+        assert np.max(np.abs(aggregate_raw_sum(dset, emb, K8_N3) - dense.ravel())) < 1e-12
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    @pytest.mark.parametrize("bad", ["non-unit", "wrong-dim"])
+    def test_bad_descriptors_refused(self, rng, degree, bad):
+        emb = MonomialConfig(degree, 8)
+        if bad == "non-unit":
+            dset = DescriptorSet(2.0 * random_set(rng, 5, 8).descriptors, np.zeros(5))
+        else:
+            dset = random_set(rng, 5, 6)
+        with pytest.raises(ContractError):
+            aggregate(dset, emb, K8_N3)
+        with pytest.raises(ContractError):
+            Pipeline(f"phi{degree}", emb, K8_N3, power_exponent=0.2).encode(dset)
+
+    def test_monomial_aggregation_never_builds_the_embedding(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("phi_monomial_batch called during aggregation")
+
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "phi_monomial_batch", None)
+            if name.split(".")[0] == "covagg" and bound is phi_monomial_batch:
+                monkeypatch.setattr(module, "phi_monomial_batch", refuse)
+        thetas = np.array([0.0, 1.1])
+        for degree, adapted in ((2, False), (3, True)):
+            emb = MonomialConfig(degree, 8)
+            dset = random_set(rng, 20, 8)
+            aggregate(dset, emb, K8_N3)
+            pipe = Pipeline(f"phi{degree}", emb, K8_N3, power_exponent=0.2, adapted=adapted)
+            assert pipe.encode_rotations(dset, thetas).shape == (2, pipe.output_dim)
+
     def test_global_rotation_preserves_sum_norm(self, rng):
         emb = MonomialConfig(1, 8)
         for _ in range(5):
@@ -153,12 +195,17 @@ class TestAggregate:
             direct = aggregate(rotate_set(dset, theta), emb, K8_N3)
             assert np.max(np.abs(vec.values - direct.values)) < 1e-12
 
-    @pytest.mark.parametrize("family", ["phi2", "vlad", "fisher"])
+    @pytest.mark.parametrize("family", ["phi2", "phi3-adapted", "phi2-none", "vlad", "fisher"])
     def test_encode_rotations_match_rotated_sets(self, rng, family):
-        # block rotation comes before every post-processing stage, so each
-        # row must equal the full encode of the rotated set
+        # post-processing that commutes with block rotation (none or the
+        # adapted power law) runs before rotating, any other after it; either
+        # way each row must equal the full encode of the rotated set
         if family == "phi2":
             pipe = Pipeline("phi2", MonomialConfig(2, 8), K8_N3, power_exponent=0.5, adapted=True)
+        elif family == "phi3-adapted":
+            pipe = Pipeline("phi3", MonomialConfig(3, 8), K8_N3, power_exponent=0.2, adapted=True)
+        elif family == "phi2-none":
+            pipe = Pipeline("phi2", MonomialConfig(2, 8), K8_N3)
         elif family == "vlad":
             emb = VladEmbedding(CodebookModel(rng.standard_normal((4, 8))))
             pipe = Pipeline("vlad", emb, K8_N3, power_exponent=0.4)

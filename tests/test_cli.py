@@ -372,6 +372,19 @@ class TestExitCodes:
         assert main(["query", "--db", str(db), "--query-desc", str(query)]) == 2
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train-kmeans", "train-gmm"])
+    def test_non_pca_model_as_pca_is_3(self, corpus_dir, tmp_path, capsys, command):
+        db_dir = str(corpus_dir / "database")
+        km = str(tmp_path / "km.cvm")
+        assert main(["train-kmeans", "--train-descriptors", db_dir, "--k", "3",
+                     "--seed", "0", "--out", km]) == 0
+        capsys.readouterr()
+        code = main([command, "--train-descriptors", db_dir, "--k", "2",
+                     "--out", str(tmp_path / "out.cvm"), "--pca", km])
+        assert code == 3
+        assert "does not hold a pca model" in capsys.readouterr().err
+        assert not (tmp_path / "out.cvm").exists()
+
     @pytest.mark.parametrize("sample", ["-5", "0"])
     def test_non_positive_sample_is_3(self, corpus_dir, tmp_path, capsys, sample):
         code = main(["train-pca", "--train-descriptors", str(corpus_dir / "database"),

@@ -13,7 +13,7 @@ from covagg import (
     monomial_output_dim,
     phi_monomial,
 )
-from covagg.monomial import phi_monomial_batch
+from covagg.monomial import phi_monomial_batch, phi_monomial_weighted_sum
 
 
 def brute_dim(degree, d):
@@ -88,6 +88,19 @@ def test_norm_preservation(rng, degree):
     X = unit_rows(rng, 20, 12)
     out = phi_monomial_batch(X, MonomialConfig(degree, 12))
     assert np.linalg.norm(out, axis=1) == pytest.approx(np.ones(20), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7, 600])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_weighted_sum_matches_dense_embedding(rng, degree, d, n):
+    # d < 3 has no degree-3 triples; the gather must still cover every component
+    config = MonomialConfig(degree, d)
+    X = unit_rows(rng, n, d)
+    W = rng.standard_normal((n, 7))
+    out = phi_monomial_weighted_sum(W, X, config)
+    assert out.shape == (7, config.output_dim)
+    assert np.max(np.abs(out - W.T @ phi_monomial_batch(X, config))) < 1e-12
 
 
 def test_self_and_orthogonal_cases():
