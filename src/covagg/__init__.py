@@ -8,7 +8,6 @@ rotation-invariant scoring and retrieval evaluation built on top.
 
 from .aggregate import (
     ModulatedVector,
-    aggregate,
     aggregate_raw_sum,
     aggregate_rotations,
     block_order,

@@ -244,22 +244,19 @@ def cmd_encode(args) -> int:
     config = _pipeline_config(args)
     pipeline = config.build()
     paths = _collect_descriptor_paths(args.descriptors)
+    vectors = np.empty((len(paths), pipeline.output_dim), dtype="<f4")
 
-    def encode_one(path):
-        dset = fileio.read_descriptor_file(path)
-        return dset.image_id, pipeline.encode(dset)
+    def encode_one(row):
+        dset = fileio.read_descriptor_file(paths[row])
+        vectors[row] = pipeline.encode(dset)
+        return dset.image_id
 
-    results = _map_jobs(encode_one, paths, args.jobs)
+    image_ids = _map_jobs(encode_one, range(len(paths)), args.jobs)
     base_dim, n_freq = pipeline.stored_layout()
     fileio.write_vector_file(
-        args.out,
-        [image_id for image_id, _ in results],
-        np.stack([vec for _, vec in results]),
-        base_dim=base_dim,
-        n_freq=n_freq,
-        config=config,
+        args.out, image_ids, vectors, base_dim=base_dim, n_freq=n_freq, config=config
     )
-    print(f"encoded {len(results)} images ({pipeline.output_dim} dims) -> {args.out}")
+    print(f"encoded {len(image_ids)} images ({pipeline.output_dim} dims) -> {args.out}")
     return 0
 
 
@@ -270,9 +267,7 @@ def cmd_query(args) -> int:
     store, pipeline = _open_database(args.db)
     query = fileio.read_descriptor_file(args.query_desc)
     scores, thetas = query_multi_rotation(query, pipeline, store.vectors, args.rotations)
-    order = sorted(
-        range(len(store)), key=lambda i: (-scores[i], store.image_ids[i])
-    )
+    order = retrieval.rank_rows(store.image_ids, scores).tolist()
     top = order[: args.top] if args.top else order
     writer = csv.writer(sys.stdout, delimiter="\t", lineterminator="\n")
     writer.writerow(("rank", "image_id", "score", "theta_star"))
@@ -378,17 +373,56 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _replay_argv(subparser, command: str, stored: dict) -> list:
+    """The command line of ``command`` whose parse gives back the ``stored`` arguments."""
+    stored = {key: value for key, value in stored.items() if key != "command"}
+    options, positionals = [], []
+    for action in subparser._actions:
+        if action.dest not in stored:
+            continue
+        value = stored.pop(action.dest)
+        if action.nargs == 0:
+            if value not in (True, False):
+                raise FormatError(f"manifest flag {action.dest!r} must be true or false")
+            options += action.option_strings[:1] if value else []
+            continue
+        if isinstance(value, list) != (action.nargs == "+"):
+            shape = "a list" if action.nargs == "+" else "a single value"
+            raise FormatError(f"manifest value of {action.dest!r} must be {shape}")
+        if value is None:
+            continue
+        values = [str(v) for v in value] if action.nargs == "+" else [str(value)]
+        if not action.option_strings:
+            positionals += values
+        elif action.nargs == "+":
+            options += [action.option_strings[0], *values]
+        else:
+            options.append(f"{action.option_strings[0]}={value}")
+    if stored:
+        raise FormatError(f"manifest holds unknown {command} arguments: {sorted(stored)}")
+    return [command, *options, *(["--", *positionals] if positionals else [])]
+
+
 def cmd_run_manifest(args) -> int:
-    with open(args.manifest_file, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    """Replay a manifest through the parser of its command, so every flag check runs."""
+    try:
+        with open(args.manifest_file, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:
+        raise FormatError(f"{args.manifest_file}: not a JSON manifest: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("args", {}), dict):
+        raise FormatError(f"{args.manifest_file}: manifest must map command and args")
     command = payload.get("command")
-    stored = payload.get("args", {})
-    if command not in _HANDLERS:
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if command not in commands.choices or command == "run-manifest":
         raise ContractError(f"manifest names unknown command {command!r}")
-    replay = argparse.Namespace(**stored)
-    replay.command = command
-    replay.manifest = None
-    return _HANDLERS[command](replay)
+    argv = _replay_argv(commands.choices[command], command, payload.get("args", {}))
+    try:
+        replay = parser.parse_args(argv)
+    except SystemExit as exc:
+        raise FormatError(f"{args.manifest_file}: {command} rejects the manifest arguments") from exc
+    return replay.func(replay)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -496,21 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run_manifest)
 
     return parser
-
-
-_HANDLERS = {
-    "train-pca": cmd_train_pca,
-    "train-kmeans": cmd_train_kmeans,
-    "train-gmm": cmd_train_gmm,
-    "train-rn": cmd_train_rn,
-    "encode": cmd_encode,
-    "query": cmd_query,
-    "evaluate": cmd_evaluate,
-    "angle-kernel-dump": cmd_angle_kernel_dump,
-    "sim-hist": cmd_sim_hist,
-    "synth": cmd_synth,
-    "run-manifest": cmd_run_manifest,
-}
 
 
 def main(argv=None) -> int:

@@ -7,6 +7,13 @@ exact round trips of trained parameters matter. No reader accepts a
 non-finite real. Every write goes to a temporary file in the destination
 directory followed by an atomic rename.
 
+Readers stream from the open file. Every length a header declares is
+checked against the file size before anything is allocated, and each
+table of reals is read ``READ_CHUNK`` bytes at a time through one reused
+buffer into the float64 array it fills. A vector file's payload is thus
+never held whole as bytes or as float32 next to its float64 matrix, and
+the writer stores a float32 matrix as it is, without a copy.
+
 Layouts:
 
 * descriptor file (magic ``CVAGDSC1``): dim, count, flags, then per
@@ -32,6 +39,7 @@ import json
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +62,9 @@ _KIND_KMEANS = b"KMN\x00"
 _KIND_GMM = b"GMM\x00"
 _KIND_RN = b"RNM\x00"
 
+# Bytes of payload per read of a real-valued table; read at call time.
+READ_CHUNK = 4 << 20
+
 
 def atomic_write_bytes(path, *parts):
     """Write the bytes-like ``parts`` in turn to ``path`` via a temp file and atomic rename."""
@@ -73,28 +84,37 @@ def atomic_write_bytes(path, *parts):
 
 
 class _Reader:
-    """Byte cursor that reports offsets in parse errors."""
+    """Cursor over an open binary file that reports offsets in parse errors.
 
-    def __init__(self, data: bytes, path):
-        self.data = data
+    The file size is taken once, up front, so every length a header
+    declares is checked against it before anything is read or allocated.
+    """
+
+    def __init__(self, handle, path):
+        self.handle = handle
         self.path = str(path)
+        self.size = os.fstat(handle.fileno()).st_size
         self.offset = 0
 
-    def skip(self, count: int, what: str) -> int:
-        """Move past ``count`` bytes, checking they exist; returns their start."""
-        if self.offset + count > len(self.data):
-            missing = self.offset + count - len(self.data)
-            raise FormatError(
-                f"{self.path}: truncated while reading {what} at byte {self.offset}: "
-                f"expected {self.offset + count} bytes total, file has {len(self.data)} "
-                f"({missing} missing)"
-            )
-        self.offset += count
-        return self.offset - count
+    def _truncated(self, count: int, what: str, have: int) -> FormatError:
+        return FormatError(
+            f"{self.path}: truncated while reading {what} at byte {self.offset}: "
+            f"expected {self.offset + count} bytes total, file has {have} "
+            f"({self.offset + count - have} missing)"
+        )
+
+    def need(self, count: int, what: str):
+        """Check that the next ``count`` bytes exist."""
+        if self.offset + count > self.size:
+            raise self._truncated(count, what, self.size)
 
     def take(self, count: int, what: str) -> bytes:
-        start = self.skip(count, what)
-        return self.data[start : self.offset]
+        self.need(count, what)
+        data = self.handle.read(count)
+        if len(data) != count:
+            raise self._truncated(count, what, self.offset + len(data))
+        self.offset += count
+        return data
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
@@ -102,33 +122,46 @@ class _Reader:
     def reals(self, count: int, dtype: str, what: str) -> np.ndarray:
         """``count`` reals of the little-endian ``dtype`` as a new float64 array.
 
-        The file bytes are viewed, not copied, and checked for
-        non-finite values before they are widened.
+        They are read ``READ_CHUNK`` bytes at a time into one reused
+        buffer and checked for non-finite values before they are widened,
+        so the file's bytes are never held whole.
         """
         size = np.dtype(dtype).itemsize
-        start = self.skip(count * size, what)
-        raw = np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
-        if not np.isfinite(raw).all():
-            offset = start + int(np.argmin(np.isfinite(raw))) * size
-            raise FormatError(f"{self.path}: non-finite {what} value at byte {offset}")
-        return raw.astype(np.float64)
+        start = self.offset
+        self.need(count * size, what)
+        out = np.empty(count, dtype=np.float64)
+        step = max(1, READ_CHUNK // size)
+        buffer = np.empty(min(step, count), dtype=dtype)
+        for lo in range(0, count, step):
+            chunk = buffer[: min(step, count - lo)]
+            got = self.handle.readinto(chunk)
+            if got != chunk.nbytes:
+                raise self._truncated(chunk.nbytes, what, self.offset + got)
+            self.offset += got
+            finite = np.isfinite(chunk)
+            if not finite.all():
+                offset = start + (lo + int(np.argmin(finite))) * size
+                raise FormatError(f"{self.path}: non-finite {what} value at byte {offset}")
+            out[lo : lo + chunk.size] = chunk
+        return out
 
     def expect_end(self):
-        if self.offset != len(self.data):
+        if self.offset != self.size:
             raise FormatError(
-                f"{self.path}: {len(self.data) - self.offset} unexpected trailing bytes "
+                f"{self.path}: {self.size - self.offset} unexpected trailing bytes "
                 f"at byte {self.offset}"
             )
 
 
-def _read_magic(path, magic: bytes) -> _Reader:
-    """A reader over the whole file at ``path``, placed after its checked magic."""
+@contextmanager
+def _open_checked(path, magic: bytes):
+    """A reader over the file at ``path``, placed after its checked magic."""
     with open(path, "rb") as handle:
-        reader = _Reader(handle.read(), path)
-    found = reader.take(len(magic), "magic")
-    if found != magic:
-        raise FormatError(f"{path}: bad magic {found!r} at byte 0, expected {magic!r}")
-    return reader
+        reader = _Reader(handle, path)
+        found = reader.take(len(magic), "magic")
+        if found != magic:
+            raise FormatError(f"{path}: bad magic {found!r} at byte 0, expected {magic!r}")
+        yield reader
 
 
 def write_descriptor_file(dset: DescriptorSet, path):
@@ -144,20 +177,20 @@ def write_descriptor_file(dset: DescriptorSet, path):
 
 def read_descriptor_file(path, image_id: str | None = None) -> DescriptorSet:
     """Parse a descriptor file; the image id defaults to the file stem."""
-    reader = _read_magic(path, DESCRIPTOR_MAGIC)
-    dim = reader.u32("descriptor dim")
-    count = reader.u32("record count")
-    flags = reader.u32("flags")
-    if dim < 1:
-        raise FormatError(f"{path}: descriptor dim must be positive, got {dim}")
-    table = reader.reals(count * (dim + 1), "<f4", "record").reshape(count, dim + 1)
-    reader.expect_end()
-    return DescriptorSet(
-        descriptors=table[:, :dim],
-        angles=table[:, dim],
-        image_id=image_id if image_id is not None else Path(path).stem,
-        raw=bool(flags & DESC_FLAG_RAW),
-    )
+    with _open_checked(path, DESCRIPTOR_MAGIC) as reader:
+        dim = reader.u32("descriptor dim")
+        count = reader.u32("record count")
+        flags = reader.u32("flags")
+        if dim < 1:
+            raise FormatError(f"{path}: descriptor dim must be positive, got {dim}")
+        table = reader.reals(count * (dim + 1), "<f4", "record").reshape(count, dim + 1)
+        reader.expect_end()
+        return DescriptorSet(
+            descriptors=table[:, :dim],
+            angles=table[:, dim],
+            image_id=image_id if image_id is not None else Path(path).stem,
+            raw=bool(flags & DESC_FLAG_RAW),
+        )
 
 
 @dataclass(frozen=True)
@@ -181,7 +214,7 @@ class VectorStore:
 def write_vector_file(path, image_ids, vectors, base_dim: int, n_freq: int,
                       config: PipelineConfig):
     """Store ``vectors``, one row per image id, with the config that encoded them."""
-    vectors = np.asarray(vectors, dtype=np.float64)
+    vectors = np.ascontiguousarray(vectors, dtype="<f4")
     image_ids = [str(image_id).encode("utf-8") for image_id in image_ids]
     if vectors.ndim != 2 or vectors.shape[0] != len(image_ids):
         raise ContractError("need a 2-D vector array with one row per image id")
@@ -196,45 +229,45 @@ def write_vector_file(path, image_ids, vectors, base_dim: int, n_freq: int,
     header = VECTOR_MAGIC + struct.pack("<IIII", len(image_ids), base_dim, n_freq,
                                         len(config_json))
     id_table = b"".join(struct.pack("<I", len(raw_id)) + raw_id for raw_id in image_ids)
-    atomic_write_bytes(path, header, config_json, id_table, vectors.astype("<f4"))
+    atomic_write_bytes(path, header, config_json, id_table, vectors)
 
 
 def read_vector_file(path) -> VectorStore:
-    reader = _read_magic(path, VECTOR_MAGIC)
-    count = reader.u32("record count")
-    base_dim = reader.u32("base dim")
-    n_freq = reader.u32("frequency count")
-    dim = base_dim * (2 * n_freq + 1)
-    if dim < 1:
-        raise FormatError(f"{path}: vector length computes to {dim}")
-    min_size = reader.offset + 4 + count * (4 + 4 * dim)
-    if len(reader.data) < min_size:
-        raise FormatError(
-            f"{path}: truncated: header declares {count} vectors of {dim} components, "
-            f"which need at least {min_size} bytes; file has {len(reader.data)}"
-        )
-    config_len = reader.u32("config length")
-    config_start = reader.offset
-    config_json = reader.take(config_len, "config")
-    try:
-        config = PipelineConfig.from_dict(json.loads(config_json.decode("utf-8")))
-    except (ValueError, RecursionError, ContractError) as exc:
-        raise FormatError(f"{path}: bad pipeline config at byte {config_start}: {exc}") from exc
-    ids = []
-    for _ in range(count):
-        id_len = reader.u32("image id length")
-        raw_id = reader.take(id_len, "image id")
-        try:
-            ids.append(raw_id.decode("utf-8"))
-        except UnicodeDecodeError as exc:
+    with _open_checked(path, VECTOR_MAGIC) as reader:
+        count = reader.u32("record count")
+        base_dim = reader.u32("base dim")
+        n_freq = reader.u32("frequency count")
+        dim = base_dim * (2 * n_freq + 1)
+        if dim < 1:
+            raise FormatError(f"{path}: vector length computes to {dim}")
+        min_size = reader.offset + 4 + count * (4 + 4 * dim)
+        if reader.size < min_size:
             raise FormatError(
-                f"{path}: invalid UTF-8 image id at byte {reader.offset - id_len}"
-            ) from exc
-    vectors = reader.reals(count * dim, "<f4", "vector").reshape(count, dim)
-    reader.expect_end()
-    return VectorStore(
-        image_ids=ids, vectors=vectors, base_dim=base_dim, n_freq=n_freq, config=config
-    )
+                f"{path}: truncated: header declares {count} vectors of {dim} components, "
+                f"which need at least {min_size} bytes; file has {reader.size}"
+            )
+        config_len = reader.u32("config length")
+        config_start = reader.offset
+        config_json = reader.take(config_len, "config")
+        try:
+            config = PipelineConfig.from_dict(json.loads(config_json.decode("utf-8")))
+        except (ValueError, RecursionError, ContractError) as exc:
+            raise FormatError(f"{path}: bad pipeline config at byte {config_start}: {exc}") from exc
+        ids = []
+        for _ in range(count):
+            id_len = reader.u32("image id length")
+            raw_id = reader.take(id_len, "image id")
+            try:
+                ids.append(raw_id.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"{path}: invalid UTF-8 image id at byte {reader.offset - id_len}"
+                ) from exc
+        vectors = reader.reals(count * dim, "<f4", "vector").reshape(count, dim)
+        reader.expect_end()
+        return VectorStore(
+            image_ids=ids, vectors=vectors, base_dim=base_dim, n_freq=n_freq, config=config
+        )
 
 
 def _pack_dims(*dims: int) -> bytes:
@@ -267,45 +300,45 @@ def save_model(path, model):
 
 
 def load_model(path):
-    reader = _read_magic(path, MODEL_MAGIC)
-    kind = reader.take(4, "model kind")
-    n_dims = reader.u32("dimension count")
-    dims = [reader.u32(f"dimension {i}") for i in range(n_dims)]
-    if kind == _KIND_PCA:
-        if n_dims != 2:
-            raise FormatError(f"{path}: pca model needs 2 dims, got {n_dims}")
-        out_dim, in_dim = dims
-        mean = reader.reals(in_dim, "<f8", "mean")
-        basis = reader.reals(out_dim * in_dim, "<f8", "basis").reshape(out_dim, in_dim)
-        eig = reader.reals(out_dim, "<f8", "eigenvalues")
-        reader.expect_end()
-        return PcaModel(mean=mean, basis=basis, eigenvalues=eig)
-    if kind == _KIND_KMEANS:
-        if n_dims != 2:
-            raise FormatError(f"{path}: codebook model needs 2 dims, got {n_dims}")
-        k, d = dims
-        cents = reader.reals(k * d, "<f8", "centroids").reshape(k, d)
-        reader.expect_end()
-        return CodebookModel(centroids=cents)
-    if kind == _KIND_GMM:
-        if n_dims != 2:
-            raise FormatError(f"{path}: gmm model needs 2 dims, got {n_dims}")
-        k, d = dims
-        weights = reader.reals(k, "<f8", "weights")
-        means = reader.reals(k * d, "<f8", "means").reshape(k, d)
-        variances = reader.reals(k * d, "<f8", "variances").reshape(k, d)
-        reader.expect_end()
-        return GmmModel(weights=weights, means=means, variances=variances)
-    if kind == _KIND_RN:
-        if n_dims != 2:
-            raise FormatError(f"{path}: rn model needs 2 dims, got {n_dims}")
-        dim, whiten = dims
-        exponent = float(reader.reals(1, "<f8", "exponent")[0])
-        eig = reader.reals(dim, "<f8", "eigenvalues")
-        rotation = reader.reals(dim * dim, "<f8", "rotation").reshape(dim, dim)
-        reader.expect_end()
-        return RnModel(
-            rotation=rotation, exponent=exponent, whiten=bool(whiten), eigenvalues=eig
-        )
-    raise FormatError(f"{path}: unknown model kind {kind!r} at byte {len(MODEL_MAGIC)}")
+    with _open_checked(path, MODEL_MAGIC) as reader:
+        kind = reader.take(4, "model kind")
+        n_dims = reader.u32("dimension count")
+        dims = [reader.u32(f"dimension {i}") for i in range(n_dims)]
+        if kind == _KIND_PCA:
+            if n_dims != 2:
+                raise FormatError(f"{path}: pca model needs 2 dims, got {n_dims}")
+            out_dim, in_dim = dims
+            mean = reader.reals(in_dim, "<f8", "mean")
+            basis = reader.reals(out_dim * in_dim, "<f8", "basis").reshape(out_dim, in_dim)
+            eig = reader.reals(out_dim, "<f8", "eigenvalues")
+            reader.expect_end()
+            return PcaModel(mean=mean, basis=basis, eigenvalues=eig)
+        if kind == _KIND_KMEANS:
+            if n_dims != 2:
+                raise FormatError(f"{path}: codebook model needs 2 dims, got {n_dims}")
+            k, d = dims
+            cents = reader.reals(k * d, "<f8", "centroids").reshape(k, d)
+            reader.expect_end()
+            return CodebookModel(centroids=cents)
+        if kind == _KIND_GMM:
+            if n_dims != 2:
+                raise FormatError(f"{path}: gmm model needs 2 dims, got {n_dims}")
+            k, d = dims
+            weights = reader.reals(k, "<f8", "weights")
+            means = reader.reals(k * d, "<f8", "means").reshape(k, d)
+            variances = reader.reals(k * d, "<f8", "variances").reshape(k, d)
+            reader.expect_end()
+            return GmmModel(weights=weights, means=means, variances=variances)
+        if kind == _KIND_RN:
+            if n_dims != 2:
+                raise FormatError(f"{path}: rn model needs 2 dims, got {n_dims}")
+            dim, whiten = dims
+            exponent = float(reader.reals(1, "<f8", "exponent")[0])
+            eig = reader.reals(dim, "<f8", "eigenvalues")
+            rotation = reader.reals(dim * dim, "<f8", "rotation").reshape(dim, dim)
+            reader.expect_end()
+            return RnModel(
+                rotation=rotation, exponent=exponent, whiten=bool(whiten), eigenvalues=eig
+            )
+        raise FormatError(f"{path}: unknown model kind {kind!r} at byte {len(MODEL_MAGIC)}")
 

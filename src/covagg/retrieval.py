@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ContractError, FormatError
 
 
@@ -56,14 +58,26 @@ def mean_ap(aps) -> float:
     return sum(values) / len(values)
 
 
+def rank_rows(image_ids, scores) -> np.ndarray:
+    """Row indices by descending score; ties broken by lexicographic id.
+
+    One stable sort by score over the rows in id order, so equal scores,
+    -0.0 and +0.0 among them, keep their id order.
+    """
+    ids = list(image_ids)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (len(ids),):
+        raise ContractError("need exactly one score per image id")
+    if not np.isfinite(scores).all():
+        raise ContractError("scores must be finite to be ranked")
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    return by_id[np.argsort(-scores[by_id], kind="stable")]
+
+
 def rank_by_score(image_ids, scores) -> list:
     """Ids by descending score; ties broken by lexicographic id."""
     ids = list(image_ids)
-    scores = [float(s) for s in scores]
-    if len(ids) != len(scores):
-        raise ContractError("need exactly one score per image id")
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    return [ids[i] for i in order]
+    return [ids[i] for i in rank_rows(ids, scores).tolist()]
 
 
 def read_ground_truth(path, exclude_query: bool = False) -> dict:

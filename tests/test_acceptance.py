@@ -22,7 +22,6 @@ from covagg import (
     SynthConfig,
     VladEmbedding,
     adapted_power_law,
-    aggregate,
     aggregate_raw_sum,
     angle_feature,
     angle_feature_batch,
@@ -44,6 +43,7 @@ from covagg import (
     truncated_kernel,
     vm_kernel,
 )
+from covagg.aggregate import aggregate
 from covagg.monomial import phi_monomial_batch
 from covagg.oracle import brute_match_kernel
 

@@ -1,4 +1,3 @@
-import importlib
 import sys
 
 import numpy as np
@@ -20,7 +19,6 @@ from covagg import (
     Pipeline,
     RnModel,
     VladEmbedding,
-    aggregate,
     aggregate_raw_sum,
     aggregate_rotations,
     angle_feature,
@@ -32,12 +30,12 @@ from covagg import (
     score_cosine,
     truncated_kernel,
 )
+import covagg.aggregate as aggregate_module
 from covagg import oracle
+from covagg.aggregate import aggregate
 from covagg.monomial import phi_monomial_batch
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
-# the package namespace binds ``aggregate`` to the function, not the module
-AGGREGATE_MODULE = importlib.import_module("covagg.aggregate")
 
 
 class TestModulate:
@@ -133,9 +131,9 @@ class TestAggregate:
     def test_chunking_does_not_change_result(self, rng, monkeypatch):
         emb = MonomialConfig(1, 8)
         dset = random_set(rng, 33, 8)
-        monkeypatch.setattr(AGGREGATE_MODULE, "AGGREGATE_CHUNK", 4)
+        monkeypatch.setattr(aggregate_module, "AGGREGATE_CHUNK", 4)
         a = aggregate(dset, emb, K8_N3)
-        monkeypatch.setattr(AGGREGATE_MODULE, "AGGREGATE_CHUNK", 512)
+        monkeypatch.setattr(aggregate_module, "AGGREGATE_CHUNK", 512)
         b = aggregate(dset, emb, K8_N3)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 

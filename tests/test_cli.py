@@ -1,5 +1,6 @@
 import json
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -239,10 +240,79 @@ def test_evaluate_manifest_replay_reproduces_stdout(corpus_dir, tmp_path, capsys
 
 def test_encode_parallel_matches_serial(corpus_dir, tmp_path):
     serial = tmp_path / "serial.cvv"
-    parallel = tmp_path / "parallel.cvv"
-    assert main(encode_args(corpus_dir, serial)) == 0
-    assert main(encode_args(corpus_dir, parallel, ("--jobs", "4"))) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+    assert main(encode_args(corpus_dir, serial, ("--jobs", "1"))) == 0
+    # worker threads write their rows of one shared matrix; switch threads
+    # often so a lost or misplaced row write would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for jobs in ("2", "4"):
+            parallel = tmp_path / f"jobs{jobs}.cvv"
+            assert main(encode_args(corpus_dir, parallel, ("--jobs", jobs))) == 0
+            assert serial.read_bytes() == parallel.read_bytes()
+    finally:
+        sys.setswitchinterval(interval)
+    store = read_vector_file(serial)
+    paths = sorted((corpus_dir / "database").iterdir())
+    assert store.image_ids == [p.stem for p in paths]
+    pipeline = store.config.build()
+    for row, path in enumerate(paths):
+        expected = pipeline.encode(read_descriptor_file(path)).astype(np.float32)
+        assert np.array_equal(store.vectors[row], expected)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [({"no_power_law": True, "power_law": 0.3}, "not allowed with argument"),
+     ({"family": "phi9"}, "invalid choice"),
+     ({"nfreq": "three"}, "invalid int value"),
+     ({"jobs": 2.0}, "invalid int value"),
+     ({"no_power_law": "yes"}, "must be true or false"),
+     ({"colour": "red"}, "unknown encode arguments"),
+     ({"kappa": [8.0, 4.0]}, "must be a single value"),
+     ({"descriptors": "database"}, "must be a list")],
+    ids=["exclusive-flags", "bad-choice", "bad-type", "float-for-int", "non-bool-flag",
+         "unknown-key", "list-for-value", "value-for-list"],
+)
+def test_manifest_replay_runs_the_parser_checks(corpus_dir, tmp_path, capsys, edit, message):
+    manifest = tmp_path / "encode.json"
+    assert main(encode_args(corpus_dir, tmp_path / "a.cvv", ("--manifest", str(manifest)))) == 0
+    payload = json.loads(manifest.read_text())
+    payload["args"].update(edit, out=str(tmp_path / "b.cvv"))
+    manifest.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["run-manifest", str(manifest)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "b.cvv").exists()
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"command": "encode", "args": []}'])
+def test_malformed_manifest_is_2(tmp_path, capsys, text):
+    manifest = tmp_path / "bad.json"
+    manifest.write_text(text)
+    assert main(["run-manifest", str(manifest)]) == 2
+    assert "manifest" in capsys.readouterr().err
+
+
+def test_query_and_train_manifests_replay_exactly(corpus_dir, tmp_path, capsys):
+    db = tmp_path / "db.cvv"
+    assert main(encode_args(corpus_dir, db)) == 0
+    query = sorted((corpus_dir / "queries").iterdir())[0]
+    capsys.readouterr()
+    assert main(["query", "--db", str(db), "--query-desc", str(query), "--rotations", "4",
+                 "--top", "0", "--manifest", str(tmp_path / "query.json")]) == 0
+    first = capsys.readouterr().out
+    assert main(["run-manifest", str(tmp_path / "query.json")]) == 0
+    assert capsys.readouterr().out == first
+
+    pca = tmp_path / "pca.cvm"
+    assert main(["train-pca", "--train-descriptors", str(corpus_dir / "database"),
+                 str(corpus_dir / "queries"), "--out-dim", "4", "--sample", "100",
+                 "--out", str(pca), "--manifest", str(tmp_path / "pca.json")]) == 0
+    trained = pca.read_bytes()
+    pca.unlink()
+    assert main(["run-manifest", str(tmp_path / "pca.json")]) == 0
+    assert pca.read_bytes() == trained
 
 
 def test_train_commands_produce_models(corpus_dir, tmp_path, capsys):

@@ -29,7 +29,9 @@ from covagg import (
     write_descriptor_file,
     write_vector_file,
 )
+import covagg.fileio as fileio_module
 from covagg.angle_map import SIM_HIST_HEADER
+from covagg.cli import main
 from covagg.fileio import DESCRIPTOR_MAGIC, VECTOR_MAGIC
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
@@ -164,6 +166,54 @@ class TestVectorFile:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"non-finite vector value at byte {len(data) - 8}"):
             read_vector_file(path)
+
+    def test_payload_spanning_several_chunks(self, rng, tmp_path, monkeypatch):
+        vectors = rng.standard_normal((5, 21)).astype(np.float32)
+        path = tmp_path / "vecs.cvv"
+        write_vector_file(path, [f"img{i}" for i in range(5)], vectors,
+                          base_dim=3, n_freq=3, config=CONFIG)
+        monkeypatch.setattr(fileio_module, "READ_CHUNK", 40)  # 10 reals: 11 chunks, last of 5
+        store = read_vector_file(path)
+        assert store.vectors.dtype == np.float64
+        assert np.array_equal(store.vectors, vectors)
+
+    def test_non_finite_value_in_last_chunk_reports_offset(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "vecs.cvv"
+        write_vector_file(path, [f"img{i}" for i in range(5)], rng.standard_normal((5, 21)),
+                          base_dim=3, n_freq=3, config=CONFIG)
+        data = bytearray(path.read_bytes())
+        nan_at = len(data) - 3 * 4  # real 102 of 105, in the last chunk (reals 100-104)
+        data[nan_at : nan_at + 4] = struct.pack("<f", np.nan)
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(fileio_module, "READ_CHUNK", 40)
+        with pytest.raises(FormatError, match=f"non-finite vector value at byte {nan_at}$"):
+            read_vector_file(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda data: data[:-1], "truncated while reading vector at byte"),
+         (lambda data: data + b"\x00", "1 unexpected trailing bytes")],
+        ids=["truncated", "trailing-byte"],
+    )
+    def test_damaged_payload_exits_2(self, rng, tmp_path, monkeypatch, capsys, edit, message):
+        path = tmp_path / "vecs.cvv"
+        write_vector_file(path, [f"img{i}" for i in range(5)], rng.standard_normal((5, 21)),
+                          base_dim=3, n_freq=3, config=CONFIG)
+        path.write_bytes(edit(path.read_bytes()))
+        monkeypatch.setattr(fileio_module, "READ_CHUNK", 40)
+        assert main(["train-rn", "--vectors", str(path), "--out", str(tmp_path / "rn.cvm")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "rn.cvm").exists()
+
+    def test_float64_and_float32_inputs_store_the_same_bytes(self, rng, tmp_path):
+        vectors = rng.standard_normal((4, 7))
+        stored = []
+        for name, matrix in [("f8", vectors), ("f4", vectors.astype(np.float32)),
+                             ("fortran", np.asfortranarray(vectors))]:
+            write_vector_file(tmp_path / name, list("abcd"), matrix,
+                              base_dim=1, n_freq=3, config=CONFIG)
+            stored.append((tmp_path / name).read_bytes())
+        assert stored[0] == stored[1] == stored[2]
 
     def test_invalid_utf8_id_rejected(self, tmp_path):
         path = tmp_path / "vecs.cvv"

@@ -1,0 +1,64 @@
+"""Memory budgets of the vector store, measured with tracemalloc.
+
+tracemalloc sees numpy's array buffers, so a peak bounds every matrix a
+call holds at once, not just Python objects.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from covagg import PipelineConfig, read_vector_file, write_vector_file
+from covagg.cli import main
+
+MIB = 1 << 20
+
+
+def traced_peak(func, *args):
+    """Peak traced bytes allocated while ``func(*args)`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_holds_the_matrix_and_one_chunk(tmp_path):
+    # phi2 at d=32, N=3: 528 * 7 = 3696 components per row
+    count, base_dim, n_freq = 2000, 528, 3
+    dim = base_dim * (2 * n_freq + 1)
+    config = PipelineConfig(family="phi2", input_dim=32, power_law=0.2)
+    path = tmp_path / "db.cvv"
+    vectors = np.random.default_rng(0).standard_normal((count, dim)).astype(np.float32)
+    write_vector_file(path, [f"img{i:05d}" for i in range(count)], vectors,
+                      base_dim=base_dim, n_freq=n_freq, config=config)
+    del vectors
+    peak, store = traced_peak(read_vector_file, path)
+    matrix = count * dim * 8
+    assert store.vectors.nbytes == matrix
+    # holding the file's bytes or a float32 copy next to the matrix adds 28 MiB
+    assert peak < matrix + 8 * MIB, f"peak {peak / MIB:.1f} MiB over a {matrix / MIB:.1f} MiB matrix"
+
+
+@pytest.fixture
+def corpus_dir(tmp_path):
+    assert main(["synth", "--out-dir", str(tmp_path / "corpus"), "--queries", "2",
+                 "--matches", "2", "--distractors", "296", "--descriptors", "64",
+                 "--dim", "32", "--seed", "1"]) == 0
+    return tmp_path / "corpus"
+
+
+def test_encode_holds_the_float32_payload_and_one_image(corpus_dir, tmp_path, capsys):
+    argv = ["encode", str(corpus_dir / "database"), "--out", str(tmp_path / "db.cvv"),
+            "--family", "phi2", "--input-dim", "32"]
+    assert main(argv) == 0  # warm caches (angle tables, moment gathers) outside the trace
+    peak, code = traced_peak(main, argv)
+    assert code == 0
+    count, dim = 300, 3696
+    payload = count * dim * 4
+    # one phi2 image of 64 descriptors peaks near 0.25 MiB; an n x D float64
+    # copy of the vectors would add 8.5 MiB
+    assert peak < payload + 2 * MIB, f"peak {peak / MIB:.1f} MiB over a {payload / MIB:.1f} MiB payload"
+    assert read_vector_file(tmp_path / "db.cvv").vectors.shape == (count, dim)

@@ -6,10 +6,10 @@ from covagg import (
     AngleMapConfig,
     FourierCoefficients,
     MonomialConfig,
-    aggregate,
     fourier_coeffs,
     score_cosine,
 )
+from covagg.aggregate import aggregate
 from covagg.oracle import brute_match_kernel, brute_monomial_kernel
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))

@@ -11,7 +11,6 @@ from covagg import (
     MonomialConfig,
     RnModel,
     adapted_power_law,
-    aggregate,
     fourier_coeffs,
     power_law,
     rn_apply,
@@ -20,6 +19,7 @@ from covagg import (
     rotate_set,
     truncate_l2,
 )
+from covagg.aggregate import aggregate
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 

@@ -97,6 +97,28 @@ class TestRanking:
         ranked = rank_by_score(["zed", "abe", "mid"], [0.5, 0.5, 0.5])
         assert ranked == ["abe", "mid", "zed"]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_key_sort(self, seed):
+        rng = np.random.default_rng(seed)
+        # unsorted ids of varying length, so lexicographic order is not numeric order
+        ids = [f"img{v}" for v in rng.permutation(600)]
+        scores = rng.integers(-3, 4, size=600) / 4.0
+        zeros = np.flatnonzero(scores == 0.0)
+        scores[zeros[::2]] = -0.0
+        assert np.signbit(scores).sum() > (scores < 0).sum()
+        expected = sorted(range(600), key=lambda i: (-scores[i], ids[i]))
+        assert rank_by_score(ids, scores) == [ids[i] for i in expected]
+        assert rank_by_score(ids, list(scores)) == [ids[i] for i in expected]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ContractError, match="finite"):
+            rank_by_score(["a", "b"], [0.5, bad])
+
+    def test_one_score_per_id(self):
+        with pytest.raises(ContractError, match="one score per image id"):
+            rank_by_score(["a", "b"], [0.5])
+
 
 class TestGroundTruthFile:
     def test_round_trip(self, tmp_path):

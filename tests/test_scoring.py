@@ -9,7 +9,6 @@ from covagg import (
     MonomialConfig,
     Pipeline,
     ScorePolynomial,
-    aggregate,
     count_block_dots,
     fourier_coeffs,
     max_score,
@@ -20,6 +19,7 @@ from covagg import (
     score_polynomial,
 )
 from covagg import oracle
+from covagg.aggregate import aggregate
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 EMB8 = MonomialConfig(1, 8)
