@@ -144,10 +144,6 @@ def aggregate(
 def aggregate_rotations(
     dset: DescriptorSet, embedding: EmbeddingConfig, coeffs: FourierCoefficients, thetas
 ) -> list[ModulatedVector]:
-    """Aggregated vectors of the image under several global rotations.
-
-    Aggregates once and block-rotates the result per rotation, which is
-    exactly equivalent to re-encoding the rotated sets.
-    """
+    """The aggregates of the set rotated by each theta, from one aggregate."""
     base = aggregate(dset, embedding, coeffs)
     return [rotate_blocks(base, float(t)) for t in np.atleast_1d(thetas)]

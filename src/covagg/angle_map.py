@@ -153,10 +153,6 @@ class FourierCoefficients:
     def n_freq(self) -> int:
         return self.gamma.size - 1
 
-    @property
-    def feature_dim(self) -> int:
-        return 2 * self.n_freq + 1
-
 
 def fourier_coeffs(config: AngleMapConfig) -> FourierCoefficients:
     """Series coefficients for the configured kernel family."""

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregate import ModulatedVector, aggregate, aggregate_rotations, rotate_blocks
+from .aggregate import ModulatedVector, aggregate, rotate_blocks
 from .angle_map import (
     VON_MISES,
     AngleMapConfig,
@@ -61,6 +61,10 @@ class Pipeline:
     rn: Optional[RnModel] = None
     truncate_dim: Optional[int] = None
 
+    def __post_init__(self):
+        if self.adapted and self.power_exponent is None:
+            raise ContractError("the adapted power law needs an exponent")
+
     @property
     def n_freq(self) -> int:
         return self.coeffs.n_freq
@@ -71,9 +75,8 @@ class Pipeline:
 
     @property
     def output_dim(self) -> int:
-        if self.truncate_dim is not None:
-            return self.truncate_dim
-        return self.base_dim * (2 * self.n_freq + 1)
+        length, n_freq = self.stored_layout()
+        return length * (2 * n_freq + 1)
 
     def stored_layout(self) -> tuple[int, int]:
         """(base_dim, n_freq) describing the final vector layout.
@@ -87,51 +90,47 @@ class Pipeline:
 
     def prepare(self, dset: DescriptorSet) -> DescriptorSet:
         """Square-root normalize raw descriptors and apply PCA if configured."""
-        X = dset.descriptors
-        changed = False
-        if dset.raw:
-            X = rootsift_batch(X)
-            changed = True
+        if not dset.raw and self.pca is None:
+            return dset
+        X = rootsift_batch(dset.descriptors) if dset.raw else dset.descriptors
         if self.pca is not None:
             X = preprocess_batch(X, self.pca)
-            changed = True
-        if not changed:
-            return dset
         return DescriptorSet(X, dset.angles, image_id=dset.image_id)
 
-    def postprocess_vector(self, vec: ModulatedVector) -> np.ndarray:
-        if self.power_exponent is not None:
-            if self.adapted:
-                values = adapted_power_law(vec, self.power_exponent).values
-            else:
-                values = power_law(vec.values, self.power_exponent)
-        else:
-            values = np.asarray(vec.values)
+    def _modulated(self, dset: DescriptorSet) -> ModulatedVector:
+        """Aggregate and apply the adapted power law: the stages that commute with rotation."""
+        vec = aggregate(self.prepare(dset), self.embedding, self.coeffs)
+        if self.adapted:
+            vec = adapted_power_law(vec, self.power_exponent)
+        return vec
+
+    def _postprocess_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Plain power law, RN and truncation, applied to each row."""
+        if self.power_exponent is not None and not self.adapted:
+            rows = power_law(rows, self.power_exponent)
         if self.rn is not None:
-            values = rn_apply(values, self.rn)
+            rows = rn_apply(rows, self.rn)
         if self.truncate_dim is not None:
-            values = truncate_l2(values, self.truncate_dim)
-        return np.asarray(values, dtype=np.float64)
+            rows = truncate_l2(rows, self.truncate_dim)
+        return rows
 
     def encode(self, dset: DescriptorSet) -> np.ndarray:
         """Full pipeline: database-ready vector for one image."""
-        return self.postprocess_vector(aggregate(self.prepare(dset), self.embedding, self.coeffs))
+        return self._postprocess_rows(self._modulated(dset).values)
 
     def encode_rotations(self, dset: DescriptorSet, thetas) -> np.ndarray:
-        """One fully post-processed vector per global rotation hypothesis.
+        """Row i is ``encode`` of the set rotated by ``thetas[i]``.
 
-        The set is aggregated once. Post-processing that commutes with
-        ``rotate_blocks`` (none or the adapted power law, with no RN and no
-        truncation) runs once before the block rotations; any other runs on
-        each rotated vector. Both match encoding the rotated sets.
+        The set is aggregated once and takes the adapted power law, which
+        commutes with ``rotate_blocks``, before rotation; the rotated rows
+        take the plain power law, RN and truncation as one matrix.
         """
-        if self.rn is None and self.truncate_dim is None and (
-            self.power_exponent is None or self.adapted
-        ):
-            base = ModulatedVector(self.encode(dset), self.base_dim, self.n_freq)
-            return np.stack([rotate_blocks(base, float(t)).values for t in np.atleast_1d(thetas)])
-        vecs = aggregate_rotations(self.prepare(dset), self.embedding, self.coeffs, thetas)
-        return np.stack([self.postprocess_vector(v) for v in vecs])
+        thetas = np.atleast_1d(thetas)
+        if thetas.size == 0:
+            raise ContractError("encode_rotations needs at least one rotation")
+        base = self._modulated(dset)
+        rows = np.stack([rotate_blocks(base, float(t)).values for t in thetas])
+        return self._postprocess_rows(rows)
 
 
 def _has_type(value, hint) -> bool:
@@ -251,18 +250,20 @@ class PipelineConfig:
             AngleMapConfig(self.kappa, self.n_freq, self.angle_family, self.cosine_power)
         )
 
+        encoded_dim = embedding.output_dim * (2 * coeffs.n_freq + 1)
         rn = None
         if self.rn_path is not None:
             rn = load_model(self.rn_path)
             if not isinstance(rn, RnModel):
                 raise ContractError(f"{self.rn_path} does not hold an rn model")
-            full_dim = embedding.output_dim * (2 * coeffs.n_freq + 1)
-            if rn.dim != full_dim:
+            if rn.dim != encoded_dim:
                 raise ContractError(
-                    f"rn model dim {rn.dim} does not match encoded dim {full_dim}"
+                    f"rn model dim {rn.dim} does not match encoded dim {encoded_dim}"
                 )
+        if self.truncate is not None and self.truncate > encoded_dim:
+            raise ContractError(f"truncate={self.truncate} exceeds encoded dim {encoded_dim}")
 
-        pipeline = Pipeline(
+        return Pipeline(
             family=self.family,
             embedding=embedding,
             coeffs=coeffs,
@@ -272,11 +273,3 @@ class PipelineConfig:
             rn=rn,
             truncate_dim=self.truncate,
         )
-        if self.truncate is not None and self.truncate > pipeline.base_dim * (
-            2 * pipeline.n_freq + 1
-        ):
-            raise ContractError(
-                f"truncate={self.truncate} exceeds encoded dim "
-                f"{pipeline.base_dim * (2 * pipeline.n_freq + 1)}"
-            )
-        return pipeline

@@ -3,11 +3,13 @@
 Three stages, each optional: a component-wise signed power law (or its
 pair-modulus variant that keeps the per-frequency phase intact), a
 learned rotation followed by a second power law, and truncation to the
-leading components.
+leading components. ``power_law``, ``rn_apply`` and ``truncate_l2`` take
+one vector or an (R, D) matrix of row vectors and normalize each row.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -21,8 +23,15 @@ _ORTHO_PROBE_DIM = 1024
 
 
 def _check_exponent(a: float):
-    if not (np.isfinite(a) and 0.0 < a <= 1.0):
-        raise ContractError(f"power-law exponent must lie in (0, 1], got {a!r}")
+    if not (isinstance(a, numbers.Real) and np.isfinite(a) and 0.0 < a <= 1.0):
+        raise ContractError(f"power-law exponent must be a real in (0, 1], got {a!r}")
+
+
+def _as_rows(v) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2):
+        raise ContractError(f"expected a vector or a row matrix, got a {v.ndim}-D array")
+    return v
 
 
 def _signed_power(v: np.ndarray, a: float) -> np.ndarray:
@@ -30,16 +39,18 @@ def _signed_power(v: np.ndarray, a: float) -> np.ndarray:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return v
-    return v / norm
+    """Each row divided by its l2 norm; zero rows stay zero."""
+    # one BLAS dot per row, as np.linalg.norm takes for a lone vector, so a
+    # row comes out bit for bit as it would on its own
+    norms = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    norms[norms == 0.0] = 1.0
+    return v / norms
 
 
 def power_law(v, exponent: float) -> np.ndarray:
-    """Component-wise signed power followed by l2 normalization."""
+    """Component-wise signed power followed by l2 normalization of each row."""
     _check_exponent(exponent)
-    return _unit(_signed_power(np.asarray(v, dtype=np.float64), exponent))
+    return _unit(_signed_power(_as_rows(v), exponent))
 
 
 def adapted_power_law(X: ModulatedVector, exponent: float) -> ModulatedVector:
@@ -159,11 +170,11 @@ def rn_train(vectors, exponent: float = 0.5, whiten: bool = False) -> RnModel:
 
 
 def rn_apply(v, model: RnModel) -> np.ndarray:
-    """Rotate, re-normalize the spectrum, and return a unit vector."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (model.dim,):
-        raise ContractError(f"vector dim {v.shape} does not match model dim {model.dim}")
-    y = model.rotation @ v
+    """Rotate, re-normalize the spectrum, and return unit rows."""
+    v = _as_rows(v)
+    if v.shape[-1] != model.dim:
+        raise ContractError(f"vector dim {v.shape[-1]} does not match model dim {model.dim}")
+    y = (model.rotation @ v.T).T  # R @ v for a lone vector keeps stored vectors bit-stable
     if model.whiten:
         eig = model.eigenvalues
         floor = max(float(eig.max()) * 1e-6, 1e-300)
@@ -174,10 +185,10 @@ def rn_apply(v, model: RnModel) -> np.ndarray:
 
 
 def truncate_l2(v, d_out: int) -> np.ndarray:
-    """Keep the first ``d_out`` components and re-normalize."""
-    v = np.asarray(v, dtype=np.float64)
-    if int(d_out) != d_out or d_out <= 0:
+    """Keep the first ``d_out`` components of each row and re-normalize."""
+    v = _as_rows(v)
+    if not (isinstance(d_out, numbers.Real) and float(d_out).is_integer() and d_out > 0):
         raise ContractError(f"d_out must be a positive integer, got {d_out!r}")
-    if d_out > v.size:
-        raise ContractError(f"d_out={d_out} exceeds vector length {v.size}")
-    return _unit(v[: int(d_out)].copy())
+    if d_out > v.shape[-1]:
+        raise ContractError(f"d_out={d_out} exceeds vector length {v.shape[-1]}")
+    return _unit(v[..., : int(d_out)])

@@ -178,9 +178,10 @@ def max_score(poly: ScorePolynomial, samples: int = 64):
 def query_multi_rotation(query: DescriptorSet, pipeline, db_vectors, n_rot: int = 8):
     """Best score per database vector over n_rot query rotation hypotheses.
 
-    The query is aggregated once and its blocks are rotated per
-    hypothesis (``Pipeline.encode_rotations``); all hypotheses are scored
-    against the whole database with a single matrix product.
+    The query is aggregated once, its blocks are rotated per hypothesis
+    and the rotated rows are post-processed together
+    (``Pipeline.encode_rotations``); all hypotheses are scored against
+    the whole database with a single matrix product.
     Returns (scores, thetas): the per-database maximum and the rotation
     hypothesis that achieved it.
     """

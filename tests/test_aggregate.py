@@ -193,11 +193,30 @@ class TestAggregate:
             direct = aggregate(rotate_set(dset, theta), emb, K8_N3)
             assert np.max(np.abs(vec.values - direct.values)) < 1e-12
 
-    @pytest.mark.parametrize("family", ["phi2", "phi3-adapted", "phi2-none", "vlad", "fisher"])
+    @pytest.mark.parametrize(
+        "family",
+        ["phi2", "phi3-adapted", "phi2-none", "vlad", "fisher", "phi2-adapted-rn-truncate",
+         "fisher-whiten"],
+    )
     def test_encode_rotations_match_rotated_sets(self, rng, family):
-        # post-processing that commutes with block rotation (none or the
-        # adapted power law) runs before rotating, any other after it; either
-        # way each row must equal the full encode of the rotated set
+        # the adapted power law runs once before rotating, since it commutes
+        # with block rotation; the plain power law, RN and truncation run on
+        # all rotated rows at once. Each row must equal the full encode of
+        # the rotated set.
+        def rn(emb, whiten=False):
+            dim = emb.output_dim * (2 * K8_N3.n_freq + 1)
+            rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            return RnModel(
+                rotation=rotation, exponent=0.5, whiten=whiten,
+                eigenvalues=rng.uniform(0.1, 1.0, dim),
+            )
+
+        def fisher():
+            weights = rng.uniform(0.5, 1.5, 3)
+            return FisherEmbedding(GmmModel(
+                weights / weights.sum(), rng.standard_normal((3, 8)), rng.uniform(0.5, 2.0, (3, 8))
+            ))
+
         if family == "phi2":
             pipe = Pipeline("phi2", MonomialConfig(2, 8), K8_N3, power_exponent=0.5, adapted=True)
         elif family == "phi3-adapted":
@@ -207,18 +226,17 @@ class TestAggregate:
         elif family == "vlad":
             emb = VladEmbedding(CodebookModel(rng.standard_normal((4, 8))))
             pipe = Pipeline("vlad", emb, K8_N3, power_exponent=0.4)
-        else:
-            weights = rng.uniform(0.5, 1.5, 3)
-            gmm = GmmModel(
-                weights / weights.sum(), rng.standard_normal((3, 8)), rng.uniform(0.5, 2.0, (3, 8))
-            )
-            emb = FisherEmbedding(gmm)
-            full_dim = emb.output_dim * (2 * K8_N3.n_freq + 1)
-            rotation, _ = np.linalg.qr(rng.standard_normal((full_dim, full_dim)))
+        elif family == "fisher":
+            emb = fisher()
+            pipe = Pipeline("fisher", emb, K8_N3, power_exponent=0.4, rn=rn(emb), truncate_dim=40)
+        elif family == "phi2-adapted-rn-truncate":
+            emb = MonomialConfig(2, 8)
             pipe = Pipeline(
-                "fisher", emb, K8_N3, power_exponent=0.4,
-                rn=RnModel(rotation=rotation, exponent=0.5), truncate_dim=40,
+                "phi2", emb, K8_N3, power_exponent=0.3, adapted=True, rn=rn(emb), truncate_dim=50
             )
+        else:
+            emb = fisher()
+            pipe = Pipeline("fisher", emb, K8_N3, power_exponent=0.4, rn=rn(emb, whiten=True))
         query = random_set(rng, 30, 8)
         thetas = np.array([0.0, 0.7, 2.5, -1.3])
         rows = pipe.encode_rotations(query, thetas)

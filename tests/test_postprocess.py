@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,11 @@ class TestPowerLaw:
         for bad in (0.0, -0.3, 1.5, np.nan):
             with pytest.raises(ContractError):
                 power_law(np.ones(3), bad)
+
+    @pytest.mark.parametrize("bad", [None, "0.5", 0.5j, np.array([0.5])])
+    def test_exponent_must_be_a_real(self, bad):
+        with pytest.raises(ContractError, match="exponent"):
+            power_law(np.ones(3), bad)
 
 
 class TestAdaptedPowerLaw:
@@ -156,3 +163,55 @@ class TestTruncate:
             truncate_l2(v, -3)
         with pytest.raises(ContractError):
             truncate_l2(v, 9)
+
+    @pytest.mark.parametrize("bad", [None, 2.5, np.nan, "3"])
+    def test_size_must_be_an_integer(self, rng, bad):
+        with pytest.raises(ContractError, match="d_out"):
+            truncate_l2(rng.standard_normal(8), bad)
+
+
+STAGES = ["power-law", "rn-power", "rn-whiten", "truncate"]
+
+
+def _stage(name, rng, dim=12):
+    """One post-processing stage as a function of a vector or row matrix."""
+    if name == "power-law":
+        return lambda v: power_law(v, 0.3)
+    if name == "truncate":
+        return lambda v: truncate_l2(v, 7)
+    model = rn_train(rng.standard_normal((60, dim)), whiten=name == "rn-whiten")
+    return lambda v: rn_apply(v, model)
+
+
+class TestRowMatrices:
+    @pytest.mark.parametrize("name", STAGES)
+    def test_rows_match_one_vector_at_a_time(self, rng, name):
+        stage = _stage(name, rng)
+        rows = rng.standard_normal((6, 12))
+        batched = stage(rows)
+        assert batched.shape[0] == 6
+        for row, out in zip(rows, batched):
+            assert np.max(np.abs(out - stage(row))) < 1e-15
+
+    @pytest.mark.parametrize("name", STAGES)
+    def test_zero_row_stays_zero(self, rng, name):
+        stage = _stage(name, rng)
+        rows = rng.standard_normal((4, 12))
+        rows[2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = stage(rows)
+        assert np.all(out[2] == 0.0)
+        assert np.all(np.isfinite(out))
+        assert np.linalg.norm(out[[0, 1, 3]], axis=1) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", STAGES)
+    def test_three_d_input_refused(self, rng, name):
+        with pytest.raises(ContractError):
+            _stage(name, rng)(np.ones((2, 3, 12)))
+
+    def test_wrong_last_dim_refused(self, rng):
+        with pytest.raises(ContractError, match="dim"):
+            _stage("rn-power", rng)(np.ones((3, 11)))
+        with pytest.raises(ContractError, match="exceeds"):
+            truncate_l2(np.ones((3, 6)), 7)
