@@ -88,38 +88,42 @@ def read_ground_truth(path, exclude_query: bool = False) -> dict:
     ranking (dataset conventions differ on whether the query scores
     itself).
     """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     entries: dict[str, GroundTruthEntry] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                )
-            query_id = parts[0].strip()
-            if not query_id:
-                raise FormatError(f"{path}:{lineno}: empty query id")
-            fields = {}
-            for label, part in (("relevant", parts[1]), ("junk", parts[2])):
-                prefix = label + ":"
-                if not part.strip().startswith(prefix):
-                    raise FormatError(f"{path}:{lineno}: field must start with {prefix!r}")
-                body = part.strip()[len(prefix) :].strip()
-                fields[label] = {tok.strip() for tok in body.split(",") if tok.strip()}
-            relevant = fields["relevant"]
-            junk = fields["junk"]
-            if exclude_query:
-                relevant.discard(query_id)
-                junk.add(query_id)
-            if query_id in entries:
-                raise FormatError(f"{path}:{lineno}: duplicate query id {query_id!r}")
-            try:
-                entries[query_id] = GroundTruthEntry(frozenset(relevant), frozenset(junk))
-            except ContractError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
+            )
+        query_id = parts[0].strip()
+        if not query_id:
+            raise FormatError(f"{path}:{lineno}: empty query id")
+        fields = {}
+        for label, part in (("relevant", parts[1]), ("junk", parts[2])):
+            prefix = label + ":"
+            if not part.strip().startswith(prefix):
+                raise FormatError(f"{path}:{lineno}: field must start with {prefix!r}")
+            body = part.strip()[len(prefix) :].strip()
+            fields[label] = {tok.strip() for tok in body.split(",") if tok.strip()}
+        relevant = fields["relevant"]
+        junk = fields["junk"]
+        if exclude_query:
+            relevant.discard(query_id)
+            junk.add(query_id)
+        if query_id in entries:
+            raise FormatError(f"{path}:{lineno}: duplicate query id {query_id!r}")
+        try:
+            entries[query_id] = GroundTruthEntry(frozenset(relevant), frozenset(junk))
+        except ContractError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return entries
 
 

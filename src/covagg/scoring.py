@@ -4,13 +4,13 @@ Because the aggregated vector transforms block-wise under a global
 rotation of either image, the similarity as a function of the relative
 rotation angle is a trigonometric polynomial of degree N. Its 2N+1
 coefficients come from 1 + 4N block inner products (one constant-block
-product plus four per frequency), after which locating the maximizing
-angle costs next to nothing.
+product plus four per frequency). Its maximum is found exactly, among
+the roots of its derivative, at the cost of one 2N x 2N eigenvalue
+problem.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -20,10 +20,6 @@ from .aggregate import ModulatedVector
 from .angle_map import wrap_angle
 from .descriptors import DescriptorSet
 from .errors import ContractError
-
-GOLDEN_STEPS = 20
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 class BlockDotCounter:
     """Counts base-dim inner products performed by score_polynomial."""
@@ -70,6 +66,8 @@ class ScorePolynomial:
         b = np.ascontiguousarray(np.asarray(self.b, dtype=np.float64))
         if a.ndim != 1 or b.shape != a.shape:
             raise ContractError("coefficient vectors a and b must be 1-D and equal length")
+        if not (np.isfinite(self.c0) and np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ContractError("score polynomial coefficients must be finite")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -121,58 +119,31 @@ def score_polynomial(X: ModulatedVector, Y: ModulatedVector) -> ScorePolynomial:
     return ScorePolynomial(c0=c0, a=a, b=b)
 
 
-def _golden_max(f, lo: float, hi: float, steps: int = GOLDEN_STEPS):
-    """Golden-section maximization on [lo, hi]; returns (arg, value)."""
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1 = float(f(x1))
-    f2 = float(f(x2))
-    best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
-    for _ in range(steps):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = float(f(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = float(f(x2))
-        if f1 >= f2 and f1 > best_f:
-            best_x, best_f = x1, f1
-        elif f2 > f1 and f2 > best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f
-
-
 def max_score(poly: ScorePolynomial, samples: int = 64):
-    """Angle and value of the polynomial maximum.
+    """Angle in (-pi, pi] and value of the polynomial maximum.
 
-    Evaluates ``samples`` uniformly spaced angles, then refines every
-    sampled local maximum (a degree-N polynomial has at most N true
-    peaks) with golden-section steps. Requires samples >= 2N+1.
+    With z = exp(i theta), z^N s'(theta) is a degree-2N polynomial in z
+    whose coefficient of z^(N+n) is n (b_n + i a_n) / 2 and of z^(N-n)
+    its conjugate. The angles of its roots are every critical point of
+    s, so the best of them is the maximum, exact to rounding. The
+    ``samples`` uniformly spaced angles (at least 2N+1) are candidates
+    too, which keeps the result at or above every grid sample however
+    ill-conditioned the roots are.
     """
     min_samples = 2 * poly.n_freq + 1
     if int(samples) != samples or samples < min_samples:
         raise ContractError(f"need at least {min_samples} samples, got {samples!r}")
-    theta = np.linspace(-np.pi, np.pi, int(samples), endpoint=False)
+    grid = np.linspace(-np.pi, np.pi, int(samples), endpoint=False)
+    upper = np.arange(1, poly.n_freq + 1) * (poly.b + 1j * poly.a) / 2.0
+    # Terms below rounding are zeroed, since np.roots divides by the
+    # leading term and a subnormal one overflows. np.roots drops zero
+    # leading terms and returns no root when every term is zero.
+    upper[np.abs(upper) <= np.finfo(float).eps * np.abs(upper).max(initial=0.0)] = 0.0
+    critical = np.angle(np.roots(np.concatenate([upper[::-1], [0.0], upper.conj()])))
+    theta = wrap_angle(np.concatenate([grid, critical]))
     vals = poly.evaluate(theta)
-    is_peak = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
-    candidates = np.nonzero(is_peak)[0]
-    if candidates.size == 0:
-        candidates = np.array([int(np.argmax(vals))])
-    if candidates.size > min_samples:
-        keep = np.argsort(vals[candidates])[::-1][:min_samples]
-        candidates = candidates[keep]
-    half_step = np.pi / samples
-    best_t = float(theta[candidates[0]])
-    best_v = float(vals[candidates[0]])
-    for i in candidates:
-        if vals[i] > best_v:
-            best_t, best_v = float(theta[i]), float(vals[i])
-        t, v = _golden_max(poly.evaluate, float(theta[i]) - half_step, float(theta[i]) + half_step)
-        if v > best_v:
-            best_t, best_v = t, v
-    return wrap_angle(best_t), best_v
+    best = int(np.argmax(vals))
+    return float(theta[best]), float(vals[best])
 
 
 def query_multi_rotation(query: DescriptorSet, pipeline, db_vectors, n_rot: int = 8):

@@ -85,6 +85,16 @@ def test_encode_query_evaluate_round(corpus_dir, tmp_path, capsys):
     assert len(out) == 5  # four queries + the summary line
 
 
+def test_non_utf8_ground_truth_is_2(corpus_dir, tmp_path, capsys):
+    db = tmp_path / "db.cvv"
+    assert main(encode_args(corpus_dir, db)) == 0
+    gt = tmp_path / "gt.txt"
+    gt.write_bytes(b"\xff\n")
+    assert main(["evaluate", "--db", str(db), "--queries", str(corpus_dir / "queries"),
+                 "--gt", str(gt)]) == 2
+    assert "gt.txt: not UTF-8" in capsys.readouterr().err
+
+
 def test_manifest_replay_is_bit_identical(corpus_dir, tmp_path, capsys):
     out_a = tmp_path / "a.cvv"
     manifest = tmp_path / "encode.json"

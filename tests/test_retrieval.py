@@ -146,6 +146,12 @@ class TestGroundTruthFile:
         with pytest.raises(FormatError, match="gt.txt:1"):
             read_ground_truth(path)
 
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_bytes(b"q1\trelevant: a\xff\tjunk: \n")
+        with pytest.raises(FormatError, match="gt.txt: not UTF-8"):
+            read_ground_truth(path)
+
     def test_overlapping_sets_rejected(self, tmp_path):
         path = tmp_path / "gt.txt"
         path.write_text("q1\trelevant: a\tjunk: a\n", encoding="utf-8")

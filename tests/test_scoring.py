@@ -66,6 +66,14 @@ class TestScoreCosine:
 
 
 class TestScorePolynomial:
+    @pytest.mark.parametrize("field", ["c0", "a", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coefficients(self, field, bad):
+        coeffs = {"c0": 0.5, "a": np.array([0.1, 0.2]), "b": np.array([0.3, 0.4])}
+        coeffs[field] = bad if field == "c0" else np.array([0.1, bad])
+        with pytest.raises(ContractError, match="finite"):
+            ScorePolynomial(**coeffs)
+
     def test_self_score_at_zero(self, rng):
         X = aggregate(random_set(rng, 10, 8), EMB8, K8_N3)
         poly = score_polynomial(X, X)
@@ -115,11 +123,33 @@ class TestScorePolynomial:
         assert counter.count == 1 + 4 * n_freq
 
 
+# At 16 and 64 samples the best grid sample lies more than half a
+# spacing from this polynomial's peak
+BRACKET_POLY = ScorePolynomial(
+    c0=0.641171817084584,
+    a=np.array([
+        1.5085690498162747, 1.7450655684271512, -1.0761951898622146,
+        -0.08529692411889785, 0.16035986838960548, 0.8760129465808347,
+    ]),
+    b=np.array([
+        1.2487050701896434, -0.31005044070138726, -0.009267006715762688,
+        2.133259089136987, -0.5805891134862654, -0.3534001184194652,
+    ]),
+)
+
+
 class TestMaxScore:
     def test_constant_polynomial(self):
         poly = ScorePolynomial(c0=0.42, a=np.zeros(2), b=np.zeros(2))
-        _, value = max_score(poly, samples=16)
+        theta, value = max_score(poly, samples=16)
         assert value == pytest.approx(0.42, abs=1e-12)
+        assert -np.pi < theta <= np.pi
+
+    def test_no_frequencies(self):
+        poly = ScorePolynomial(c0=0.42, a=np.zeros(0), b=np.zeros(0))
+        theta, value = max_score(poly, samples=1)
+        assert value == 0.42
+        assert -np.pi < theta <= np.pi
 
     def test_pure_cosine(self):
         poly = ScorePolynomial(c0=0.1, a=np.array([1.0]), b=np.array([0.0]))
@@ -136,8 +166,37 @@ class TestMaxScore:
                 a=rng.standard_normal(n),
                 b=rng.standard_normal(n),
             )
-            _, value = max_score(poly, samples=64)
+            theta, value = max_score(poly, samples=64)
             assert value >= float(np.max(poly.evaluate(dense_grid))) - 1e-6
+            assert -np.pi < theta <= np.pi
+
+    @pytest.mark.parametrize("samples", [16, 64, 256])
+    def test_peak_between_grid_samples(self, samples):
+        dense_max = float(np.max(BRACKET_POLY.evaluate(np.linspace(-np.pi, np.pi, 2_000_001))))
+        theta, value = max_score(BRACKET_POLY, samples=samples)
+        assert value >= dense_max - 1e-12
+        assert BRACKET_POLY.evaluate(theta) == value
+
+    def test_vanishing_top_frequency(self):
+        # a_N = b_N = 0 zeroes the end coefficients of the derivative polynomial
+        poly = ScorePolynomial(c0=0.2, a=np.array([0.3, -1.1, 0.0]), b=np.array([0.7, 0.4, 0.0]))
+        dense_max = float(np.max(poly.evaluate(np.linspace(-np.pi, np.pi, 200_001))))
+        theta, value = max_score(poly, samples=7)
+        assert value >= dense_max - 1e-12
+        assert poly.evaluate(theta) == value
+
+    def test_subnormal_top_frequency(self):
+        # a von Mises angle map with kappa = 3e-4 and N = 64 gives such terms
+        poly = ScorePolynomial(c0=0.1, a=np.array([1.0, 0.0, 5.9e-320]), b=np.zeros(3))
+        theta, value = max_score(poly, samples=7)
+        assert theta == 0.0
+        assert value == pytest.approx(1.1, abs=1e-15)
+
+    def test_maximum_at_pi_is_reported_as_pi(self):
+        poly = ScorePolynomial(c0=0.0, a=np.array([-1.0]), b=np.array([0.0]))
+        theta, value = max_score(poly, samples=4)
+        assert theta == np.pi
+        assert value == 1.0
 
     def test_requires_enough_samples(self):
         poly = ScorePolynomial(c0=0.0, a=np.zeros(3), b=np.zeros(3))
