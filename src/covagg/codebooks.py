@@ -194,6 +194,11 @@ def _lloyd(data: np.ndarray, centroids: np.ndarray, max_iter: int) -> np.ndarray
     return cents
 
 
+def _check_iterations(max_iter: int):
+    if int(max_iter) != max_iter or max_iter < 0:
+        raise ContractError(f"iteration count must be a non-negative integer, got {max_iter!r}")
+
+
 def kmeans_train(data, k: int, max_iter: int = 25, seed: int = 0) -> CodebookModel:
     """Lloyd iterations from a seeded k-means++ initialization."""
     data = _as_matrix(data, "training data")
@@ -201,6 +206,7 @@ def kmeans_train(data, k: int, max_iter: int = 25, seed: int = 0) -> CodebookMod
         raise ContractError(f"k must be a positive integer, got {k!r}")
     if data.shape[0] < k:
         raise ContractError(f"need at least k={k} samples, got {data.shape[0]}")
+    _check_iterations(max_iter)
     rng = np.random.default_rng(seed)
     cents = _plusplus_init(data, int(k), rng)
     cents = _lloyd(data, cents, max_iter)
@@ -281,6 +287,7 @@ def gmm_train(data, k: int, max_iter: int = 100, seed: int = 0) -> GmmModel:
         raise ContractError(f"k must be a positive integer, got {k!r}")
     if n < 10 * k:
         raise ContractError(f"need at least 10*k={10 * int(k)} samples, got {n}")
+    _check_iterations(max_iter)
     k = int(k)
 
     floor = np.maximum(VARIANCE_FLOOR_FRACTION * data.var(axis=0), 1e-12)

@@ -147,7 +147,8 @@ class FisherEmbedding:
 EmbeddingConfig = Union[MonomialConfig, VladEmbedding, FisherEmbedding]
 
 
-def _vlad_batch(X: np.ndarray, codebook: CodebookModel) -> np.ndarray:
+def _vlad_residuals(X: np.ndarray, codebook: CodebookModel):
+    """Nearest-centroid index and unit residual of each row; zero residuals stay zero."""
     C = codebook.centroids
     d2 = _pairwise_sq_dists(X, C)
     assign = np.argmin(d2, axis=1)  # ties resolve to the lowest centroid index
@@ -155,45 +156,84 @@ def _vlad_batch(X: np.ndarray, codebook: CodebookModel) -> np.ndarray:
     norms = np.linalg.norm(resid, axis=1)
     nz = norms > 0.0
     resid[nz] /= norms[nz, None]
+    return assign, resid
+
+
+def _fisher_coefs(X: np.ndarray, gmm: GmmModel) -> np.ndarray:
+    """Posteriors over the square roots of the mixture weights, n x k."""
+    return gmm_posteriors(X, gmm) / np.sqrt(gmm.weights)[None, :]
+
+
+def _vlad_batch(X: np.ndarray, codebook: CodebookModel) -> np.ndarray:
+    assign, resid = _vlad_residuals(X, codebook)
     n, d = X.shape
-    out = np.zeros((n, C.shape[0] * d))
+    out = np.zeros((n, codebook.k * d))
     cols = assign[:, None] * d + np.arange(d)[None, :]
     out[np.arange(n)[:, None], cols] = resid
     return out
 
 
 def _fisher_batch(X: np.ndarray, gmm: GmmModel) -> np.ndarray:
-    resp = gmm_posteriors(X, gmm)
+    coef = _fisher_coefs(X, gmm)
     sigma = np.sqrt(gmm.variances)
-    coef = resp / np.sqrt(gmm.weights)[None, :]
     blocks = coef[:, :, None] * (X[:, None, :] - gmm.means[None]) / sigma[None]
     return blocks.reshape(X.shape[0], -1)
 
 
-def embed_batch(X, config: EmbeddingConfig) -> np.ndarray:
-    """Embed the rows of X under the configured coding family."""
+def _vlad_weighted_sum(W: np.ndarray, X: np.ndarray, codebook: CodebookModel) -> np.ndarray:
+    # the residual form; a GEMM of X with the centroid sums subtracted after
+    # it cancels badly for a descriptor next to its centroid
+    assign, resid = _vlad_residuals(X, codebook)
+    n, K = W.shape
+    left = np.zeros((n, K, codebook.k))
+    left[np.arange(n), :, assign] = W
+    return (left.reshape(n, -1).T @ resid).reshape(K, -1)
+
+
+def _fisher_weighted_sum(W: np.ndarray, X: np.ndarray, gmm: GmmModel) -> np.ndarray:
+    n, K = W.shape
+    left = (W[:, :, None] * _fisher_coefs(X, gmm)[:, None, :]).reshape(n, -1)
+    sums = left.sum(axis=0).reshape(K, gmm.k, 1)
+    moments = (left.T @ X).reshape(K, gmm.k, -1) - sums * gmm.means
+    return (moments / np.sqrt(gmm.variances)).reshape(K, -1)
+
+
+def _codebook_input(X, config) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ContractError("expected a 2-D array of descriptors")
+    if X.shape[1] != config.input_dim:
+        raise ContractError(
+            f"descriptor dim {X.shape[1]} does not match model dim {config.input_dim}"
+        )
+    return X
+
+
+def embed_batch(X, config: EmbeddingConfig) -> np.ndarray:
+    """Embed the rows of X under the configured coding family."""
     if isinstance(config, MonomialConfig):
         return phi_monomial_batch(X, config)
-    if isinstance(config, (VladEmbedding, FisherEmbedding)):
-        if X.shape[1] != config.input_dim:
-            raise ContractError(
-                f"descriptor dim {X.shape[1]} does not match model dim {config.input_dim}"
-            )
-        if isinstance(config, VladEmbedding):
-            return _vlad_batch(X, config.codebook)
-        return _fisher_batch(X, config.gmm)
+    if isinstance(config, VladEmbedding):
+        return _vlad_batch(_codebook_input(X, config), config.codebook)
+    if isinstance(config, FisherEmbedding):
+        return _fisher_batch(_codebook_input(X, config), config.gmm)
     raise ContractError(f"unknown embedding config {type(config).__name__}")
 
 
 def embed_weighted_sum(W, X, config: EmbeddingConfig) -> np.ndarray:
     """``W.T @ embed_batch(X, config)``: per-column weighted sums of the embeddings.
 
-    Monomial families take them from moments of X and never build the
-    n x output_dim embedding; the codebook families embed, then multiply.
+    W holds one row of weights per descriptor (n x K). No family builds
+    the n x output_dim embedding. Monomial families take the sums from
+    moments of X. VLAD multiplies the n x K*k product of W and the
+    one-hot assignment into the n x d unit residuals. Fisher takes
+    ``((W∘γ/√w)ᵀ X − s·μ) / σ``, with s the column sums of ``W∘γ/√w``.
     """
     if isinstance(config, MonomialConfig):
         return phi_monomial_weighted_sum(W, X, config)
-    return np.asarray(W, dtype=np.float64).T @ embed_batch(X, config)
+    W = np.asarray(W, dtype=np.float64)
+    if isinstance(config, VladEmbedding):
+        return _vlad_weighted_sum(W, _codebook_input(X, config), config.codebook)
+    if isinstance(config, FisherEmbedding):
+        return _fisher_weighted_sum(W, _codebook_input(X, config), config.gmm)
+    raise ContractError(f"unknown embedding config {type(config).__name__}")

@@ -289,6 +289,8 @@ def save_model(path, model):
         arrays = [model.weights, model.means, model.variances]
         kind = _KIND_GMM
     elif isinstance(model, RnModel):
+        if model.rotation.shape[0] != model.dim:
+            raise ContractError("only a square rn model can be saved, not a row slice")
         body = _pack_dims(model.dim, 1 if model.whiten else 0)
         eig = model.eigenvalues if model.eigenvalues is not None else np.zeros(model.dim)
         arrays = [np.asarray([model.exponent]), eig, model.rotation]

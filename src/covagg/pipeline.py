@@ -182,6 +182,8 @@ class PipelineConfig:
             )
         if self.adapted_power_law and self.power_law is None:
             raise ContractError("the adapted power law needs an exponent")
+        if self.truncate is not None and self.truncate < 1:
+            raise ContractError(f"truncate must be at least 1, got {self.truncate}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -262,6 +264,8 @@ class PipelineConfig:
                 )
         if self.truncate is not None and self.truncate > encoded_dim:
             raise ContractError(f"truncate={self.truncate} exceeds encoded dim {encoded_dim}")
+        if rn is not None and self.truncate is not None:
+            rn = rn.leading_rows(self.truncate)  # truncation keeps only these rows
 
         return Pipeline(
             family=self.family,

@@ -9,6 +9,7 @@ one vector or an (R, D) matrix of row vectors and normalize each row.
 
 from __future__ import annotations
 
+import copy
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -79,7 +80,9 @@ class RnModel:
     """Learned rotation plus a second power law (or whitening).
 
     ``rotation`` rows are ordered most-energetic first so truncation after
-    application keeps the high-variance directions.
+    application keeps the high-variance directions. A constructed model
+    is square; ``leading_rows`` gives a row slice of one for RN followed
+    by truncation.
     """
 
     rotation: np.ndarray
@@ -120,7 +123,21 @@ class RnModel:
 
     @property
     def dim(self) -> int:
-        return self.rotation.shape[0]
+        """Input dimension; a row slice outputs fewer components."""
+        return self.rotation.shape[1]
+
+    def leading_rows(self, rows: int) -> RnModel:
+        """The model restricted to its first ``rows`` outputs.
+
+        Truncating RN's output to them equals applying this slice, since
+        the signed power and the whitening act per component and the
+        result is re-normalized. The rotation is a view of this
+        validated model's and is not checked again; ``eigenvalues``
+        stays whole, so the whitening floor is unchanged.
+        """
+        sliced = copy.copy(self)
+        object.__setattr__(sliced, "rotation", self.rotation[:rows])
+        return sliced
 
 
 def rn_train(vectors, exponent: float = 0.5, whiten: bool = False) -> RnModel:
@@ -178,7 +195,7 @@ def rn_apply(v, model: RnModel) -> np.ndarray:
     if model.whiten:
         eig = model.eigenvalues
         floor = max(float(eig.max()) * 1e-6, 1e-300)
-        y = y / np.sqrt(np.maximum(eig, floor))
+        y = y / np.sqrt(np.maximum(eig[: y.shape[-1]], floor))
     else:
         y = _signed_power(y, model.exponent)
     return _unit(y)

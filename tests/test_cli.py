@@ -496,6 +496,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert "--jobs must be a positive integer" in captured.err
 
+    @pytest.mark.parametrize("truncate", ["0", "-3"])
+    def test_truncate_below_one_is_3(self, corpus_dir, tmp_path, capsys, truncate):
+        out = tmp_path / "db.cvv"
+        assert main(encode_args(corpus_dir, out, ("--truncate", truncate))) == 3
+        assert "truncate must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-kmeans", "train-gmm"])
+    def test_negative_iters_is_3(self, corpus_dir, tmp_path, capsys, command):
+        argv = [command, "--train-descriptors", str(corpus_dir / "database"), "--k", "2",
+                "--out", str(tmp_path / "model.cvm")]
+        assert main([*argv, "--iters", "-1"]) == 3
+        assert "iteration count must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "model.cvm").exists()
+        assert main([*argv, "--iters", "0"]) == 0
+        assert (tmp_path / "model.cvm").exists()
+
     def test_missing_input_is_3(self, tmp_path, capsys):
         code = main(["encode", str(tmp_path / "nope.cvd"),
                      "--out", str(tmp_path / "o.cvv"),

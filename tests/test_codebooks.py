@@ -13,7 +13,7 @@ from covagg import (
     pca_train,
     quantization_error,
 )
-from covagg.codebooks import _lloyd
+from covagg.codebooks import _lloyd, _plusplus_init
 
 
 class TestPca:
@@ -100,6 +100,20 @@ class TestKmeans:
             for m in range(1, 10)
         ]
         assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
+
+    def test_negative_iterations_refused(self, rng):
+        data = rng.standard_normal((60, 3))
+        with pytest.raises(ContractError, match="iteration count"):
+            kmeans_train(data, 4, max_iter=-1)
+        with pytest.raises(ContractError, match="iteration count"):
+            gmm_train(data, 4, max_iter=-1)
+
+    def test_zero_iterations_is_initialization_only(self, rng):
+        data = rng.standard_normal((60, 3))
+        expected = _plusplus_init(data, 4, np.random.default_rng(5))
+        assert np.array_equal(kmeans_train(data, 4, max_iter=0, seed=5).centroids, expected)
+        gmm = gmm_train(data, 4, max_iter=0, seed=5)
+        assert np.array_equal(gmm.means, kmeans_train(data, 4, seed=5).centroids)
 
     def test_empty_cluster_reseeded_from_farthest_point(self):
         data = np.array([[0.0], [0.1], [0.2], [10.0]])

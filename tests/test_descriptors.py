@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import unit_rows
 from covagg import (
+    AngleMapConfig,
     CodebookModel,
     ContractError,
     DegenerateDataError,
@@ -14,12 +15,18 @@ from covagg import (
     MonomialConfig,
     PcaModel,
     VladEmbedding,
+    angle_feature_batch,
     embed_batch,
+    fourier_coeffs,
+    gmm_train,
     pca_train,
     preprocess_batch,
     rootsift_batch,
     rotate_set,
 )
+from covagg.aggregate import AGGREGATE_CHUNK, aggregate_raw_sum, block_order
+from covagg.codebooks import VARIANCE_FLOOR_FRACTION
+from covagg.descriptors import embed_weighted_sum
 
 
 class TestDescriptorSet:
@@ -169,3 +176,73 @@ def test_embed_dim_mismatch(rng):
     codebook = CodebookModel(rng.standard_normal((4, 8)))
     with pytest.raises(ContractError):
         embed_batch(rng.standard_normal((5, 7)), VladEmbedding(codebook))
+    with pytest.raises(ContractError, match="does not match model dim"):
+        embed_weighted_sum(np.ones((5, 3)), rng.standard_normal((5, 7)), VladEmbedding(codebook))
+
+
+def assert_matches_dense(W, X, emb):
+    """embed_weighted_sum equals W.T @ embed_batch within 1e-12 of the sums' scale."""
+    ref = W.T @ embed_batch(X, emb)
+    out = embed_weighted_sum(W, X, emb)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def codebook_families(centroids, variances):
+    k = centroids.shape[0]
+    return [
+        VladEmbedding(CodebookModel(centroids)),
+        FisherEmbedding(GmmModel(np.full(k, 1.0 / k), centroids, variances)),
+    ]
+
+
+class TestCodebookWeightedSum:
+    @pytest.mark.parametrize("n", [1, 2, 37, AGGREGATE_CHUNK, AGGREGATE_CHUNK + 37])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_models(self, seed, n):
+        rng = np.random.default_rng(seed)
+        k, d = int(rng.integers(1, 10)), int(rng.integers(2, 30))
+        X = unit_rows(rng, n, d)
+        W = rng.standard_normal((n, 7))
+        for emb in codebook_families(unit_rows(rng, k, d), rng.uniform(1e-3, 0.2, (k, d))):
+            assert_matches_dense(W, X, emb)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-9])
+    def test_descriptor_at_or_next_to_a_centroid(self, rng, offset):
+        centroids = unit_rows(rng, 8, 24)
+        X = unit_rows(rng, 40, 24)
+        X[3] = centroids[5]
+        X[4] = centroids[0] + offset * unit_rows(rng, 1, 24)[0]
+        W = rng.standard_normal((40, 7))
+        for emb in codebook_families(centroids, np.full((8, 24), 0.05)):
+            assert_matches_dense(W, X, emb)
+            assert_matches_dense(W[3:5], X[3:5], emb)
+
+    def test_tied_centroids_go_to_the_lowest_index(self, rng):
+        centroids = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+        X = np.array([[0.0, 1.0], [0.6, 0.8], [0.0, 1.0]])
+        W = rng.standard_normal((3, 5))
+        vlad, fisher = codebook_families(centroids, np.full((3, 2), 0.3))
+        out = embed_weighted_sum(W, X, vlad).reshape(5, 3, 2)
+        assert np.all(out[:, 1:] == 0.0)
+        assert_matches_dense(W, X, vlad)
+        assert_matches_dense(W, X, fisher)
+
+    def test_gmm_at_its_variance_floor(self, rng):
+        # repeated points collapse their components onto the variance floor
+        data = np.vstack([np.repeat(unit_rows(rng, 8, 24), 60, axis=0), unit_rows(rng, 200, 24)])
+        gmm = gmm_train(data, 8, max_iter=5)
+        floor = VARIANCE_FLOOR_FRACTION * data.var(axis=0)
+        assert np.any(np.isclose(gmm.variances, floor, rtol=1e-12, atol=0.0))
+        X = data[rng.integers(0, data.shape[0], 512)]
+        assert_matches_dense(rng.standard_normal((512, 7)), X, FisherEmbedding(gmm))
+
+    def test_aggregate_across_chunks_matches_dense(self, rng):
+        n = 2 * AGGREGATE_CHUNK + 5
+        dset = DescriptorSet(unit_rows(rng, n, 6), rng.uniform(-3.1, 3.1, n))
+        coeffs = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
+        feats = angle_feature_batch(dset.angles, coeffs)[:, block_order(3)]
+        for emb in codebook_families(unit_rows(rng, 4, 6), np.full((4, 6), 0.1)):
+            ref = (feats.T @ embed_batch(dset.descriptors, emb)).ravel()
+            out = aggregate_raw_sum(dset, emb, coeffs)
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))

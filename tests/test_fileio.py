@@ -250,10 +250,13 @@ class TestVectorFile:
             json.dumps({**CONFIG.to_dict(), "pca_reduce": None}).encode(),
             json.dumps({**CONFIG.to_dict(), "skip_power_law": False}).encode(),
             json.dumps({**CONFIG.to_dict(), "power_law": None, "adapted_power_law": True}).encode(),
+            json.dumps({**CONFIG.to_dict(), "truncate": 0}).encode(),
+            json.dumps({**CONFIG.to_dict(), "truncate": -3}).encode(),
         ],
         ids=["malformed", "not-utf8", "not-an-object", "unknown-key", "missing-key",
              "str-for-float", "float-for-int", "int-for-bool", "int-for-path", "bad-family",
-             "pca-reduce-key", "skip-power-law-key", "adapted-without-exponent"],
+             "pca-reduce-key", "skip-power-law-key", "adapted-without-exponent",
+             "zero-truncate", "negative-truncate"],
     )
     def test_bad_config_rejected(self, tmp_path, config_json):
         path = tmp_path / "vecs.cvv"

@@ -1,16 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import random_set
+from conftest import random_set, unit_rows
 from covagg import (
     AngleMapConfig,
     ContractError,
+    GmmModel,
     MonomialConfig,
     Pipeline,
     PipelineConfig,
     RnModel,
     fourier_coeffs,
+    load_model,
+    rn_apply,
+    rn_train,
     save_model,
+    truncate_l2,
 )
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
@@ -72,3 +79,59 @@ def test_build_checks_rn_and_truncate_against_the_encoded_dim(tmp_path):
     save_model(tmp_path / "rn.cvm", RnModel(rotation=np.eye(55)))
     with pytest.raises(ContractError, match="does not match encoded dim 56"):
         PipelineConfig(family="phi1", input_dim=8, rn_path=str(tmp_path / "rn.cvm")).build()
+
+
+@pytest.mark.parametrize("truncate", [0, -3])
+def test_config_refuses_truncate_below_one(truncate):
+    with pytest.raises(ContractError, match="truncate must be at least 1"):
+        PipelineConfig(family="phi1", input_dim=8, truncate=truncate)
+
+
+class TestRnRowSlice:
+    """RN followed by truncation applies only the kept rows of the rotation."""
+
+    TRUNCATE = 20
+
+    @pytest.fixture
+    def models(self, rng, tmp_path):
+        # fisher at k=2, d=4 with 3 frequencies encodes 2 * 4 * 7 = 56 dims
+        gmm = GmmModel(np.array([0.4, 0.6]), unit_rows(rng, 2, 4), rng.uniform(0.05, 0.3, (2, 4)))
+        save_model(tmp_path / "gmm.cvm", gmm)
+        paths = {}
+        for name, whiten in [("exponent", False), ("whiten", True)]:
+            paths[name] = tmp_path / f"rn-{name}.cvm"
+            save_model(paths[name], rn_train(rng.standard_normal((200, 56)), 0.5, whiten=whiten))
+        return tmp_path / "gmm.cvm", paths
+
+    def config(self, gmm_path, rn_path):
+        return PipelineConfig(family="fisher", gmm_path=str(gmm_path), power_law=0.4,
+                              rn_path=str(rn_path), truncate=self.TRUNCATE)
+
+    @pytest.mark.parametrize("kind", ["exponent", "whiten"])
+    def test_matches_truncating_the_full_model(self, rng, models, kind):
+        gmm_path, rn_paths = models
+        pipe = self.config(gmm_path, rn_paths[kind]).build()
+        full = load_model(rn_paths[kind])
+        assert pipe.rn.rotation.shape == (self.TRUNCATE, 56)
+        unreduced = replace(pipe, rn=None, truncate_dim=None)
+        dset = random_set(rng, 30, 4)
+        thetas = np.linspace(-np.pi, np.pi, 8, endpoint=False)
+        ref = truncate_l2(rn_apply(unreduced.encode(dset), full), self.TRUNCATE)
+        assert np.max(np.abs(pipe.encode(dset) - ref)) < 1e-12
+        ref_rows = truncate_l2(rn_apply(unreduced.encode_rotations(dset, thetas), full),
+                               self.TRUNCATE)
+        assert np.max(np.abs(pipe.encode_rotations(dset, thetas) - ref_rows)) < 1e-12
+
+    def test_slice_is_a_view_of_the_loaded_rotation(self, models):
+        full = load_model(models[1]["whiten"])
+        head = full.leading_rows(self.TRUNCATE)
+        assert np.shares_memory(head.rotation, full.rotation)
+        assert np.array_equal(head.rotation, full.rotation[: self.TRUNCATE])
+        assert head.eigenvalues is full.eigenvalues
+        assert head.dim == full.dim == 56
+
+    def test_saving_a_slice_is_refused(self, models, tmp_path):
+        head = load_model(models[1]["exponent"]).leading_rows(self.TRUNCATE)
+        with pytest.raises(ContractError, match="square"):
+            save_model(tmp_path / "head.cvm", head)
+        assert not (tmp_path / "head.cvm").exists()

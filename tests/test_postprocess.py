@@ -141,6 +141,15 @@ class TestRn:
         with pytest.raises(ContractError):
             RnModel(rotation=np.array([[1.0, 0.0], [1.0, 1.0]]))
 
+    def test_row_slice_whitens_with_the_full_floor(self, rng):
+        # the largest eigenvalue lies outside the slice, so only the full
+        # spectrum puts the floor (1e-6) above the kept eigenvalues
+        eig = np.array([1e-9, 2e-9, 1.0, 0.5, 0.25, 0.125])
+        model = RnModel(rotation=np.eye(6), whiten=True, eigenvalues=eig)
+        v = rng.standard_normal((3, 6))
+        ref = truncate_l2(rn_apply(v, model), 2)
+        assert np.max(np.abs(rn_apply(v, model.leading_rows(2)) - ref)) < 1e-15
+
 
 class TestTruncate:
     def test_full_length_is_identity(self, rng):
