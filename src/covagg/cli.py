@@ -1,9 +1,9 @@
 """Command-line entry points tying the pipeline together.
 
 Every command is deterministic given its input files, flags and seeds.
-Passing ``--manifest out.json`` records the resolved configuration;
-``covagg run-manifest out.json`` replays it and reproduces the outputs
-bit-identically.
+Passing ``--manifest out.json`` records the resolved configuration of a
+command that succeeds; ``covagg run-manifest out.json`` replays it and
+reproduces the outputs bit-identically.
 
 Exit codes: 0 success, 2 parse/format error, 3 contract error,
 4 numerical degeneracy.
@@ -178,12 +178,11 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser):
 def _add_manifest_flag(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--manifest", default=None, metavar="OUT.json",
-        help="record the resolved configuration for exact replay",
+        help="record the resolved configuration of a successful run for exact replay",
     )
 
 
 def cmd_train_pca(args) -> int:
-    _write_manifest(args)
     data = _load_training_matrix(args)
     model = pca_train(data, args.out_dim)
     fileio.save_model(args.out, model)
@@ -192,7 +191,6 @@ def cmd_train_pca(args) -> int:
 
 
 def cmd_train_kmeans(args) -> int:
-    _write_manifest(args)
     data = _load_training_matrix(args)
     model = kmeans_train(data, args.k, max_iter=args.iters, seed=args.seed)
     fileio.save_model(args.out, model)
@@ -201,7 +199,6 @@ def cmd_train_kmeans(args) -> int:
 
 
 def cmd_train_gmm(args) -> int:
-    _write_manifest(args)
     data = _load_training_matrix(args)
     model = gmm_train(data, args.k, max_iter=args.iters, seed=args.seed)
     fileio.save_model(args.out, model)
@@ -210,7 +207,6 @@ def cmd_train_gmm(args) -> int:
 
 
 def cmd_train_rn(args) -> int:
-    _write_manifest(args)
     store = fileio.read_vector_file(args.vectors)
     model = rn_train(store.vectors, exponent=args.exponent, whiten=args.whiten)
     fileio.save_model(args.out, model)
@@ -240,7 +236,6 @@ def _open_database(path):
 
 
 def cmd_encode(args) -> int:
-    _write_manifest(args)
     config = _pipeline_config(args)
     pipeline = config.build()
     paths = _collect_descriptor_paths(args.descriptors)
@@ -261,7 +256,6 @@ def cmd_encode(args) -> int:
 
 
 def cmd_query(args) -> int:
-    _write_manifest(args)
     if args.top < 0:
         raise ContractError(f"--top must be non-negative, got {args.top}")
     store, pipeline = _open_database(args.db)
@@ -277,7 +271,6 @@ def cmd_query(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _write_manifest(args)
     store, pipeline = _open_database(args.db)
     ground_truth = retrieval.read_ground_truth(args.gt, exclude_query=args.exclude_query)
     paths = _collect_descriptor_paths(args.queries)
@@ -298,7 +291,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_angle_kernel_dump(args) -> int:
-    _write_manifest(args)
     config = _angle_map_config(args)
     coeffs = fourier_coeffs(config)
     if args.grid < 2:
@@ -322,7 +314,6 @@ def cmd_angle_kernel_dump(args) -> int:
 
 
 def cmd_sim_hist(args) -> int:
-    _write_manifest(args)
     rows = similarity_histogram(
         fileio.read_descriptor_file(args.a),
         fileio.read_descriptor_file(args.b),
@@ -343,7 +334,6 @@ def cmd_sim_hist(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _write_manifest(args)
     config = SynthConfig(
         n_queries=args.queries,
         matches_per_query=args.matches,
@@ -536,7 +526,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if code == 0:
+            _write_manifest(args)
+        return code
     except CovaggError as exc:
         print(f"covagg: error: {exc}", file=sys.stderr)
         return exc.exit_code

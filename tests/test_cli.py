@@ -325,6 +325,18 @@ def test_query_and_train_manifests_replay_exactly(corpus_dir, tmp_path, capsys):
     assert pca.read_bytes() == trained
 
 
+@pytest.mark.parametrize("argv", [
+    ["train-gmm", "--k", "2", "--iters", "-1"],
+    ["train-pca", "--out-dim", "4", "--sample", "0"],
+])
+def test_refused_command_writes_no_manifest(corpus_dir, tmp_path, capsys, argv):
+    manifest = tmp_path / "m.json"
+    assert main([*argv, "--train-descriptors", str(corpus_dir / "database"),
+                 "--out", str(tmp_path / "model.cvm"), "--manifest", str(manifest)]) == 3
+    assert not manifest.exists()
+    assert not (tmp_path / "model.cvm").exists()
+
+
 def test_train_commands_produce_models(corpus_dir, tmp_path, capsys):
     db_dir = str(corpus_dir / "database")
     pca_path = tmp_path / "pca.cvm"

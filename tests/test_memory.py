@@ -13,6 +13,7 @@ from covagg import (
     CodebookModel,
     FisherEmbedding,
     GmmModel,
+    MonomialConfig,
     PipelineConfig,
     VladEmbedding,
     read_vector_file,
@@ -20,6 +21,7 @@ from covagg import (
 )
 from covagg.cli import main
 from covagg.descriptors import embed_weighted_sum
+from covagg.monomial import phi_monomial_weighted_sum
 
 MIB = 1 << 20
 
@@ -91,3 +93,19 @@ def test_codebook_weighted_sum_never_builds_the_embedding(family):
     embedding = n * k * d * 8
     # vlad peaks near 340 KiB and fisher near 390 KiB of a 768 KiB embedding
     assert peak < embedding, f"peak {peak / 1024:.0f} KiB over a {embedding / 1024:.0f} KiB embedding"
+
+
+def test_phi3_weighted_sum_holds_the_pair_rows_and_the_read_moments():
+    n, d, K = 512, 32, 7
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((n, d))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    W = rng.standard_normal((n, K))
+    config = MonomialConfig(3, d)
+    phi_monomial_weighted_sum(W, X, config)  # warm the cached gather plan outside the trace
+    peak, out = traced_peak(phi_monomial_weighted_sum, W, X, config)
+    assert out.shape == (K, config.output_dim)
+    # the 2.1 MiB pair rows, 0.9 MiB of left rows and 0.4 MiB of blocked moments
+    # peak near 4.1 MiB; all K*d x d(d+1)/2 moments from two gathered pair
+    # matrices peaked near 5.1 MiB
+    assert peak < 4.75 * MIB, f"peak {peak / MIB:.2f} MiB"

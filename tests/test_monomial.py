@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,13 +8,18 @@ from hypothesis import strategies as st
 
 from conftest import unit_rows
 from covagg import (
+    AngleMapConfig,
     ContractError,
+    DescriptorSet,
     MonomialConfig,
+    angle_feature_batch,
+    fourier_coeffs,
     monomial_kernel_check,
     monomial_output_dim,
     phi_monomial,
 )
-from covagg.monomial import phi_monomial_batch, phi_monomial_weighted_sum
+from covagg.aggregate import AGGREGATE_CHUNK, aggregate, block_order
+from covagg.monomial import _phi3_plan, phi_monomial_batch, phi_monomial_weighted_sum
 
 
 def brute_dim(degree, d):
@@ -91,7 +97,7 @@ def test_norm_preservation(rng, degree):
 
 
 @pytest.mark.parametrize("n", [1, 7, 600])
-@pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 32, 33])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_weighted_sum_matches_dense_embedding(rng, degree, d, n):
     # d < 3 has no degree-3 triples; the gather must still cover every component
@@ -101,6 +107,45 @@ def test_weighted_sum_matches_dense_embedding(rng, degree, d, n):
     out = phi_monomial_weighted_sum(W, X, config)
     assert out.shape == (7, config.output_dim)
     assert np.max(np.abs(out - W.T @ phi_monomial_batch(X, config))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [AGGREGATE_CHUNK - 1, AGGREGATE_CHUNK + 1])
+def test_phi3_aggregate_matches_dense_embedding(rng, n):
+    config = MonomialConfig(3, 13)
+    dset = DescriptorSet(unit_rows(rng, n, 13), rng.uniform(-3.1, 3.1, n))
+    coeffs = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
+    feats = angle_feature_batch(dset.angles, coeffs)[:, block_order(3)]
+    ref = (feats.T @ phi_monomial_batch(dset.descriptors, config)).ravel()
+    out = aggregate(dset, config, coeffs).values
+    assert np.max(np.abs(out - ref / np.linalg.norm(ref))) < 1e-12
+
+
+def layout_triples(d):
+    """The sorted index triple of each phi3 component, in phi_monomial_batch order."""
+    cubes = [(i, i, i) for i in range(d)]
+    squares = [tuple(sorted((i, i, j))) for i, j in itertools.permutations(range(d), 2)]
+    return cubes + squares + list(itertools.combinations(range(d), 3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 32, 33])
+def test_phi3_plan_reads_each_triple_once_from_its_block(d):
+    K = 7
+    blocks, size, cols, weights = _phi3_plan(d, K)
+    pairs = list(itertools.combinations_with_replacement(range(d), 2))
+    assert len(blocks) == min(4, d)
+    assert blocks[0][0] == 0 and blocks[-1][1] == d * K and blocks[-1][4] == size
+    assert cols.shape == (K, monomial_output_dim(3, d)) and not cols.flags.writeable
+    triples = layout_triples(d)
+    assert sorted(triples) == list(itertools.combinations_with_replacement(range(d), 3))
+    for f in range(K):
+        for component, pos in enumerate(cols[f]):
+            (r0, r1, p0, start, stop), = [b for b in blocks if b[3] <= pos < b[4]]
+            row, offset = divmod(pos - start, len(pairs) - p0)
+            a, weight_row = divmod(r0 + row, K)
+            assert weight_row == f and r0 + row < r1
+            assert (a, *pairs[p0 + offset]) == triples[component]
+    assert np.all(weights[:d] == 1.0)
+    assert len(np.unique(cols)) == cols.size
 
 
 def test_self_and_orthogonal_cases():
@@ -119,6 +164,18 @@ def test_deterministic_output(rng):
 def test_rejects_non_unit_input():
     with pytest.raises(ContractError):
         phi_monomial(np.array([1.0, 1.0]), MonomialConfig(2, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_rejects_non_finite_rows(rng, degree, bad):
+    config = MonomialConfig(degree, 4)
+    X = unit_rows(rng, 5, 4)
+    X[2, 1] = bad
+    with pytest.raises(ContractError, match="finite"):
+        phi_monomial_batch(X, config)
+    with pytest.raises(ContractError, match="finite"):
+        phi_monomial_weighted_sum(np.ones((5, 3)), X, config)
 
 
 def test_rejects_bad_degree():
