@@ -82,6 +82,7 @@ from .scoring import (
     count_block_dots,
     max_score,
     query_multi_rotation,
+    score_coefficients,
     score_cosine,
     score_polynomial,
 )

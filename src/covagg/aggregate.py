@@ -81,20 +81,30 @@ class ModulatedVector:
         return self.blocks[2 * n]
 
 
-def rotate_blocks(X: ModulatedVector, theta: float) -> ModulatedVector:
-    """The vector that re-encoding the set rotated by theta gives.
+def rotated_rows(X: ModulatedVector, thetas) -> np.ndarray:
+    """(R, dim) matrix whose row r is the vector of the set rotated by thetas[r].
 
     Rotating the image shifts every angle by -theta, which turns each
     frequency's (cos, sin) block pair by the 2-D rotation of angle n*theta.
+    All R rotations are one broadcast over (R, N, base_dim).
     """
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     blocks = X.blocks
-    n_theta = np.arange(1, X.n_freq + 1)[:, None] * theta
+    n_theta = np.arange(1, X.n_freq + 1)[:, None] * thetas[:, None, None]
     cn, sn = np.cos(n_theta), np.sin(n_theta)
     c, s = blocks[1::2], blocks[2::2]
-    out = blocks.copy()
-    out[1::2] = c * cn + s * sn
-    out[2::2] = s * cn - c * sn
-    return ModulatedVector(values=out.ravel(), base_dim=X.base_dim, n_freq=X.n_freq)
+    out = np.empty((thetas.size,) + blocks.shape)
+    out[:, 0] = blocks[0]
+    out[:, 1::2] = c * cn + s * sn
+    out[:, 2::2] = s * cn - c * sn
+    return out.reshape(thetas.size, X.dim)
+
+
+def rotate_blocks(X: ModulatedVector, theta: float) -> ModulatedVector:
+    """The vector that re-encoding the set rotated by theta gives."""
+    return ModulatedVector(
+        values=rotated_rows(X, theta)[0], base_dim=X.base_dim, n_freq=X.n_freq
+    )
 
 
 def modulate(v, a) -> np.ndarray:

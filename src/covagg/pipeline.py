@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregate import ModulatedVector, aggregate, rotate_blocks
+from .aggregate import ModulatedVector, aggregate, rotated_rows
 from .angle_map import (
     VON_MISES,
     AngleMapConfig,
@@ -97,7 +97,18 @@ class Pipeline:
             X = preprocess_batch(X, self.pca)
         return DescriptorSet(X, dset.angles, image_id=dset.image_id)
 
-    def _modulated(self, dset: DescriptorSet) -> ModulatedVector:
+    @property
+    def block_covariant(self) -> bool:
+        """Whether every stage after aggregation commutes with ``rotate_blocks``.
+
+        Then ``_postprocess_rows`` is the identity, a stored vector keeps
+        the block layout, and row r of ``encode_rotations`` is
+        ``rotate_blocks(modulated(dset), thetas[r])``.
+        """
+        plain_power_law = self.power_exponent is not None and not self.adapted
+        return not plain_power_law and self.rn is None and self.truncate_dim is None
+
+    def modulated(self, dset: DescriptorSet) -> ModulatedVector:
         """Aggregate and apply the adapted power law: the stages that commute with rotation."""
         vec = aggregate(self.prepare(dset), self.embedding, self.coeffs)
         if self.adapted:
@@ -116,7 +127,7 @@ class Pipeline:
 
     def encode(self, dset: DescriptorSet) -> np.ndarray:
         """Full pipeline: database-ready vector for one image."""
-        return self._postprocess_rows(self._modulated(dset).values)
+        return self._postprocess_rows(self.modulated(dset).values)
 
     def encode_rotations(self, dset: DescriptorSet, thetas) -> np.ndarray:
         """Row i is ``encode`` of the set rotated by ``thetas[i]``.
@@ -128,9 +139,7 @@ class Pipeline:
         thetas = np.atleast_1d(thetas)
         if thetas.size == 0:
             raise ContractError("encode_rotations needs at least one rotation")
-        base = self._modulated(dset)
-        rows = np.stack([rotate_blocks(base, float(t)).values for t in thetas])
-        return self._postprocess_rows(rows)
+        return self._postprocess_rows(rotated_rows(self.modulated(dset), thetas))
 
 
 def _has_type(value, hint) -> bool:

@@ -62,16 +62,25 @@ def adapted_power_law(X: ModulatedVector, exponent: float) -> ModulatedVector:
     modulus**(1 - exponent), i.e. the pair modulus is raised to the
     exponent while atan2(sin, cos) is untouched. Zero-modulus pairs stay
     zero. The whole vector is l2-normalized at the end.
+
+    Every output term has degree ``exponent`` in the input before that
+    normalization, so the law ignores a positive scale of the input. The
+    blocks are first divided by their largest magnitude, which keeps the
+    squares in the pair moduli from overflowing or underflowing for any
+    pair that matters.
     """
     _check_exponent(exponent)
     blocks = X.blocks.copy()
+    peak = np.max(np.abs(blocks))
+    if peak > 0.0:
+        blocks /= peak
     blocks[0] = _signed_power(blocks[0], exponent)
-    modulus = np.hypot(blocks[1::2], blocks[2::2])
+    c, s = blocks[1::2], blocks[2::2]
+    modulus = np.sqrt(c * c + s * s)
     scale = np.zeros_like(modulus)
-    nz = modulus > 0.0
-    scale[nz] = modulus[nz] ** (exponent - 1.0)
-    blocks[1::2] *= scale
-    blocks[2::2] *= scale
+    np.power(modulus, exponent - 1.0, out=scale, where=modulus > 0.0)
+    c *= scale
+    s *= scale
     return ModulatedVector(values=_unit(blocks.ravel()), base_dim=X.base_dim, n_freq=X.n_freq)
 
 

@@ -7,6 +7,14 @@ coefficients come from 1 + 4N block inner products (one constant-block
 product plus four per frequency). Its maximum is found exactly, among
 the roots of its derivative, at the cost of one 2N x 2N eigenvalue
 problem.
+
+``query_multi_rotation`` scores a grid of query rotations against a
+whole database. When the pipeline is block-covariant (no plain power
+law, no RN, no truncation), the stored rows keep the block layout and
+the grid is read off every row's polynomial: ``score_coefficients``
+takes the same 1 + 4N block products per database row, whatever the
+grid size. Other pipelines post-process each rotated query row and
+score all of them with one matrix product.
 """
 
 from __future__ import annotations
@@ -146,28 +154,60 @@ def max_score(poly: ScorePolynomial, samples: int = 64):
     return float(theta[best]), float(vals[best])
 
 
+def _database(db_vectors, dim: int) -> np.ndarray:
+    db = np.asarray(db_vectors, dtype=np.float64)
+    if db.ndim != 2:
+        raise ContractError("database vectors must form a 2-D array")
+    if db.shape[1] != dim:
+        raise ContractError(f"query pipeline produces dim {dim} but database stores {db.shape[1]}")
+    return db
+
+
+def score_coefficients(X: ModulatedVector, db_vectors) -> np.ndarray:
+    """Score-polynomial coefficients of X against every database row.
+
+    Returns an (n_db, 2N+1) array whose row i is [c0, a_1..a_N, b_1..b_N]
+    of ``score_polynomial(X, row i)``. Each frequency takes two
+    (n_db x d) @ (d x 2) products on strided views of the database's
+    cos and sin blocks, so a row costs 1 + 4N block products.
+    """
+    db = _database(db_vectors, X.dim)
+    n_freq, q = X.n_freq, X.blocks
+    blocks = db.reshape(db.shape[0], 2 * n_freq + 1, X.base_dim)
+    out = np.empty((db.shape[0], 2 * n_freq + 1))
+    out[:, 0] = blocks[:, 0] @ q[0]
+    for n in range(1, n_freq + 1):
+        qc, qs = q[2 * n - 1], q[2 * n]
+        # a_n = yc.qc + ys.qs and b_n = yc.qs - ys.qc
+        ab = blocks[:, 2 * n - 1] @ np.column_stack([qc, qs])
+        ab += blocks[:, 2 * n] @ np.column_stack([qs, -qc])
+        out[:, n], out[:, n_freq + n] = ab.T
+    return out
+
+
 def query_multi_rotation(query: DescriptorSet, pipeline, db_vectors, n_rot: int = 8):
     """Best score per database vector over n_rot query rotation hypotheses.
 
-    The query is aggregated once, its blocks are rotated per hypothesis
-    and the rotated rows are post-processed together
-    (``Pipeline.encode_rotations``); all hypotheses are scored against
-    the whole database with a single matrix product.
+    The query is aggregated once. For a block-covariant pipeline each
+    hypothesis is evaluated on every database row's score polynomial
+    (``score_coefficients``) and no rotated row is built. Otherwise the
+    query's blocks are rotated per hypothesis, the rotated rows are
+    post-processed together (``Pipeline.encode_rotations``), and all
+    hypotheses are scored against the whole database with a single
+    matrix product.
     Returns (scores, thetas): the per-database maximum and the rotation
     hypothesis that achieved it.
     """
     if int(n_rot) != n_rot or n_rot < 1:
         raise ContractError(f"n_rot must be a positive integer, got {n_rot!r}")
-    db = np.asarray(db_vectors, dtype=np.float64)
-    if db.ndim != 2:
-        raise ContractError("database vectors must form a 2-D array")
+    db = _database(db_vectors, pipeline.output_dim)
     thetas = 2.0 * np.pi * np.arange(int(n_rot)) / float(n_rot)
-    rotated = pipeline.encode_rotations(query, thetas)
-    if rotated.shape[1] != db.shape[1]:
-        raise ContractError(
-            f"query pipeline produces dim {rotated.shape[1]} but database stores {db.shape[1]}"
-        )
-    scores_all = rotated @ db.T
+    if pipeline.block_covariant:
+        n_theta = thetas[:, None] * np.arange(1, pipeline.n_freq + 1)
+        basis = np.column_stack([np.ones(thetas.size), np.cos(n_theta), np.sin(n_theta)])
+        scores_all = basis @ score_coefficients(pipeline.modulated(query), db).T
+    else:
+        scores_all = pipeline.encode_rotations(query, thetas) @ db.T
     best = np.argmax(scores_all, axis=0)
     cols = np.arange(db.shape[0])
     return scores_all[best, cols], np.asarray(wrap_angle(thetas[best]))

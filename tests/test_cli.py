@@ -11,6 +11,7 @@ from covagg import (
     query_multi_rotation,
     read_descriptor_file,
     read_vector_file,
+    wrap_angle,
     write_descriptor_file,
     write_vector_file,
 )
@@ -132,6 +133,29 @@ def test_query_scores_with_the_stored_config(corpus_dir, tmp_path, capsys):
         f"{rank}\t{store.image_ids[i]}\t{scores[i]:.8f}\t{thetas[i]:.8f}"
         for rank, i in enumerate(order, start=1)
     ]
+
+
+def test_covariant_query_matches_rotated_rows(corpus_dir, tmp_path, capsys):
+    db = tmp_path / "db.cvv"
+    assert main(["encode", str(corpus_dir / "database"), "--out", str(db), "--family", "phi3",
+                 "--input-dim", "8", "--adapted-power-law", "0.2"]) == 0
+    query = sorted((corpus_dir / "queries").iterdir())[1]
+    capsys.readouterr()
+    assert main(["query", "--db", str(db), "--query-desc", str(query),
+                 "--rotations", "8", "--top", "0"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+
+    store = read_vector_file(db)
+    pipeline = store.config.build()
+    assert pipeline.block_covariant
+    grid = 2.0 * np.pi * np.arange(8) / 8
+    by_rotation = pipeline.encode_rotations(read_descriptor_file(query), grid) @ store.vectors.T
+    scores = by_rotation.max(axis=0)
+    thetas = wrap_angle(grid[np.argmax(by_rotation, axis=0)])
+    order = sorted(range(len(store)), key=lambda i: (-scores[i], store.image_ids[i]))
+    assert [row[1] for row in rows] == [store.image_ids[i] for i in order]
+    assert [row[3] for row in rows] == [f"{thetas[i]:.8f}" for i in order]
+    assert max(abs(float(row[2]) - scores[i]) for row, i in zip(rows, order)) < 1e-8
 
 
 @pytest.mark.parametrize(

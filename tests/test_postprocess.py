@@ -82,6 +82,46 @@ class TestAdaptedPowerLaw:
         assert out.values[2] == 0.0  # cos component of the zero pair
         assert out.values[4] == 0.0  # sin component of the zero pair
 
+    def test_all_zero_frequency_stays_zero(self, rng):
+        blocks = rng.standard_normal((7, 5))
+        blocks[3:5] = 0.0  # cos 2 and sin 2
+        out = adapted_power_law(ModulatedVector(blocks.ravel(), base_dim=5, n_freq=3), 0.3)
+        assert np.all(out.blocks[3:5] == 0.0)
+        assert np.all(out.blocks[[0, 1, 2, 5, 6]] != 0.0)
+        assert np.linalg.norm(out.values) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e300])
+    def test_invariant_to_extreme_scale(self, rng, factor):
+        # the squared pair components of the scaled vector underflow or
+        # overflow unless the blocks are rescaled first
+        vec = aggregate(random_set(rng, 10, 6), MonomialConfig(1, 6), K8_N3)
+        scaled = ModulatedVector(vec.values * factor, base_dim=6, n_freq=3)
+        for exponent in (0.2, 0.5, 1.0):
+            expected = adapted_power_law(vec, exponent).values
+            assert np.max(np.abs(adapted_power_law(scaled, exponent).values - expected)) < 1e-12
+
+    def test_matches_hypot_formula(self, rng):
+        def reference(X, exponent):
+            blocks = X.blocks.copy()
+            blocks[0] = np.sign(blocks[0]) * np.abs(blocks[0]) ** exponent
+            modulus = np.hypot(blocks[1::2], blocks[2::2])
+            scale = np.zeros_like(modulus)
+            nz = modulus > 0.0
+            scale[nz] = modulus[nz] ** (exponent - 1.0)
+            blocks[1::2] *= scale
+            blocks[2::2] *= scale
+            return blocks.ravel() / np.linalg.norm(blocks)
+
+        for _ in range(20):
+            n_freq = int(rng.integers(0, 5))
+            base_dim = int(rng.integers(1, 12))
+            X = ModulatedVector(
+                rng.standard_normal(base_dim * (2 * n_freq + 1)), base_dim, n_freq
+            )
+            exponent = float(rng.uniform(0.05, 1.0))
+            assert np.max(np.abs(adapted_power_law(X, exponent).values
+                                 - reference(X, exponent))) < 1e-12
+
     def test_commutes_with_block_rotation(self, rng):
         # re-encoding with shifted angles, then normalizing, matches
         # rotating the normalized blocks afterwards

@@ -4,19 +4,26 @@ import pytest
 from conftest import random_set
 from covagg import (
     AngleMapConfig,
+    CodebookModel,
     ContractError,
+    FisherEmbedding,
+    GmmModel,
     ModulatedVector,
     MonomialConfig,
     Pipeline,
+    RnModel,
     ScorePolynomial,
+    VladEmbedding,
     count_block_dots,
     fourier_coeffs,
     max_score,
     query_multi_rotation,
     rotate_blocks,
     rotate_set,
+    score_coefficients,
     score_cosine,
     score_polynomial,
+    wrap_angle,
 )
 from covagg import oracle
 from covagg.aggregate import aggregate
@@ -25,14 +32,30 @@ K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 EMB8 = MonomialConfig(1, 8)
 
 
-def make_pipeline(n_freq=3, exponent=None, dim=8):
+def make_pipeline(n_freq=3, exponent=None, dim=8, adapted=False):
     coeffs = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=n_freq))
     return Pipeline(
         family="phi1",
         embedding=MonomialConfig(1, dim),
         coeffs=coeffs,
         power_exponent=exponent,
+        adapted=adapted,
     )
+
+
+def covariant_pipeline(rng, family, adapted):
+    """A pipeline of ``family`` with no post-processing or the adapted power law."""
+    if family == "vlad":
+        embedding = VladEmbedding(CodebookModel(rng.standard_normal((4, 8))))
+    elif family == "fisher":
+        weights = rng.uniform(0.5, 1.5, 3)
+        embedding = FisherEmbedding(GmmModel(
+            weights / weights.sum(), rng.standard_normal((3, 8)), rng.uniform(0.5, 2.0, (3, 8))
+        ))
+    else:
+        embedding = MonomialConfig(int(family[-1]), 8)
+    return Pipeline(family, embedding, K8_N3, power_exponent=0.3 if adapted else None,
+                    adapted=adapted)
 
 
 class TestScoreCosine:
@@ -121,6 +144,24 @@ class TestScorePolynomial:
         with count_block_dots() as counter:
             score_polynomial(X, Y)
         assert counter.count == 1 + 4 * n_freq
+
+
+class TestScoreCoefficients:
+    @pytest.mark.parametrize("n_freq", [0, 1, 3])
+    @pytest.mark.parametrize("dim", [1, 8])
+    def test_rows_match_score_polynomial(self, rng, n_freq, dim):
+        coeffs = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=n_freq))
+        emb = MonomialConfig(1, dim)
+        # an odd count of unit descriptors cannot cancel at dim 1, n_freq 0
+        X = aggregate(random_set(rng, 11, dim, "x"), emb, coeffs)
+        db = np.stack([aggregate(random_set(rng, 11, dim, f"y{i}"), emb, coeffs).values
+                       for i in range(6)])
+        rows = score_coefficients(X, db)
+        assert rows.shape == (6, 2 * n_freq + 1)
+        for row, values in zip(rows, db):
+            poly = score_polynomial(X, ModulatedVector(values, dim, n_freq))
+            expected = np.concatenate([[poly.c0], poly.a, poly.b])
+            assert np.max(np.abs(row - expected)) < 1e-12
 
 
 # At 16 and 64 samples the best grid sample lies more than half a
@@ -236,6 +277,47 @@ class TestQueryMultiRotation:
         assert thetas[0] == pytest.approx(planted_rotation, abs=1e-12)
         assert np.argmax(scores) == 0
 
+    @pytest.mark.parametrize("family", ["phi1", "phi3", "vlad", "fisher"])
+    @pytest.mark.parametrize("adapted", [False, True], ids=["none", "adapted"])
+    @pytest.mark.parametrize("n_rot", [1, 3, 8])
+    def test_covariant_path_matches_rotated_rows(self, rng, family, adapted, n_rot):
+        pipe = covariant_pipeline(rng, family, adapted)
+        assert pipe.block_covariant
+        query = random_set(rng, 20, 8, "q")
+        db = np.stack([pipe.encode(random_set(rng, 20, 8, f"d{i}")) for i in range(6)])
+        scores, thetas = query_multi_rotation(query, pipe, db, n_rot=n_rot)
+        grid = 2.0 * np.pi * np.arange(n_rot) / n_rot
+        by_rotation = pipe.encode_rotations(query, grid) @ db.T
+        best = np.argmax(by_rotation, axis=0)
+        assert np.max(np.abs(scores - by_rotation.max(axis=0))) < 1e-12
+        assert np.array_equal(thetas, wrap_angle(grid[best]))
+
+    def test_covariant_path_builds_no_rotated_rows(self, rng, monkeypatch):
+        pipe = make_pipeline(exponent=0.3, adapted=True)
+        db = np.stack([pipe.encode(random_set(rng, 12, 8, f"d{i}")) for i in range(3)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("encode_rotations called on a block-covariant pipeline")
+
+        monkeypatch.setattr(Pipeline, "encode_rotations", refuse)
+        scores, _ = query_multi_rotation(random_set(rng, 12, 8, "q"), pipe, db, n_rot=8)
+        assert scores.shape == (3,)
+
+    @pytest.mark.parametrize("adapted", [False, True], ids=["rows", "covariant"])
+    def test_empty_database(self, rng, adapted):
+        pipe = make_pipeline(exponent=0.3, adapted=adapted)
+        assert pipe.block_covariant == adapted
+        scores, thetas = query_multi_rotation(
+            random_set(rng, 12, 8), pipe, np.empty((0, pipe.output_dim)), n_rot=8
+        )
+        assert scores.shape == (0,) and thetas.shape == (0,)
+
+    @pytest.mark.parametrize("adapted", [False, True], ids=["rows", "covariant"])
+    def test_rejects_database_of_wrong_width(self, rng, adapted):
+        pipe = make_pipeline(exponent=0.3, adapted=adapted)
+        with pytest.raises(ContractError, match="dim"):
+            query_multi_rotation(random_set(rng, 12, 8), pipe, np.zeros((2, 48)), n_rot=8)
+
     def test_rejects_bad_rotation_count(self, rng):
         pipe = make_pipeline()
         with pytest.raises(ContractError):
@@ -253,3 +335,14 @@ def test_max_invariant_under_global_shift(rng):
     Xs = aggregate(rotate_set(xs, 1.9), EMB8, K8_N3)
     _, shifted = max_score(score_polynomial(Xs, Y), samples=256)
     assert shifted == pytest.approx(base, abs=1e-6)
+
+
+class TestBlockCovariant:
+    def test_truth_table(self, rng):
+        dim = 8 * 7
+        rn = RnModel(rotation=np.eye(dim), eigenvalues=np.ones(dim))
+        assert make_pipeline().block_covariant
+        assert make_pipeline(exponent=0.3, adapted=True).block_covariant
+        assert not make_pipeline(exponent=0.3).block_covariant
+        assert not Pipeline("phi1", EMB8, K8_N3, rn=rn).block_covariant
+        assert not Pipeline("phi1", EMB8, K8_N3, truncate_dim=20).block_covariant
