@@ -23,6 +23,7 @@ from .angle_map import (
     angle_feature_batch,
     bessel_i,
     fourier_coeffs,
+    harmonics,
     similarity_histogram,
     truncated_kernel,
     vm_kernel,
@@ -59,7 +60,7 @@ from .fileio import (
     write_descriptor_file,
     write_vector_file,
 )
-from .monomial import MonomialConfig, monomial_kernel_check, monomial_output_dim, phi_monomial
+from .monomial import MonomialConfig, monomial_output_dim
 from .pipeline import Pipeline, PipelineConfig, default_power_exponent
 from .postprocess import (
     RnModel,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angle_map import FourierCoefficients, angle_feature_batch
+from .angle_map import FourierCoefficients, angle_feature_batch, harmonics
 from .descriptors import DescriptorSet, EmbeddingConfig, embed_weighted_sum
 from .errors import ContractError, DegenerateDataError
 
@@ -67,9 +67,6 @@ class ModulatedVector:
         """Read-only (2N+1, base_dim) view: const, then cos n and sin n at rows 2n-1, 2n."""
         return self.values.reshape(2 * self.n_freq + 1, self.base_dim)
 
-    def block_const(self) -> np.ndarray:
-        return self.blocks[0]
-
     def block_cos(self, n: int) -> np.ndarray:
         if not 1 <= n <= self.n_freq:
             raise ContractError(f"frequency {n} outside 1..{self.n_freq}")
@@ -89,9 +86,9 @@ def rotated_rows(X: ModulatedVector, thetas) -> np.ndarray:
     All R rotations are one broadcast over (R, N, base_dim).
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    blocks = X.blocks
-    n_theta = np.arange(1, X.n_freq + 1)[:, None] * thetas[:, None, None]
-    cn, sn = np.cos(n_theta), np.sin(n_theta)
+    blocks, n_freq = X.blocks, X.n_freq
+    basis = harmonics(thetas, n_freq)[:, :, None]
+    cn, sn = basis[:, 1 : n_freq + 1], basis[:, n_freq + 1 :]
     c, s = blocks[1::2], blocks[2::2]
     out = np.empty((thetas.size,) + blocks.shape)
     out[:, 0] = blocks[0]

@@ -7,6 +7,11 @@ The central object is a truncated cosine series
 together with the feature map alpha(theta) whose inner products evaluate
 it exactly: <alpha(t1), alpha(t2)> = k(t1 - t2).
 
+The series, the feature map, the block rotation and the rotation-score
+polynomial are all written in the basis [1, cos(n theta), sin(n theta)]
+of ``harmonics``, the one place that takes the cosine or sine of a
+multiple angle.
+
 Two coefficient families are supported:
 
 * ``von_mises``: the series matches a shifted and rescaled
@@ -174,38 +179,41 @@ def fourier_coeffs(config: AngleMapConfig) -> FourierCoefficients:
     return FourierCoefficients(gamma)
 
 
+def harmonics(theta, n_freq: int) -> np.ndarray:
+    """[1, cos(n theta) for n = 1..N, sin(n theta) for n = 1..N] on a new last axis."""
+    t = np.asarray(theta, dtype=np.float64)
+    out = np.empty(t.shape + (2 * n_freq + 1,))
+    out[..., 0] = 1.0
+    phases = t[..., None] * np.arange(1, n_freq + 1)
+    np.cos(phases, out=out[..., 1 : n_freq + 1])
+    np.sin(phases, out=out[..., n_freq + 1 :])
+    return out
+
+
 def truncated_kernel(delta, coeffs: FourierCoefficients):
     """Evaluate the cosine series at ``delta`` (scalar or array)."""
     d = np.asarray(wrap_angle(delta), dtype=np.float64)
     g = coeffs.gamma
+    basis = harmonics(d, coeffs.n_freq)
     out = np.full(d.shape, g[0])
     for n in range(1, g.size):
-        out += g[n] * np.cos(n * d)
+        out += g[n] * basis[..., n]
     if d.ndim == 0:
         return float(out)
     return out
 
 
 def angle_feature_batch(thetas, coeffs: FourierCoefficients) -> np.ndarray:
-    """Feature vectors for a batch of angles, one per row.
+    """One row per angle: its ``harmonics`` times sqrt([gamma_0, gamma_1..N, gamma_1..N]).
 
-    Layout per row: sqrt(gamma_0), then the N cosine components
-    sqrt(gamma_n) cos(n theta), then the N sine components
-    sqrt(gamma_n) sin(n theta). The squared row norm equals
-    sum(gamma), independent of theta.
+    The squared row norm equals sum(gamma), independent of theta.
     """
     t = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     if not np.all(np.isfinite(t)):
         raise ContractError("angles must be finite")
-    t = np.asarray(wrap_angle(t))
     root = np.sqrt(coeffs.gamma)
-    n_freq = coeffs.n_freq
-    out = np.empty((t.size, 2 * n_freq + 1))
-    out[:, 0] = root[0]
-    if n_freq:
-        phases = t[:, None] * np.arange(1, n_freq + 1)[None, :]
-        out[:, 1 : n_freq + 1] = root[1:] * np.cos(phases)
-        out[:, n_freq + 1 :] = root[1:] * np.sin(phases)
+    out = harmonics(wrap_angle(t), coeffs.n_freq)
+    out *= np.concatenate([root, root[1:]])
     return out
 
 

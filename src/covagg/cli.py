@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .angle_map import (
 )
 from .codebooks import PcaModel, gmm_train, kmeans_train, pca_train
 from .descriptors import preprocess_batch, rootsift_batch
-from .errors import ContractError, CovaggError, FormatError
+from .errors import ContractError, CovaggError, DegenerateDataError, FormatError
 from .pipeline import FAMILIES, PipelineConfig, default_power_exponent
 from .postprocess import rn_train
 from .scoring import query_multi_rotation
@@ -214,6 +215,15 @@ def cmd_train_rn(args) -> int:
     return 0
 
 
+@contextmanager
+def _naming(path):
+    """Prefix ``path`` to contract and degeneracy errors; format errors already name it."""
+    try:
+        yield
+    except (ContractError, DegenerateDataError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _map_jobs(func, items, jobs: int) -> list:
     """``func`` over ``items`` in order, on ``jobs`` threads."""
     _require_positive("--jobs", jobs)
@@ -242,8 +252,9 @@ def cmd_encode(args) -> int:
     vectors = np.empty((len(paths), pipeline.output_dim), dtype="<f4")
 
     def encode_one(row):
-        dset = fileio.read_descriptor_file(paths[row])
-        vectors[row] = pipeline.encode(dset)
+        with _naming(paths[row]):
+            dset = fileio.read_descriptor_file(paths[row])
+            vectors[row] = pipeline.encode(dset)
         return dset.image_id
 
     image_ids = _map_jobs(encode_one, range(len(paths)), args.jobs)
@@ -271,15 +282,17 @@ def cmd_query(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _require_positive("--rotations", args.rotations)
     store, pipeline = _open_database(args.db)
     ground_truth = retrieval.read_ground_truth(args.gt, exclude_query=args.exclude_query)
     paths = _collect_descriptor_paths(args.queries)
 
     def evaluate_one(path):
-        query = fileio.read_descriptor_file(path)
-        if query.image_id not in ground_truth:
-            raise ContractError(f"no ground-truth entry for query {query.image_id!r}")
-        scores, _ = query_multi_rotation(query, pipeline, store.vectors, args.rotations)
+        with _naming(path):
+            query = fileio.read_descriptor_file(path)
+            if query.image_id not in ground_truth:
+                raise ContractError(f"no ground-truth entry for query {query.image_id!r}")
+            scores, _ = query_multi_rotation(query, pipeline, store.vectors, args.rotations)
         ranked = retrieval.rank_by_score(store.image_ids, scores)
         return query.image_id, retrieval.average_precision(ranked, ground_truth[query.image_id])
 

@@ -39,6 +39,7 @@ import json
 import os
 import struct
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -220,6 +221,9 @@ def write_vector_file(path, image_ids, vectors, base_dim: int, n_freq: int,
         raise ContractError("need a 2-D vector array with one row per image id")
     if not isinstance(config, PipelineConfig):
         raise ContractError(f"need a PipelineConfig, got {type(config).__name__}")
+    repeated = [i for i, n in Counter(image_ids).items() if n > 1]
+    if repeated:
+        raise ContractError(f"image id {repeated[0].decode('utf-8')!r} occurs more than once")
     expected = base_dim * (2 * n_freq + 1)
     if vectors.shape[1] != expected:
         raise ContractError(
@@ -263,6 +267,9 @@ def read_vector_file(path) -> VectorStore:
                 raise FormatError(
                     f"{path}: invalid UTF-8 image id at byte {reader.offset - id_len}"
                 ) from exc
+        repeated = [i for i, n in Counter(ids).items() if n > 1]
+        if repeated:
+            raise FormatError(f"{path}: image id {repeated[0]!r} occurs more than once")
         vectors = reader.reals(count * dim, "<f4", "vector").reshape(count, dim)
         reader.expect_end()
         return VectorStore(

@@ -225,14 +225,3 @@ def phi_monomial_weighted_sum(W, X, config: MonomialConfig) -> np.ndarray:
     cols, weights = _moment_gather(d)
     return np.take((left.T @ X).reshape(W.shape[1], -1), cols, axis=1) * weights
 
-
-def phi_monomial(x, config: MonomialConfig) -> np.ndarray:
-    """Embed a single unit vector."""
-    return phi_monomial_batch(np.asarray(x, dtype=np.float64)[None, :], config)[0]
-
-
-def monomial_kernel_check(x, y, degree: int) -> float:
-    """Inner product of the two embeddings; equals <x, y>**degree."""
-    x = np.asarray(x, dtype=np.float64)
-    config = MonomialConfig(degree=degree, input_dim=x.shape[-1])
-    return float(np.dot(phi_monomial(x, config), phi_monomial(y, config)))

@@ -2,60 +2,48 @@
 
 Because the aggregated vector transforms block-wise under a global
 rotation of either image, the similarity as a function of the relative
-rotation angle is a trigonometric polynomial of degree N. Its 2N+1
-coefficients come from 1 + 4N block inner products (one constant-block
-product plus four per frequency). Its maximum is found exactly, among
-the roots of its derivative, at the cost of one 2N x 2N eigenvalue
-problem.
+rotation angle is a trigonometric polynomial of degree N in the basis of
+``angle_map.harmonics``. Its 2N+1 coefficients come from 1 + 4N block
+inner products: one constant-block product plus the 2 x 2 products of
+each frequency's (cos, sin) block pairs. ``score_coefficients`` takes
+them for any number of database rows; ``score_polynomial`` is its
+one-row case. The maximum is found exactly, among the roots of the
+derivative, at the cost of one 2N x 2N eigenvalue problem.
 
 ``query_multi_rotation`` scores a grid of query rotations against a
 whole database. When the pipeline is block-covariant (no plain power
 law, no RN, no truncation), the stored rows keep the block layout and
-the grid is read off every row's polynomial: ``score_coefficients``
-takes the same 1 + 4N block products per database row, whatever the
-grid size. Other pipelines post-process each rotated query row and
-score all of them with one matrix product.
+the grid is read off every row's polynomial, whatever the grid size.
+Other pipelines post-process each rotated query row and score all of
+them with one matrix product.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .aggregate import ModulatedVector
-from .angle_map import wrap_angle
+from .angle_map import harmonics, wrap_angle
 from .descriptors import DescriptorSet
 from .errors import ContractError
 
-class BlockDotCounter:
-    """Counts base-dim inner products performed by score_polynomial."""
-
-    def __init__(self):
-        self.count = 0
-
-
-_active_counter: BlockDotCounter | None = None
+_block_dot_counter = ContextVar("block_dot_counter", default=None)
 
 
 @contextmanager
 def count_block_dots():
-    """Context manager that counts block inner products; test instrumentation."""
-    global _active_counter
-    previous = _active_counter
-    counter = BlockDotCounter()
-    _active_counter = counter
+    """Count the block inner products made in this context, not its threads; for tests."""
+    counter = SimpleNamespace(count=0)
+    token = _block_dot_counter.set(counter)
     try:
         yield counter
     finally:
-        _active_counter = previous
-
-
-def _block_dot(x: np.ndarray, y: np.ndarray) -> float:
-    if _active_counter is not None:
-        _active_counter.count += 1
-    return float(np.dot(x, y))
+        _block_dot_counter.reset(token)
 
 
 @dataclass(frozen=True)
@@ -87,9 +75,10 @@ class ScorePolynomial:
 
     def evaluate(self, theta):
         t = np.asarray(theta, dtype=np.float64)
+        basis = harmonics(t, self.n_freq)
         out = np.full(t.shape, self.c0)
         for n in range(1, self.n_freq + 1):
-            out += self.a[n - 1] * np.cos(n * t) + self.b[n - 1] * np.sin(n * t)
+            out += self.a[n - 1] * basis[..., n] + self.b[n - 1] * basis[..., self.n_freq + n]
         if t.ndim == 0:
             return float(out)
         return out
@@ -115,16 +104,8 @@ def score_polynomial(X: ModulatedVector, Y: ModulatedVector) -> ScorePolynomial:
     Uses exactly 1 + 4N inner products of base-dim blocks.
     """
     _check_compatible(X, Y)
-    n_freq = X.n_freq
-    c0 = _block_dot(X.block_const(), Y.block_const())
-    a = np.empty(n_freq)
-    b = np.empty(n_freq)
-    for n in range(1, n_freq + 1):
-        xc, xs = X.block_cos(n), X.block_sin(n)
-        yc, ys = Y.block_cos(n), Y.block_sin(n)
-        a[n - 1] = _block_dot(xc, yc) + _block_dot(xs, ys)
-        b[n - 1] = _block_dot(xs, yc) - _block_dot(xc, ys)
-    return ScorePolynomial(c0=c0, a=a, b=b)
+    row = score_coefficients(X, Y.values[None])[0]
+    return ScorePolynomial(c0=float(row[0]), a=row[1 : X.n_freq + 1], b=row[X.n_freq + 1 :])
 
 
 def max_score(poly: ScorePolynomial, samples: int = 64):
@@ -167,21 +148,24 @@ def score_coefficients(X: ModulatedVector, db_vectors) -> np.ndarray:
     """Score-polynomial coefficients of X against every database row.
 
     Returns an (n_db, 2N+1) array whose row i is [c0, a_1..a_N, b_1..b_N]
-    of ``score_polynomial(X, row i)``. Each frequency takes two
-    (n_db x d) @ (d x 2) products on strided views of the database's
-    cos and sin blocks, so a row costs 1 + 4N block products.
+    of ``score_polynomial(X, row i)``. The constant blocks take one
+    product; every frequency of every row then takes the 2 x 2 products
+    of its (cos, sin) block pair with the query's in one batched matmul,
+    so a row costs 1 + 4N block products and the database is not copied.
     """
     db = _database(db_vectors, X.dim)
-    n_freq, q = X.n_freq, X.blocks
-    blocks = db.reshape(db.shape[0], 2 * n_freq + 1, X.base_dim)
-    out = np.empty((db.shape[0], 2 * n_freq + 1))
+    n_db, n_freq, q = db.shape[0], X.n_freq, X.blocks
+    blocks = db.reshape(n_db, 2 * n_freq + 1, X.base_dim)
+    out = np.empty((n_db, 2 * n_freq + 1))
     out[:, 0] = blocks[:, 0] @ q[0]
-    for n in range(1, n_freq + 1):
-        qc, qs = q[2 * n - 1], q[2 * n]
-        # a_n = yc.qc + ys.qs and b_n = yc.qs - ys.qc
-        ab = blocks[:, 2 * n - 1] @ np.column_stack([qc, qs])
-        ab += blocks[:, 2 * n] @ np.column_stack([qs, -qc])
-        out[:, n], out[:, n_freq + n] = ab.T
+    # p[i, n] = [[yc.qc, yc.qs], [ys.qc, ys.qs]] for row i, frequency n
+    pairs = blocks[:, 1:].reshape(n_db, n_freq, 2, X.base_dim)
+    p = pairs @ q[1:].reshape(n_freq, 2, X.base_dim).transpose(0, 2, 1)
+    np.add(p[..., 0, 0], p[..., 1, 1], out=out[:, 1 : n_freq + 1])
+    np.subtract(p[..., 0, 1], p[..., 1, 0], out=out[:, n_freq + 1 :])
+    counter = _block_dot_counter.get()
+    if counter is not None:
+        counter.count += n_db + p.size
     return out
 
 
@@ -203,9 +187,8 @@ def query_multi_rotation(query: DescriptorSet, pipeline, db_vectors, n_rot: int 
     db = _database(db_vectors, pipeline.output_dim)
     thetas = 2.0 * np.pi * np.arange(int(n_rot)) / float(n_rot)
     if pipeline.block_covariant:
-        n_theta = thetas[:, None] * np.arange(1, pipeline.n_freq + 1)
-        basis = np.column_stack([np.ones(thetas.size), np.cos(n_theta), np.sin(n_theta)])
-        scores_all = basis @ score_coefficients(pipeline.modulated(query), db).T
+        coefficients = score_coefficients(pipeline.modulated(query), db)
+        scores_all = harmonics(thetas, pipeline.n_freq) @ coefficients.T
     else:
         scores_all = pipeline.encode_rotations(query, thetas) @ db.T
     best = np.argmax(scores_all, axis=0)

@@ -83,7 +83,7 @@ class TestModulatedVector:
         values = rng.standard_normal(15)
         values /= np.linalg.norm(values)
         mv = ModulatedVector(values, base_dim=3, n_freq=2)
-        assert np.array_equal(mv.block_const(), values[:3])
+        assert np.array_equal(mv.blocks[0], values[:3])
         assert np.array_equal(mv.block_cos(1), values[3:6])
         assert np.array_equal(mv.block_sin(1), values[6:9])
         assert np.array_equal(mv.block_cos(2), values[9:12])

@@ -14,6 +14,7 @@ from covagg import (
     angle_feature_batch,
     bessel_i,
     fourier_coeffs,
+    harmonics,
     truncated_kernel,
     vm_kernel,
     wrap_angle,
@@ -160,7 +161,40 @@ class TestTruncatedKernel:
         assert truncated_kernel(deltas + 2 * np.pi, K8_N3) == pytest.approx(k, abs=1e-9)
 
 
+class TestHarmonics:
+    @pytest.mark.parametrize("n_freq", [0, 1, 3])
+    def test_layout(self, n_freq):
+        thetas = np.array([[-2.5, 0.0], [0.7, 3.1]])
+        basis = harmonics(thetas, n_freq)
+        assert basis.shape == (2, 2, 2 * n_freq + 1)
+        assert np.all(basis[..., 0] == 1.0)
+        for n in range(1, n_freq + 1):
+            assert np.array_equal(basis[..., n], np.cos(n * thetas))
+            assert np.array_equal(basis[..., n_freq + n], np.sin(n * thetas))
+
+    @pytest.mark.parametrize("n_freq", [0, 1, 3])
+    def test_scalar_gives_one_row(self, n_freq):
+        assert np.array_equal(harmonics(0.7, n_freq), harmonics(np.array([0.7]), n_freq)[0])
+
+
 class TestAngleFeature:
+    @pytest.mark.parametrize(
+        "config",
+        [AngleMapConfig(kappa=8.0, n_freq=n) for n in (0, 1, 3)]
+        + [AngleMapConfig(family="cosine_power", power=8)],
+        ids=["vm-n0", "vm-n1", "vm-n3", "cos-p8"],
+    )
+    def test_batch_is_bit_identical_to_the_direct_formula(self, rng, config):
+        coeffs = fourier_coeffs(config)
+        thetas = np.concatenate([rng.uniform(-20.0, 20.0, 500), [0.0, np.pi, -np.pi]])
+        root, n_freq = np.sqrt(coeffs.gamma), coeffs.n_freq
+        phases = wrap_angle(thetas)[:, None] * np.arange(1, n_freq + 1)[None, :]
+        expected = np.empty((thetas.size, 2 * n_freq + 1))
+        expected[:, 0] = root[0]
+        expected[:, 1 : n_freq + 1] = root[1:] * np.cos(phases)
+        expected[:, n_freq + 1 :] = root[1:] * np.sin(phases)
+        assert np.array_equal(angle_feature_batch(thetas, coeffs), expected)
+
     def test_layout_at_zero(self):
         feat = angle_feature(0.0, K8_N3)
         root = np.sqrt(K8_N3.gamma)

@@ -562,3 +562,69 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "covagg: error" in err and "nope.cvm" in err
+
+    def test_repeated_image_id_is_3_and_writes_nothing(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            write_descriptor_file(random_set(rng, 4, 8), tmp_path / sub / "same.cvd")
+        out = tmp_path / "o.cvv"
+        code = main(["encode", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(out),
+                     "--family", "phi1", "--input-dim", "8"])
+        assert code == 3
+        assert "image id 'same' occurs more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_store_with_repeated_id_is_2(self, tmp_path, capsys):
+        db = tmp_path / "db.cvv"
+        write_vector_file(db, ["ab", "ac"], np.ones((2, 56)), base_dim=8, n_freq=3,
+                          config=PipelineConfig(family="phi1", input_dim=8))
+        data = db.read_bytes()
+        assert data.count(b"ac") == 1
+        db.write_bytes(data.replace(b"ac", b"ab"))
+        query = tmp_path / "q.cvd"
+        write_descriptor_file(random_set(np.random.default_rng(0), 4, 8), query)
+        assert main(["query", "--db", str(db), "--query-desc", str(query)]) == 2
+        assert f"{db}: image id 'ab' occurs more than once" in capsys.readouterr().err
+
+    def test_errors_name_the_offending_file(self, corpus_dir, tmp_path, capsys):
+        from covagg import DescriptorSet
+        database = tmp_path / "database"
+        database.mkdir()
+        write_descriptor_file(random_set(np.random.default_rng(0), 4, 8), database / "ok.cvd")
+        empty = database / "zz_empty.cvd"
+        write_descriptor_file(DescriptorSet(np.empty((0, 8)), np.empty(0)), empty)
+        code = main(["encode", str(database), "--out", str(tmp_path / "o.cvv"),
+                     "--family", "phi1", "--input-dim", "8"])
+        assert code == 3
+        assert f"{empty}: cannot encode an empty descriptor set" in capsys.readouterr().err
+
+        x = np.zeros((2, 4))
+        x[0, 0], x[1, 0] = 1.0, -1.0
+        cancel = tmp_path / "cancel.cvd"
+        write_descriptor_file(DescriptorSet(x, [0.5, 0.5]), cancel)
+        code = main(["encode", str(cancel), "--out", str(tmp_path / "o.cvv"),
+                     "--family", "phi1", "--input-dim", "4", "--nfreq", "0"])
+        assert code == 4
+        assert f"{cancel}: aggregated vector has no usable magnitude" in capsys.readouterr().err
+
+        db = tmp_path / "db.cvv"
+        assert main(encode_args(corpus_dir, db)) == 0
+        queries = tmp_path / "queries"
+        queries.mkdir()
+        query = queries / (sorted((corpus_dir / "queries").iterdir())[0].stem + ".cvd")
+        write_descriptor_file(DescriptorSet(np.empty((0, 8)), np.empty(0)), query)
+        capsys.readouterr()
+        code = main(["evaluate", "--db", str(db), "--queries", str(queries),
+                     "--gt", str(corpus_dir / "groundtruth.txt")])
+        assert code == 3
+        assert f"{query}: cannot encode an empty descriptor set" in capsys.readouterr().err
+
+    def test_evaluate_zero_rotations_is_3(self, corpus_dir, tmp_path, capsys):
+        db = tmp_path / "db.cvv"
+        assert main(encode_args(corpus_dir, db)) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--db", str(db), "--queries", str(corpus_dir / "queries"),
+                     "--gt", str(corpus_dir / "groundtruth.txt"), "--rotations", "0"])
+        assert code == 3
+        assert "--rotations must be a positive integer" in capsys.readouterr().err

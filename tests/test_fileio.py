@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -224,6 +225,22 @@ class TestVectorFile:
         data[id_at] = 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"invalid UTF-8 image id at byte {id_at}"):
+            read_vector_file(path)
+
+    def test_repeated_id_refused_before_writing(self, tmp_path):
+        path = tmp_path / "vecs.cvv"
+        with pytest.raises(ContractError, match="image id 'b' occurs more than once"):
+            write_vector_file(path, ["a", "b", "b"], np.ones((3, 7)),
+                              base_dim=1, n_freq=3, config=CONFIG)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_id_in_file_rejected(self, tmp_path):
+        path = tmp_path / "vecs.cvv"
+        write_vector_file(path, ["ab", "ac"], np.ones((2, 7)), base_dim=1, n_freq=3, config=CONFIG)
+        data = path.read_bytes()
+        assert data.count(b"ac") == 1
+        path.write_bytes(data.replace(b"ac", b"ab"))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: image id 'ab' occurs")):
             read_vector_file(path)
 
     def test_v1_file_rejected(self, tmp_path):

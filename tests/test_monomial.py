@@ -14,12 +14,17 @@ from covagg import (
     MonomialConfig,
     angle_feature_batch,
     fourier_coeffs,
-    monomial_kernel_check,
     monomial_output_dim,
-    phi_monomial,
 )
 from covagg.aggregate import AGGREGATE_CHUNK, aggregate, block_order
 from covagg.monomial import _phi3_plan, phi_monomial_batch, phi_monomial_weighted_sum
+
+
+def monomial_kernel(x, y, degree):
+    """Inner product of the two embeddings; equals <x, y>**degree."""
+    config = MonomialConfig(degree, x.shape[-1])
+    return float(np.dot(phi_monomial_batch(x[None], config)[0],
+                        phi_monomial_batch(y[None], config)[0]))
 
 
 def brute_dim(degree, d):
@@ -43,14 +48,14 @@ def test_table_dims():
 
 
 def test_axis_vector_degree2():
-    out = phi_monomial(np.array([1.0, 0.0]), MonomialConfig(2, 2))
+    out = phi_monomial_batch(np.array([1.0, 0.0])[None], MonomialConfig(2, 2))[0]
     assert out == pytest.approx([1.0, 0.0, 0.0], abs=0)
 
 
 def test_degree3_component_order():
     a, b, c = 0.2, -0.4, math.sqrt(1 - 0.2**2 - 0.4**2)
     x = np.array([a, b, c])
-    out = phi_monomial(x, MonomialConfig(3, 3))
+    out = phi_monomial_batch(x[None], MonomialConfig(3, 3))[0]
     s3, s6 = math.sqrt(3), math.sqrt(6)
     expected = [
         a**3, b**3, c**3,
@@ -67,7 +72,7 @@ def test_kernel_exactness_random_pairs(rng, degree):
     X = unit_rows(rng, 100, 16)
     Y = unit_rows(rng, 100, 16)
     for x, y in zip(X, Y):
-        lhs = monomial_kernel_check(x, y, degree)
+        lhs = monomial_kernel(x, y, degree)
         assert abs(lhs - float(np.dot(x, y)) ** degree) < 1e-10
 
 
@@ -80,13 +85,13 @@ def test_kernel_exactness_random_pairs(rng, degree):
 def test_kernel_exactness_property(d, degree, seed):
     rng = np.random.default_rng(seed)
     x, y = unit_rows(rng, 2, d)
-    assert abs(monomial_kernel_check(x, y, degree) - float(np.dot(x, y)) ** degree) < 1e-10
+    assert abs(monomial_kernel(x, y, degree) - float(np.dot(x, y)) ** degree) < 1e-10
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_kernel_exactness_at_dim_128(rng, degree):
     x, y = unit_rows(rng, 2, 128)
-    assert abs(monomial_kernel_check(x, y, degree) - float(np.dot(x, y)) ** degree) < 1e-10
+    assert abs(monomial_kernel(x, y, degree) - float(np.dot(x, y)) ** degree) < 1e-10
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -151,19 +156,20 @@ def test_phi3_plan_reads_each_triple_once_from_its_block(d):
 def test_self_and_orthogonal_cases():
     x = np.array([1.0, 0.0, 0.0])
     y = np.array([0.0, 1.0, 0.0])
-    assert monomial_kernel_check(x, x, 2) == pytest.approx(1.0, abs=1e-14)
-    assert monomial_kernel_check(x, y, 2) == pytest.approx(0.0, abs=1e-14)
+    assert monomial_kernel(x, x, 2) == pytest.approx(1.0, abs=1e-14)
+    assert monomial_kernel(x, y, 2) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_deterministic_output(rng):
     x = unit_rows(rng, 1, 9)[0]
     config = MonomialConfig(3, 9)
-    assert np.array_equal(phi_monomial(x, config), phi_monomial(x, config))
+    assert np.array_equal(phi_monomial_batch(x[None], config)[0],
+                          phi_monomial_batch(x[None], config)[0])
 
 
 def test_rejects_non_unit_input():
     with pytest.raises(ContractError):
-        phi_monomial(np.array([1.0, 1.0]), MonomialConfig(2, 2))
+        phi_monomial_batch(np.array([1.0, 1.0])[None], MonomialConfig(2, 2))[0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,53 @@ class TestScorePolynomial:
             score_polynomial(X, Y)
         assert counter.count == 1 + 4 * n_freq
 
+    def test_evaluate_on_a_scalar_equals_its_array_result(self):
+        thetas = np.linspace(-np.pi, np.pi, 37)
+        values = BRACKET_POLY.evaluate(thetas)
+        for theta, value in zip(thetas, values):
+            assert BRACKET_POLY.evaluate(float(theta)) == value
+
+
+class TestCountBlockDots:
+    @pytest.mark.parametrize("n_freq", [0, 1, 3])
+    def test_covariant_query_counts_one_polynomial_per_row(self, rng, n_freq):
+        pipe = make_pipeline(n_freq=n_freq, exponent=0.3, adapted=True)
+        assert pipe.block_covariant
+        db = np.stack([pipe.encode(random_set(rng, 12, 8, f"d{i}")) for i in range(5)])
+        with count_block_dots() as counter:
+            query_multi_rotation(random_set(rng, 12, 8, "q"), pipe, db, n_rot=8)
+        assert counter.count == (1 + 4 * n_freq) * 5
+
+    def test_rows_path_counts_nothing(self, rng):
+        pipe = make_pipeline(exponent=0.3)
+        assert not pipe.block_covariant
+        db = np.stack([pipe.encode(random_set(rng, 12, 8, f"d{i}")) for i in range(5)])
+        with count_block_dots() as counter:
+            query_multi_rotation(random_set(rng, 12, 8, "q"), pipe, db, n_rot=8)
+        assert counter.count == 0
+
+    def test_nested_counter_hides_the_outer_one(self, rng):
+        X = aggregate(random_set(rng, 6, 8, "x"), EMB8, K8_N3)
+        Y = aggregate(random_set(rng, 6, 8, "y"), EMB8, K8_N3)
+        with count_block_dots() as outer:
+            score_polynomial(X, Y)
+            with count_block_dots() as inner:
+                score_polynomial(X, Y)
+                score_polynomial(X, Y)
+            assert outer.count == 13
+            score_polynomial(X, Y)
+        assert (outer.count, inner.count) == (26, 26)
+
+    def test_worker_thread_does_not_touch_the_callers_counter(self, rng):
+        X = aggregate(random_set(rng, 6, 8, "x"), EMB8, K8_N3)
+        Y = aggregate(random_set(rng, 6, 8, "y"), EMB8, K8_N3)
+        with count_block_dots() as counter:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                pool.submit(score_polynomial, X, Y).result()
+            assert counter.count == 0
+            score_polynomial(X, Y)
+        assert counter.count == 13
+
 
 class TestScoreCoefficients:
     @pytest.mark.parametrize("n_freq", [0, 1, 3])
@@ -159,8 +208,15 @@ class TestScoreCoefficients:
         rows = score_coefficients(X, db)
         assert rows.shape == (6, 2 * n_freq + 1)
         for row, values in zip(rows, db):
-            poly = score_polynomial(X, ModulatedVector(values, dim, n_freq))
-            expected = np.concatenate([[poly.c0], poly.a, poly.b])
+            Y = ModulatedVector(values, dim, n_freq)
+            poly = score_polynomial(X, Y)
+            assert np.max(np.abs(row - np.concatenate([[poly.c0], poly.a, poly.b]))) < 1e-12
+            # reference: the 1 + 4N block products one at a time
+            pairs = [(X.block_cos(n), X.block_sin(n), Y.block_cos(n), Y.block_sin(n))
+                     for n in range(1, n_freq + 1)]
+            expected = [np.dot(X.blocks[0], Y.blocks[0])]
+            expected += [np.dot(xc, yc) + np.dot(xs, ys) for xc, xs, yc, ys in pairs]
+            expected += [np.dot(xs, yc) - np.dot(xc, ys) for xc, xs, yc, ys in pairs]
             assert np.max(np.abs(row - expected)) < 1e-12
 
 
