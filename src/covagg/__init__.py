@@ -10,9 +10,7 @@ from .aggregate import (
     ModulatedVector,
     aggregate_raw_sum,
     aggregate_rotations,
-    block_order,
     modulate,
-    rotate_blocks,
 )
 from .angle_map import (
     COSINE_POWER,

@@ -4,14 +4,12 @@ Modulating an embedded descriptor v by the angle feature a(theta)
 multiplies every component of v by every component of a, so inner
 products factor: <m(v, a(t1)), m(w, a(t2))> = <v, w> * k(t1 - t2).
 
-The product is stored in frequency-major block order: the constant block
-first, then the cosine and sine blocks of each frequency, each block
-contiguous with the base embedding dimension. This is a fixed
-permutation of the raw Kronecker (per-component interleaved) order and
-therefore preserves inner products; it makes the per-frequency subvector
-reads used by rotation-aware scoring contiguous. A global rotation of the
-image turns each frequency's (cos, sin) block pair by a 2-D rotation, so
-every rotation hypothesis follows from one aggregate (``rotate_blocks``).
+The product a (x) v is stored as it comes: 2N+1 contiguous base-dim
+blocks in the order of ``angle_map.harmonics``, the constant block first,
+then the cosine and sine blocks of each frequency. A global rotation of
+the image turns each frequency's (cos, sin) block pair by a 2-D
+rotation, so every rotation hypothesis follows from one aggregate
+(``rotated_rows``).
 """
 
 from __future__ import annotations
@@ -25,16 +23,6 @@ from .descriptors import DescriptorSet, EmbeddingConfig, embed_weighted_sum
 from .errors import ContractError, DegenerateDataError
 
 AGGREGATE_CHUNK = 512
-
-
-def block_order(n_freq: int) -> np.ndarray:
-    """Permutation taking [const, cos 1..N, sin 1..N] to [const, c1, s1, ..., cN, sN]."""
-    order = np.empty(2 * n_freq + 1, dtype=np.intp)
-    order[0] = 0
-    if n_freq:
-        order[1::2] = np.arange(1, n_freq + 1)
-        order[2::2] = np.arange(n_freq + 1, 2 * n_freq + 1)
-    return order
 
 
 @dataclass(frozen=True)
@@ -86,9 +74,9 @@ def rotated_rows(X: ModulatedVector, thetas) -> np.ndarray:
     All R rotations are one broadcast over (R, N, base_dim).
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    blocks, n_freq = X.blocks, X.n_freq
-    basis = harmonics(thetas, n_freq)[:, :, None]
-    cn, sn = basis[:, 1 : n_freq + 1], basis[:, n_freq + 1 :]
+    blocks = X.blocks
+    basis = harmonics(thetas, X.n_freq)[:, :, None]
+    cn, sn = basis[:, 1::2], basis[:, 2::2]
     c, s = blocks[1::2], blocks[2::2]
     out = np.empty((thetas.size,) + blocks.shape)
     out[:, 0] = blocks[0]
@@ -97,21 +85,13 @@ def rotated_rows(X: ModulatedVector, thetas) -> np.ndarray:
     return out.reshape(thetas.size, X.dim)
 
 
-def rotate_blocks(X: ModulatedVector, theta: float) -> ModulatedVector:
-    """The vector that re-encoding the set rotated by theta gives."""
-    return ModulatedVector(
-        values=rotated_rows(X, theta)[0], base_dim=X.base_dim, n_freq=X.n_freq
-    )
-
-
 def modulate(v, a) -> np.ndarray:
-    """Modulated descriptor in frequency-major block layout."""
+    """Modulated descriptor kron(a, v): one base-dim block per angle feature component."""
     v = np.asarray(v, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     if v.ndim != 1 or a.ndim != 1 or a.size % 2 == 0:
         raise ContractError("modulate expects a 1-D vector and an odd-length angle feature")
-    n_freq = (a.size - 1) // 2
-    return np.multiply.outer(a[block_order(n_freq)], v).ravel()
+    return np.multiply.outer(a, v).ravel()
 
 
 def aggregate_raw_sum(
@@ -125,11 +105,10 @@ def aggregate_raw_sum(
     """
     if len(dset) == 0:
         raise ContractError("cannot encode an empty descriptor set")
-    order = block_order(coeffs.n_freq)
     total = None
     for start in range(0, len(dset), AGGREGATE_CHUNK):
         stop = start + AGGREGATE_CHUNK
-        feats = angle_feature_batch(dset.angles[start:stop], coeffs)[:, order]
+        feats = angle_feature_batch(dset.angles[start:stop], coeffs)
         part = embed_weighted_sum(feats, dset.descriptors[start:stop], embedding)
         total = part if total is None else total + part
     return total.ravel()
@@ -153,4 +132,7 @@ def aggregate_rotations(
 ) -> list[ModulatedVector]:
     """The aggregates of the set rotated by each theta, from one aggregate."""
     base = aggregate(dset, embedding, coeffs)
-    return [rotate_blocks(base, float(t)) for t in np.atleast_1d(thetas)]
+    return [
+        ModulatedVector(values=row, base_dim=base.base_dim, n_freq=base.n_freq)
+        for row in rotated_rows(base, thetas)
+    ]

@@ -8,9 +8,11 @@ together with the feature map alpha(theta) whose inner products evaluate
 it exactly: <alpha(t1), alpha(t2)> = k(t1 - t2).
 
 The series, the feature map, the block rotation and the rotation-score
-polynomial are all written in the basis [1, cos(n theta), sin(n theta)]
-of ``harmonics``, the one place that takes the cosine or sine of a
-multiple angle.
+polynomial are all written in the basis
+[1, cos theta, sin theta, ..., cos N theta, sin N theta] of ``harmonics``,
+the one place that takes the cosine or sine of a multiple angle. This is
+also the order of the blocks of a stored aggregate, so no code permutes
+between orders.
 
 Two coefficient families are supported:
 
@@ -180,13 +182,13 @@ def fourier_coeffs(config: AngleMapConfig) -> FourierCoefficients:
 
 
 def harmonics(theta, n_freq: int) -> np.ndarray:
-    """[1, cos(n theta) for n = 1..N, sin(n theta) for n = 1..N] on a new last axis."""
+    """[1, cos theta, sin theta, ..., cos N theta, sin N theta] on a new last axis."""
     t = np.asarray(theta, dtype=np.float64)
     out = np.empty(t.shape + (2 * n_freq + 1,))
     out[..., 0] = 1.0
     phases = t[..., None] * np.arange(1, n_freq + 1)
-    np.cos(phases, out=out[..., 1 : n_freq + 1])
-    np.sin(phases, out=out[..., n_freq + 1 :])
+    np.cos(phases, out=out[..., 1::2])
+    np.sin(phases, out=out[..., 2::2])
     return out
 
 
@@ -197,23 +199,22 @@ def truncated_kernel(delta, coeffs: FourierCoefficients):
     basis = harmonics(d, coeffs.n_freq)
     out = np.full(d.shape, g[0])
     for n in range(1, g.size):
-        out += g[n] * basis[..., n]
+        out += g[n] * basis[..., 2 * n - 1]
     if d.ndim == 0:
         return float(out)
     return out
 
 
 def angle_feature_batch(thetas, coeffs: FourierCoefficients) -> np.ndarray:
-    """One row per angle: its ``harmonics`` times sqrt([gamma_0, gamma_1..N, gamma_1..N]).
+    """One row per angle: its ``harmonics`` times sqrt([g0, g1, g1, ..., gN, gN]), g = gamma.
 
     The squared row norm equals sum(gamma), independent of theta.
     """
     t = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     if not np.all(np.isfinite(t)):
         raise ContractError("angles must be finite")
-    root = np.sqrt(coeffs.gamma)
     out = harmonics(wrap_angle(t), coeffs.n_freq)
-    out *= np.concatenate([root, root[1:]])
+    out *= np.repeat(np.sqrt(coeffs.gamma), 2)[1:]
     return out
 
 

@@ -146,6 +146,8 @@ def _add_angle_flags(parser):
 
 
 def _angle_map_config(args) -> AngleMapConfig:
+    if args.cosine_power is not None and args.angle_family != "cosine-power":
+        raise ContractError("--cosine-power is read only with --angle-family cosine-power")
     return AngleMapConfig(
         kappa=args.kappa,
         n_freq=args.nfreq,
@@ -269,9 +271,11 @@ def cmd_encode(args) -> int:
 def cmd_query(args) -> int:
     if args.top < 0:
         raise ContractError(f"--top must be non-negative, got {args.top}")
+    _require_positive("--rotations", args.rotations)
     store, pipeline = _open_database(args.db)
-    query = fileio.read_descriptor_file(args.query_desc)
-    scores, thetas = query_multi_rotation(query, pipeline, store.vectors, args.rotations)
+    with _naming(args.query_desc):
+        query = fileio.read_descriptor_file(args.query_desc)
+        scores, thetas = query_multi_rotation(query, pipeline, store.vectors, args.rotations)
     order = retrieval.rank_rows(store.image_ids, scores).tolist()
     top = order[: args.top] if args.top else order
     writer = csv.writer(sys.stdout, delimiter="\t", lineterminator="\n")

@@ -32,7 +32,14 @@ from .descriptors import (
 )
 from .errors import ContractError
 from .monomial import MonomialConfig
-from .postprocess import RnModel, adapted_power_law, power_law, rn_apply, truncate_l2
+from .postprocess import (
+    RnModel,
+    _check_exponent,
+    adapted_power_law,
+    power_law,
+    rn_apply,
+    truncate_l2,
+)
 
 MONOMIAL_DEGREES = {"phi1": 1, "phi2": 2, "phi3": 3}
 FAMILIES = ("phi1", "phi2", "phi3", "vlad", "fisher")
@@ -99,11 +106,11 @@ class Pipeline:
 
     @property
     def block_covariant(self) -> bool:
-        """Whether every stage after aggregation commutes with ``rotate_blocks``.
+        """Whether every stage after aggregation commutes with ``rotated_rows``.
 
         Then ``_postprocess_rows`` is the identity, a stored vector keeps
-        the block layout, and row r of ``encode_rotations`` is
-        ``rotate_blocks(modulated(dset), thetas[r])``.
+        the block layout, and ``encode_rotations`` is
+        ``rotated_rows(modulated(dset), thetas)``.
         """
         plain_power_law = self.power_exponent is not None and not self.adapted
         return not plain_power_law and self.rn is None and self.truncate_dim is None
@@ -133,7 +140,7 @@ class Pipeline:
         """Row i is ``encode`` of the set rotated by ``thetas[i]``.
 
         The set is aggregated once and takes the adapted power law, which
-        commutes with ``rotate_blocks``, before rotation; the rotated rows
+        commutes with ``rotated_rows``, before rotation; the rotated rows
         take the plain power law, RN and truncation as one matrix.
         """
         thetas = np.atleast_1d(thetas)
@@ -189,10 +196,17 @@ class PipelineConfig:
             raise ContractError(
                 "input_dim is read only by monomial families without a pca model"
             )
-        if self.adapted_power_law and self.power_law is None:
+        self.angle_map()
+        if self.power_law is not None:
+            _check_exponent(self.power_law)
+        elif self.adapted_power_law:
             raise ContractError("the adapted power law needs an exponent")
         if self.truncate is not None and self.truncate < 1:
             raise ContractError(f"truncate must be at least 1, got {self.truncate}")
+
+    def angle_map(self) -> AngleMapConfig:
+        """The angle kernel this config names; constructing it validates the fields."""
+        return AngleMapConfig(self.kappa, self.n_freq, self.angle_family, self.cosine_power)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -257,9 +271,7 @@ class PipelineConfig:
                     f"{self.family} model expects {embedding.input_dim}"
                 )
 
-        coeffs = fourier_coeffs(
-            AngleMapConfig(self.kappa, self.n_freq, self.angle_family, self.cosine_power)
-        )
+        coeffs = fourier_coeffs(self.angle_map())
 
         encoded_dim = embedding.output_dim * (2 * coeffs.n_freq + 1)
         rn = None

@@ -78,7 +78,7 @@ class ScorePolynomial:
         basis = harmonics(t, self.n_freq)
         out = np.full(t.shape, self.c0)
         for n in range(1, self.n_freq + 1):
-            out += self.a[n - 1] * basis[..., n] + self.b[n - 1] * basis[..., self.n_freq + n]
+            out += self.a[n - 1] * basis[..., 2 * n - 1] + self.b[n - 1] * basis[..., 2 * n]
         if t.ndim == 0:
             return float(out)
         return out
@@ -105,7 +105,7 @@ def score_polynomial(X: ModulatedVector, Y: ModulatedVector) -> ScorePolynomial:
     """
     _check_compatible(X, Y)
     row = score_coefficients(X, Y.values[None])[0]
-    return ScorePolynomial(c0=float(row[0]), a=row[1 : X.n_freq + 1], b=row[X.n_freq + 1 :])
+    return ScorePolynomial(c0=float(row[0]), a=row[1::2], b=row[2::2])
 
 
 def max_score(poly: ScorePolynomial, samples: int = 64):
@@ -147,11 +147,12 @@ def _database(db_vectors, dim: int) -> np.ndarray:
 def score_coefficients(X: ModulatedVector, db_vectors) -> np.ndarray:
     """Score-polynomial coefficients of X against every database row.
 
-    Returns an (n_db, 2N+1) array whose row i is [c0, a_1..a_N, b_1..b_N]
-    of ``score_polynomial(X, row i)``. The constant blocks take one
-    product; every frequency of every row then takes the 2 x 2 products
-    of its (cos, sin) block pair with the query's in one batched matmul,
-    so a row costs 1 + 4N block products and the database is not copied.
+    Returns an (n_db, 2N+1) array whose row i is [c0, a_1, b_1, ..., a_N,
+    b_N] of ``score_polynomial(X, row i)``, in the order of ``harmonics``
+    and of the stored blocks. The constant blocks take one product; every
+    frequency of every row then takes the 2 x 2 products of its (cos, sin)
+    block pair with the query's in one batched matmul, so a row costs
+    1 + 4N block products and the database is not copied.
     """
     db = _database(db_vectors, X.dim)
     n_db, n_freq, q = db.shape[0], X.n_freq, X.blocks
@@ -161,8 +162,8 @@ def score_coefficients(X: ModulatedVector, db_vectors) -> np.ndarray:
     # p[i, n] = [[yc.qc, yc.qs], [ys.qc, ys.qs]] for row i, frequency n
     pairs = blocks[:, 1:].reshape(n_db, n_freq, 2, X.base_dim)
     p = pairs @ q[1:].reshape(n_freq, 2, X.base_dim).transpose(0, 2, 1)
-    np.add(p[..., 0, 0], p[..., 1, 1], out=out[:, 1 : n_freq + 1])
-    np.subtract(p[..., 0, 1], p[..., 1, 0], out=out[:, n_freq + 1 :])
+    np.add(p[..., 0, 0], p[..., 1, 1], out=out[:, 1::2])
+    np.subtract(p[..., 0, 1], p[..., 1, 0], out=out[:, 2::2])
     counter = _block_dot_counter.get()
     if counter is not None:
         counter.count += n_db + p.size

@@ -23,7 +23,6 @@ from covagg import (
     aggregate_rotations,
     angle_feature,
     angle_feature_batch,
-    block_order,
     fourier_coeffs,
     modulate,
     rotate_set,
@@ -32,7 +31,7 @@ from covagg import (
 )
 import covagg.aggregate as aggregate_module
 from covagg import oracle
-from covagg.aggregate import aggregate
+from covagg.aggregate import aggregate, rotated_rows
 from covagg.monomial import phi_monomial_batch
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
@@ -72,6 +71,13 @@ class TestModulate:
                            modulate(w, angle_feature(t2, coeffs))))
         rhs = float(np.dot(v, w)) * truncated_kernel(t1 - t2, coeffs)
         assert abs(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize("n_freq", [0, 1, 3])
+    def test_is_the_kronecker_product(self, rng, n_freq):
+        coeffs = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=n_freq))
+        v = rng.standard_normal(6)
+        a = angle_feature(0.8, coeffs)
+        assert np.array_equal(modulate(v, a), np.kron(a, v))
 
     def test_dim_80_n3_gives_560(self, rng):
         out = modulate(rng.standard_normal(80), angle_feature(0.4, K8_N3))
@@ -142,7 +148,7 @@ class TestAggregate:
         # 600 descriptors cross the AGGREGATE_CHUNK boundary
         emb = MonomialConfig(degree, 8)
         dset = random_set(rng, 600, 8)
-        feats = angle_feature_batch(dset.angles, K8_N3)[:, block_order(K8_N3.n_freq)]
+        feats = angle_feature_batch(dset.angles, K8_N3)
         dense = feats.T @ phi_monomial_batch(dset.descriptors, emb)
         assert np.max(np.abs(aggregate_raw_sum(dset, emb, K8_N3) - dense.ravel())) < 1e-12
 
@@ -192,6 +198,15 @@ class TestAggregate:
         for theta, vec in zip(thetas, multi):
             direct = aggregate(rotate_set(dset, theta), emb, K8_N3)
             assert np.max(np.abs(vec.values - direct.values)) < 1e-12
+
+    def test_rotations_are_the_rotated_rows(self, rng):
+        emb = MonomialConfig(2, 8)
+        dset = random_set(rng, 12, 8)
+        thetas = np.array([0.0, 0.9, -2.2, np.pi])
+        multi = aggregate_rotations(dset, emb, K8_N3, thetas)
+        rows = rotated_rows(aggregate(dset, emb, K8_N3), thetas)
+        assert [(vec.base_dim, vec.n_freq) for vec in multi] == [(emb.output_dim, 3)] * 4
+        assert np.array_equal(np.stack([vec.values for vec in multi]), rows)
 
     @pytest.mark.parametrize(
         "family",

@@ -169,8 +169,8 @@ class TestHarmonics:
         assert basis.shape == (2, 2, 2 * n_freq + 1)
         assert np.all(basis[..., 0] == 1.0)
         for n in range(1, n_freq + 1):
-            assert np.array_equal(basis[..., n], np.cos(n * thetas))
-            assert np.array_equal(basis[..., n_freq + n], np.sin(n * thetas))
+            assert np.array_equal(basis[..., 2 * n - 1], np.cos(n * thetas))
+            assert np.array_equal(basis[..., 2 * n], np.sin(n * thetas))
 
     @pytest.mark.parametrize("n_freq", [0, 1, 3])
     def test_scalar_gives_one_row(self, n_freq):
@@ -191,15 +191,16 @@ class TestAngleFeature:
         phases = wrap_angle(thetas)[:, None] * np.arange(1, n_freq + 1)[None, :]
         expected = np.empty((thetas.size, 2 * n_freq + 1))
         expected[:, 0] = root[0]
-        expected[:, 1 : n_freq + 1] = root[1:] * np.cos(phases)
-        expected[:, n_freq + 1 :] = root[1:] * np.sin(phases)
+        expected[:, 1::2] = root[1:] * np.cos(phases)
+        expected[:, 2::2] = root[1:] * np.sin(phases)
         assert np.array_equal(angle_feature_batch(thetas, coeffs), expected)
 
     def test_layout_at_zero(self):
         feat = angle_feature(0.0, K8_N3)
         root = np.sqrt(K8_N3.gamma)
-        assert feat[:4] == pytest.approx(root)
-        assert feat[4:] == pytest.approx(np.zeros(3), abs=0)
+        assert feat[0] == pytest.approx(root[0])
+        assert feat[1::2] == pytest.approx(root[1:])
+        assert feat[2::2] == pytest.approx(np.zeros(3), abs=0)
 
     @given(st.floats(-10.0, 10.0))
     def test_constant_squared_norm(self, theta):

@@ -16,6 +16,7 @@ from covagg import (
     write_vector_file,
 )
 from covagg.cli import main
+from covagg.fileio import VECTOR_MAGIC
 
 
 @pytest.fixture
@@ -38,6 +39,17 @@ def encode_args(corpus_dir, out, extra=()):
         "--family", "phi1", "--input-dim", "8", "--kappa", "8", "--nfreq", "3",
         "--power-law", "0.2", *extra,
     ]
+
+
+def edit_stored_config(path, **changes):
+    """Rewrite the config of a vector file in place, bypassing ``PipelineConfig``."""
+    data = path.read_bytes()
+    start = len(VECTOR_MAGIC) + 16
+    (length,) = struct.unpack_from("<I", data, start - 4)
+    config = json.dumps({**json.loads(data[start : start + length]), **changes}).encode()
+    path.write_bytes(
+        data[: start - 4] + struct.pack("<I", len(config)) + config + data[start + length :]
+    )
 
 
 def test_synth_layout(corpus_dir):
@@ -161,7 +173,8 @@ def test_covariant_query_matches_rotated_rows(corpus_dir, tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, stored",
     [
-        (["--cosine-power", "6"], {"angle_family": "von_mises", "cosine_power": None, "n_freq": 3}),
+        (["--kappa", "4", "--nfreq", "2"],
+         {"angle_family": "von_mises", "kappa": 4.0, "cosine_power": None, "n_freq": 2}),
         (["--angle-family", "cosine-power", "--cosine-power", "6", "--nfreq", "1"],
          {"angle_family": "cosine_power", "cosine_power": 6, "n_freq": 3}),
     ],
@@ -172,6 +185,24 @@ def test_stored_angle_config_is_canonical(corpus_dir, tmp_path, flags, stored):
                  "--input-dim", "8", *flags]) == 0
     config = read_vector_file(db).config.to_dict()
     assert {key: config[key] for key in stored} == stored
+
+
+@pytest.mark.parametrize("command", ["encode", "angle-kernel-dump", "sim-hist"])
+def test_cosine_power_without_its_family_is_3(corpus_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    query = str(sorted((corpus_dir / "queries").iterdir())[0])
+    argv = {
+        "encode": ["encode", str(corpus_dir / "database"), "--family", "phi1",
+                   "--input-dim", "8"],
+        "angle-kernel-dump": ["angle-kernel-dump"],
+        "sim-hist": ["sim-hist", "--a", query, "--b", query],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out), "--cosine-power", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cosine-power is read only with --angle-family cosine-power" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -477,7 +508,45 @@ class TestExitCodes:
         query = sorted((corpus_dir / "queries").iterdir())[0]
         code = main(["query", "--db", str(db), "--query-desc", str(query), "--rotations", "0"])
         assert code == 3
-        assert "n_rot" in capsys.readouterr().err
+        assert "--rotations must be a positive integer" in capsys.readouterr().err
+
+    def test_empty_query_file_is_3_and_named(self, corpus_dir, tmp_path, capsys):
+        from covagg import DescriptorSet
+        db = tmp_path / "db.cvv"
+        assert main(encode_args(corpus_dir, db)) == 0
+        empty = tmp_path / "empty.cvd"
+        write_descriptor_file(DescriptorSet(np.empty((0, 8)), np.empty(0)), empty)
+        capsys.readouterr()
+        assert main(["query", "--db", str(db), "--query-desc", str(empty)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{empty}: cannot encode an empty descriptor set" in captured.err
+
+    @pytest.mark.parametrize(
+        "changes, flags",
+        [({"kappa": -1.0}, ["--kappa", "-1"]),
+         ({"n_freq": -2}, ["--nfreq", "-2"]),
+         ({"angle_family": "bogus"}, None),
+         ({"power_law": 7.0}, ["--power-law", "7"])],
+        ids=["kappa", "n_freq", "angle_family", "power_law"],
+    )
+    def test_out_of_range_stored_config_is_2(self, corpus_dir, tmp_path, capsys, changes, flags):
+        db = tmp_path / "db.cvv"
+        assert main(encode_args(corpus_dir, db)) == 0
+        edit_stored_config(db, **changes)
+        query = sorted((corpus_dir / "queries").iterdir())[0]
+        capsys.readouterr()
+        assert main(["query", "--db", str(db), "--query-desc", str(query)]) == 2
+        assert f"{db}: bad pipeline config" in capsys.readouterr().err
+        if flags is None:
+            return
+        # encode refuses the same values before it reads any descriptor file
+        garbage = tmp_path / "garbage.cvd"
+        garbage.write_bytes(b"garbage!")
+        out = tmp_path / "o.cvv"
+        assert main(["encode", str(garbage), "--out", str(out), "--family", "phi1",
+                     "--input-dim", "8", *flags]) == 3
+        assert not out.exists()
 
     def test_layout_not_matching_config_is_2(self, tmp_path, capsys):
         db = tmp_path / "db.cvv"

@@ -24,7 +24,7 @@ from covagg import (
     rootsift_batch,
     rotate_set,
 )
-from covagg.aggregate import AGGREGATE_CHUNK, aggregate_raw_sum, block_order
+from covagg.aggregate import AGGREGATE_CHUNK, aggregate_raw_sum
 from covagg.codebooks import VARIANCE_FLOOR_FRACTION
 from covagg.descriptors import embed_weighted_sum
 
@@ -241,7 +241,7 @@ class TestCodebookWeightedSum:
         n = 2 * AGGREGATE_CHUNK + 5
         dset = DescriptorSet(unit_rows(rng, n, 6), rng.uniform(-3.1, 3.1, n))
         coeffs = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
-        feats = angle_feature_batch(dset.angles, coeffs)[:, block_order(3)]
+        feats = angle_feature_batch(dset.angles, coeffs)
         for emb in codebook_families(unit_rows(rng, 4, 6), np.full((4, 6), 0.1)):
             ref = (feats.T @ embed_batch(dset.descriptors, emb)).ravel()
             out = aggregate_raw_sum(dset, emb, coeffs)

@@ -269,11 +269,19 @@ class TestVectorFile:
             json.dumps({**CONFIG.to_dict(), "power_law": None, "adapted_power_law": True}).encode(),
             json.dumps({**CONFIG.to_dict(), "truncate": 0}).encode(),
             json.dumps({**CONFIG.to_dict(), "truncate": -3}).encode(),
+            json.dumps({**CONFIG.to_dict(), "kappa": -1.0}).encode(),
+            json.dumps({**CONFIG.to_dict(), "n_freq": -2}).encode(),
+            json.dumps({**CONFIG.to_dict(), "angle_family": "bogus"}).encode(),
+            json.dumps({**CONFIG.to_dict(), "angle_family": "cosine_power"}).encode(),
+            json.dumps({**CONFIG.to_dict(), "power_law": 7.0}).encode(),
+            json.dumps({**CONFIG.to_dict(), "power_law": 0.0}).encode(),
         ],
         ids=["malformed", "not-utf8", "not-an-object", "unknown-key", "missing-key",
              "str-for-float", "float-for-int", "int-for-bool", "int-for-path", "bad-family",
              "pca-reduce-key", "skip-power-law-key", "adapted-without-exponent",
-             "zero-truncate", "negative-truncate"],
+             "zero-truncate", "negative-truncate", "negative-kappa", "negative-n-freq",
+             "bad-angle-family", "cosine-power-without-power", "power-law-above-one",
+             "zero-power-law"],
     )
     def test_bad_config_rejected(self, tmp_path, config_json):
         path = tmp_path / "vecs.cvv"
@@ -284,8 +292,19 @@ class TestVectorFile:
             data[: VECTOR_HEADER - 4] + struct.pack("<I", len(config_json)) + config_json
             + data[VECTOR_HEADER + old_len :]
         )
-        with pytest.raises(FormatError, match=f"bad pipeline config at byte {VECTOR_HEADER}"):
+        with pytest.raises(FormatError) as exc:
             read_vector_file(path)
+        assert str(exc.value).startswith(f"{path}: bad pipeline config at byte {VECTOR_HEADER}")
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"kappa": -1.0}, {"n_freq": -2}, {"angle_family": "bogus"}, {"power_law": 7.0},
+         {"power_law": 7.0, "adapted_power_law": True}],
+        ids=["kappa", "n_freq", "angle_family", "power_law", "adapted_power_law"],
+    )
+    def test_out_of_range_config_is_refused_on_construction(self, changes):
+        with pytest.raises(ContractError):
+            PipelineConfig(**{**CONFIG.to_dict(), **changes})
 
 
 class TestModelFiles:

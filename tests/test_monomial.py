@@ -16,7 +16,7 @@ from covagg import (
     fourier_coeffs,
     monomial_output_dim,
 )
-from covagg.aggregate import AGGREGATE_CHUNK, aggregate, block_order
+from covagg.aggregate import AGGREGATE_CHUNK, aggregate
 from covagg.monomial import _phi3_plan, phi_monomial_batch, phi_monomial_weighted_sum
 
 
@@ -119,7 +119,7 @@ def test_phi3_aggregate_matches_dense_embedding(rng, n):
     config = MonomialConfig(3, 13)
     dset = DescriptorSet(unit_rows(rng, n, 13), rng.uniform(-3.1, 3.1, n))
     coeffs = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
-    feats = angle_feature_batch(dset.angles, coeffs)[:, block_order(3)]
+    feats = angle_feature_batch(dset.angles, coeffs)
     ref = (feats.T @ phi_monomial_batch(dset.descriptors, config)).ravel()
     out = aggregate(dset, config, coeffs).values
     assert np.max(np.abs(out - ref / np.linalg.norm(ref))) < 1e-12

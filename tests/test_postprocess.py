@@ -17,11 +17,10 @@ from covagg import (
     power_law,
     rn_apply,
     rn_train,
-    rotate_blocks,
     rotate_set,
     truncate_l2,
 )
-from covagg.aggregate import aggregate
+from covagg.aggregate import aggregate, rotated_rows
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 
@@ -129,8 +128,8 @@ class TestAdaptedPowerLaw:
         dset = random_set(rng, 12, 6)
         shift = 1.234
         lhs = adapted_power_law(aggregate(rotate_set(dset, shift), emb, K8_N3), 0.4)
-        rhs = rotate_blocks(adapted_power_law(aggregate(dset, emb, K8_N3), 0.4), shift)
-        assert np.max(np.abs(lhs.values - rhs.values)) < 1e-9
+        rhs = rotated_rows(adapted_power_law(aggregate(dset, emb, K8_N3), 0.4), shift)[0]
+        assert np.max(np.abs(lhs.values - rhs)) < 1e-9
 
 
 class TestRn:

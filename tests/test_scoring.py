@@ -20,7 +20,6 @@ from covagg import (
     fourier_coeffs,
     max_score,
     query_multi_rotation,
-    rotate_blocks,
     rotate_set,
     score_coefficients,
     score_cosine,
@@ -28,7 +27,7 @@ from covagg import (
     wrap_angle,
 )
 from covagg import oracle
-from covagg.aggregate import aggregate
+from covagg.aggregate import aggregate, rotated_rows
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 EMB8 = MonomialConfig(1, 8)
@@ -108,8 +107,10 @@ class TestScorePolynomial:
         X = aggregate(random_set(rng, 10, 8, "x"), EMB8, K8_N3)
         Y = aggregate(random_set(rng, 10, 8, "y"), EMB8, K8_N3)
         poly = score_polynomial(X, Y)
-        for theta in np.linspace(-np.pi, np.pi, 32):
-            assert abs(poly.evaluate(theta) - score_cosine(rotate_blocks(X, theta), Y)) < 1e-10
+        thetas = np.linspace(-np.pi, np.pi, 32)
+        rotated = [ModulatedVector(row, X.base_dim, X.n_freq) for row in rotated_rows(X, thetas)]
+        for theta, rot in zip(thetas, rotated):
+            assert abs(poly.evaluate(theta) - score_cosine(rot, Y)) < 1e-10
 
     def test_angle_shift_translates_polynomial(self, rng):
         xs = random_set(rng, 10, 8, "x")
@@ -210,13 +211,14 @@ class TestScoreCoefficients:
         for row, values in zip(rows, db):
             Y = ModulatedVector(values, dim, n_freq)
             poly = score_polynomial(X, Y)
-            assert np.max(np.abs(row - np.concatenate([[poly.c0], poly.a, poly.b]))) < 1e-12
+            # [c0, a_1, b_1, ..., a_N, b_N], the order of harmonics
+            interleaved = np.concatenate([[poly.c0], np.column_stack([poly.a, poly.b]).ravel()])
+            assert np.max(np.abs(row - interleaved)) < 1e-12
             # reference: the 1 + 4N block products one at a time
-            pairs = [(X.block_cos(n), X.block_sin(n), Y.block_cos(n), Y.block_sin(n))
-                     for n in range(1, n_freq + 1)]
             expected = [np.dot(X.blocks[0], Y.blocks[0])]
-            expected += [np.dot(xc, yc) + np.dot(xs, ys) for xc, xs, yc, ys in pairs]
-            expected += [np.dot(xs, yc) - np.dot(xc, ys) for xc, xs, yc, ys in pairs]
+            for n in range(1, n_freq + 1):
+                xc, xs, yc, ys = X.block_cos(n), X.block_sin(n), Y.block_cos(n), Y.block_sin(n)
+                expected += [np.dot(xc, yc) + np.dot(xs, ys), np.dot(xs, yc) - np.dot(xc, ys)]
             assert np.max(np.abs(row - expected)) < 1e-12
 
 
