@@ -78,10 +78,7 @@ def _load_training_matrix(args) -> np.ndarray:
         raise ContractError("training files contain no descriptors")
     data = np.vstack(blocks)
     if getattr(args, "pca", None):
-        pca = fileio.load_model(args.pca)
-        if not isinstance(pca, PcaModel):
-            raise ContractError(f"{args.pca} does not hold a pca model")
-        data = preprocess_batch(data, pca)
+        data = preprocess_batch(data, fileio.load_model(args.pca, PcaModel))
     if args.sample is not None and args.sample < data.shape[0]:
         rng = np.random.default_rng(args.seed)
         keep = rng.choice(data.shape[0], size=args.sample, replace=False)
@@ -137,8 +134,8 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _add_angle_flags(parser):
-    parser.add_argument("--kappa", type=float, default=8.0)
-    parser.add_argument("--nfreq", type=int, default=3)
+    parser.add_argument("--kappa", type=float, default=None, help="von Mises only (default 8)")
+    parser.add_argument("--nfreq", type=int, default=None, help="von Mises only (default 3)")
     parser.add_argument(
         "--angle-family", choices=("von-mises", "cosine-power"), default="von-mises"
     )
@@ -146,11 +143,17 @@ def _add_angle_flags(parser):
 
 
 def _angle_map_config(args) -> AngleMapConfig:
-    if args.cosine_power is not None and args.angle_family != "cosine-power":
-        raise ContractError("--cosine-power is read only with --angle-family cosine-power")
+    """The angle kernel of the flags; a flag the kernel does not read is refused."""
+    if args.angle_family == "cosine-power":
+        unread, owner = {"--kappa": args.kappa, "--nfreq": args.nfreq}, "von-mises"
+    else:
+        unread, owner = {"--cosine-power": args.cosine_power}, "cosine-power"
+    for flag, value in unread.items():
+        if value is not None:
+            raise ContractError(f"{flag} is read only with --angle-family {owner}")
     return AngleMapConfig(
-        kappa=args.kappa,
-        n_freq=args.nfreq,
+        kappa=8.0 if args.kappa is None else args.kappa,
+        n_freq=3 if args.nfreq is None else args.nfreq,
         family=args.angle_family.replace("-", "_"),
         power=args.cosine_power,
     )
@@ -314,7 +317,7 @@ def cmd_angle_kernel_dump(args) -> int:
         raise ContractError("grid must have at least 2 points")
     deltas = np.linspace(-np.pi, np.pi, args.grid)
     if config.family == VON_MISES:
-        target = vm_kernel(deltas, args.kappa)
+        target = vm_kernel(deltas, config.kappa)
     else:
         target = np.cos(deltas / 2.0) ** config.power
     approx = truncated_kernel(deltas, coeffs)

@@ -20,13 +20,18 @@ Layouts:
   record ``dim`` descriptor components followed by one angle in radians.
   Flag bit 0 marks raw (histogram) descriptors that still need
   square-root normalization.
-* model file (magic ``CVAGMDL1``): a 4-byte kind tag, a dimension list,
-  then the model arrays row-major. Kinds: ``PCA\\0`` (mean, basis,
-  eigenvalues), ``KMN\\0`` (centroids), ``GMM\\0`` (weights, means,
-  variances), ``RNM\\0`` (exponent, eigenvalues, rotation).
+* model file (magic ``CVAGMDL1``): a 4-byte kind tag, a dimension list
+  of two, then the model arrays row-major. Kinds: ``PCA\\0`` (mean,
+  basis, eigenvalues), ``KMN\\0`` (centroids), ``GMM\\0`` (weights,
+  means, variances), ``RNM\\0`` (exponent, eigenvalues, rotation).
+  ``load_model(path, kind)`` is the one place a model file becomes a
+  model: it returns the class ``kind`` or refuses a file of another
+  kind, and a model that fails its own checks is a format error that
+  names the file.
 * vector file (magic ``CVAGVEC2``): count, base dim, frequency count,
   the length-prefixed canonical JSON of the ``PipelineConfig`` that
-  encoded the vectors, ``count`` length-prefixed UTF-8 image ids, then
+  encoded the vectors (a config that ``PipelineConfig`` refuses is a
+  format error), ``count`` length-prefixed UTF-8 image ids, then
   all vectors as one row-major ``count x base_dim * (2 * n_freq + 1)``
   matrix. Vectors whose block structure was destroyed (e.g. by
   truncation) are stored with the plain length as base dim and a
@@ -36,6 +41,7 @@ Layouts:
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -57,11 +63,6 @@ MODEL_MAGIC = b"CVAGMDL1"
 VECTOR_MAGIC = b"CVAGVEC2"
 
 DESC_FLAG_RAW = 0x1
-
-_KIND_PCA = b"PCA\x00"
-_KIND_KMEANS = b"KMN\x00"
-_KIND_GMM = b"GMM\x00"
-_KIND_RN = b"RNM\x00"
 
 # Bytes of payload per read of a real-valued table; read at call time.
 READ_CHUNK = 4 << 20
@@ -277,77 +278,61 @@ def read_vector_file(path) -> VectorStore:
         )
 
 
-def _pack_dims(*dims: int) -> bytes:
-    return struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+# model class: (name, kind tag, its two stored dims, array name -> shape given those dims)
+_MODEL_FORMATS = {
+    PcaModel: ("pca", b"PCA\x00", lambda m: (m.out_dim, m.input_dim),
+               lambda out, d: {"mean": (d,), "basis": (out, d), "eigenvalues": (out,)}),
+    CodebookModel: ("codebook", b"KMN\x00", lambda m: (m.k, m.dim),
+                    lambda k, d: {"centroids": (k, d)}),
+    GmmModel: ("gmm", b"GMM\x00", lambda m: (m.k, m.dim),
+               lambda k, d: {"weights": (k,), "means": (k, d), "variances": (k, d)}),
+    RnModel: ("rn", b"RNM\x00", lambda m: (m.dim, int(m.whiten)),
+              lambda dim, _: {"exponent": (), "eigenvalues": (dim,), "rotation": (dim, dim)}),
+}
 
 
 def save_model(path, model):
-    """Serialize a trained model (PCA, codebook, GMM or RN)."""
-    if isinstance(model, PcaModel):
-        body = _pack_dims(model.out_dim, model.input_dim)
-        arrays = [model.mean, model.basis, model.eigenvalues]
-        kind = _KIND_PCA
-    elif isinstance(model, CodebookModel):
-        body = _pack_dims(model.k, model.dim)
-        arrays = [model.centroids]
-        kind = _KIND_KMEANS
-    elif isinstance(model, GmmModel):
-        body = _pack_dims(model.k, model.dim)
-        arrays = [model.weights, model.means, model.variances]
-        kind = _KIND_GMM
-    elif isinstance(model, RnModel):
-        if model.rotation.shape[0] != model.dim:
-            raise ContractError("only a square rn model can be saved, not a row slice")
-        body = _pack_dims(model.dim, 1 if model.whiten else 0)
-        eig = model.eigenvalues if model.eigenvalues is not None else np.zeros(model.dim)
-        arrays = [np.asarray([model.exponent]), eig, model.rotation]
-        kind = _KIND_RN
-    else:
+    """Serialize a trained model (PCA, codebook, GMM or RN); absent arrays are stored as zeros."""
+    if type(model) not in _MODEL_FORMATS:
         raise ContractError(f"cannot serialize model of type {type(model).__name__}")
+    if isinstance(model, RnModel) and model.rotation.shape[0] != model.dim:
+        raise ContractError("only a square rn model can be saved, not a row slice")
+    _, tag, dims_of, layout = _MODEL_FORMATS[type(model)]
+    dims = dims_of(model)
+    arrays = [
+        np.zeros(shape) if getattr(model, name) is None else getattr(model, name)
+        for name, shape in layout(*dims).items()
+    ]
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
-    atomic_write_bytes(path, MODEL_MAGIC + kind + body + payload)
+    atomic_write_bytes(path, MODEL_MAGIC + tag + struct.pack("<3I", 2, *dims) + payload)
 
 
-def load_model(path):
+def load_model(path, kind):
+    """The model of class ``kind`` stored at ``path``.
+
+    ``kind`` is ``PcaModel``, ``CodebookModel``, ``GmmModel`` or
+    ``RnModel``. A file of another kind is a ContractError; a file whose
+    arrays fail the model's own checks is a FormatError naming the path.
+    """
+    name, own_tag, _, layout = _MODEL_FORMATS[kind]
     with _open_checked(path, MODEL_MAGIC) as reader:
-        kind = reader.take(4, "model kind")
+        tag = reader.take(4, "model kind")
+        if tag not in {fmt[1] for fmt in _MODEL_FORMATS.values()}:
+            raise FormatError(f"{path}: unknown model kind {tag!r} at byte {len(MODEL_MAGIC)}")
+        if tag != own_tag:
+            raise ContractError(f"{path} does not hold a {name} model")
         n_dims = reader.u32("dimension count")
-        dims = [reader.u32(f"dimension {i}") for i in range(n_dims)]
-        if kind == _KIND_PCA:
-            if n_dims != 2:
-                raise FormatError(f"{path}: pca model needs 2 dims, got {n_dims}")
-            out_dim, in_dim = dims
-            mean = reader.reals(in_dim, "<f8", "mean")
-            basis = reader.reals(out_dim * in_dim, "<f8", "basis").reshape(out_dim, in_dim)
-            eig = reader.reals(out_dim, "<f8", "eigenvalues")
-            reader.expect_end()
-            return PcaModel(mean=mean, basis=basis, eigenvalues=eig)
-        if kind == _KIND_KMEANS:
-            if n_dims != 2:
-                raise FormatError(f"{path}: codebook model needs 2 dims, got {n_dims}")
-            k, d = dims
-            cents = reader.reals(k * d, "<f8", "centroids").reshape(k, d)
-            reader.expect_end()
-            return CodebookModel(centroids=cents)
-        if kind == _KIND_GMM:
-            if n_dims != 2:
-                raise FormatError(f"{path}: gmm model needs 2 dims, got {n_dims}")
-            k, d = dims
-            weights = reader.reals(k, "<f8", "weights")
-            means = reader.reals(k * d, "<f8", "means").reshape(k, d)
-            variances = reader.reals(k * d, "<f8", "variances").reshape(k, d)
-            reader.expect_end()
-            return GmmModel(weights=weights, means=means, variances=variances)
-        if kind == _KIND_RN:
-            if n_dims != 2:
-                raise FormatError(f"{path}: rn model needs 2 dims, got {n_dims}")
-            dim, whiten = dims
-            exponent = float(reader.reals(1, "<f8", "exponent")[0])
-            eig = reader.reals(dim, "<f8", "eigenvalues")
-            rotation = reader.reals(dim * dim, "<f8", "rotation").reshape(dim, dim)
-            reader.expect_end()
-            return RnModel(
-                rotation=rotation, exponent=exponent, whiten=bool(whiten), eigenvalues=eig
-            )
-        raise FormatError(f"{path}: unknown model kind {kind!r} at byte {len(MODEL_MAGIC)}")
-
+        if n_dims != 2:
+            raise FormatError(f"{path}: {name} model needs 2 dims, got {n_dims}")
+        dims = reader.u32("dimension 0"), reader.u32("dimension 1")
+        arrays = {
+            field: reader.reals(math.prod(shape), "<f8", field).reshape(shape)
+            for field, shape in layout(*dims).items()
+        }
+        reader.expect_end()
+    if kind is RnModel:
+        arrays.update(exponent=float(arrays["exponent"]), whiten=bool(dims[1]))
+    try:
+        return kind(**arrays)
+    except ContractError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

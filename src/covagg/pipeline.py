@@ -3,7 +3,9 @@
 A ``Pipeline`` bundles everything needed to turn a descriptor set into a
 database-ready vector. ``PipelineConfig`` is its serializable
 counterpart: plain parameters plus model file paths, as stored in the
-header of every vector file.
+header of every vector file. A config is complete and canonical or it is
+not constructed, so ``PipelineConfig.build`` only loads the models and
+checks the dimensions that need them.
 """
 
 from __future__ import annotations
@@ -165,8 +167,10 @@ class PipelineConfig:
 
     Every field is a resolved decision: ``power_law`` is the exponent
     (``None``: no power law), and a PCA model's ``out_dim`` is the
-    dimension the embedding receives. Fields the family never reads are
-    refused rather than stored.
+    dimension the embedding receives. A config the pipeline cannot run
+    exactly as recorded is refused: each model path and ``input_dim`` is
+    set exactly when the family reads it, and ``n_freq`` and
+    ``cosine_power`` are the values the angle kernel runs.
     """
 
     family: str
@@ -186,17 +190,23 @@ class PipelineConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ContractError(f"unknown coding family {self.family!r}; choose from {FAMILIES}")
-        if self.codebook_path is not None and self.family != "vlad":
-            raise ContractError(f"{self.family} reads no codebook model; only vlad does")
-        if self.gmm_path is not None and self.family != "fisher":
-            raise ContractError(f"{self.family} reads no gmm model; only fisher does")
-        if self.input_dim is not None and (
-            self.pca_path is not None or self.family not in MONOMIAL_DEGREES
-        ):
+        reads = {
+            "codebook_path": (self.family == "vlad", "only by vlad"),
+            "gmm_path": (self.family == "fisher", "only by fisher"),
+            "input_dim": (self.family in MONOMIAL_DEGREES and self.pca_path is None,
+                          "only by monomial families without a pca model"),
+        }
+        for name, (read, readers) in reads.items():
+            if (getattr(self, name) is not None) != read:
+                raise ContractError(
+                    f"{self.family} {'needs' if read else 'reads no'} {name}; it is read {readers}"
+                )
+        amap = self.angle_map()
+        if (self.n_freq, self.cosine_power) != (amap.n_freq, amap.power):
             raise ContractError(
-                "input_dim is read only by monomial families without a pca model"
+                f"the {self.angle_family} kernel runs n_freq={amap.n_freq} and "
+                f"cosine_power={amap.power}, not {self.n_freq} and {self.cosine_power}"
             )
-        self.angle_map()
         if self.power_law is not None:
             _check_exponent(self.power_law)
         elif self.adapted_power_law:
@@ -228,57 +238,32 @@ class PipelineConfig:
         return cls(**data)
 
     def build(self) -> Pipeline:
-        """Load referenced models and validate dims."""
+        """Load the referenced models and check the dims that need them."""
         from .fileio import load_model  # deferred to keep module imports acyclic
 
-        pca = None
-        if self.pca_path is not None:
-            pca = load_model(self.pca_path)
-            if not isinstance(pca, PcaModel):
-                raise ContractError(f"{self.pca_path} does not hold a pca model")
-
+        pca = None if self.pca_path is None else load_model(self.pca_path, PcaModel)
         if self.family in MONOMIAL_DEGREES:
-            if pca is not None:
-                dim = pca.out_dim
-            elif self.input_dim is not None:
-                dim = int(self.input_dim)
-            else:
-                raise ContractError(
-                    "monomial families need either a pca model or an explicit input_dim"
-                )
             embedding: EmbeddingConfig = MonomialConfig(
-                degree=MONOMIAL_DEGREES[self.family], input_dim=dim
+                degree=MONOMIAL_DEGREES[self.family],
+                input_dim=pca.out_dim if pca is not None else int(self.input_dim),
             )
         elif self.family == "vlad":
-            if self.codebook_path is None:
-                raise ContractError("vlad needs a codebook model")
-            codebook = load_model(self.codebook_path)
-            if not isinstance(codebook, CodebookModel):
-                raise ContractError(f"{self.codebook_path} does not hold a codebook model")
-            embedding = VladEmbedding(codebook=codebook)
+            embedding = VladEmbedding(codebook=load_model(self.codebook_path, CodebookModel))
         else:
-            if self.gmm_path is None:
-                raise ContractError("fisher needs a gmm model")
-            gmm = load_model(self.gmm_path)
-            if not isinstance(gmm, GmmModel):
-                raise ContractError(f"{self.gmm_path} does not hold a gmm model")
-            embedding = FisherEmbedding(gmm=gmm)
+            embedding = FisherEmbedding(gmm=load_model(self.gmm_path, GmmModel))
 
-        if pca is not None and not isinstance(embedding, MonomialConfig):
-            if embedding.input_dim != pca.out_dim:
-                raise ContractError(
-                    f"pca produces {pca.out_dim}-dim descriptors but the "
-                    f"{self.family} model expects {embedding.input_dim}"
-                )
+        if pca is not None and embedding.input_dim != pca.out_dim:
+            raise ContractError(
+                f"pca produces {pca.out_dim}-dim descriptors but the "
+                f"{self.family} model expects {embedding.input_dim}"
+            )
 
         coeffs = fourier_coeffs(self.angle_map())
 
         encoded_dim = embedding.output_dim * (2 * coeffs.n_freq + 1)
         rn = None
         if self.rn_path is not None:
-            rn = load_model(self.rn_path)
-            if not isinstance(rn, RnModel):
-                raise ContractError(f"{self.rn_path} does not hold an rn model")
+            rn = load_model(self.rn_path, RnModel)
             if rn.dim != encoded_dim:
                 raise ContractError(
                     f"rn model dim {rn.dim} does not match encoded dim {encoded_dim}"

@@ -7,16 +7,19 @@ import pytest
 
 from conftest import random_set
 from covagg import (
+    GmmModel,
     PipelineConfig,
+    pca_train,
     query_multi_rotation,
     read_descriptor_file,
     read_vector_file,
+    save_model,
     wrap_angle,
     write_descriptor_file,
     write_vector_file,
 )
 from covagg.cli import main
-from covagg.fileio import VECTOR_MAGIC
+from covagg.fileio import MODEL_MAGIC, VECTOR_MAGIC
 
 
 @pytest.fixture
@@ -31,6 +34,10 @@ def corpus_dir(tmp_path):
     )
     assert code == 0
     return tmp_path / "corpus"
+
+
+# magic, kind tag, then u32 dimension count and two dims
+MODEL_HEADER = len(MODEL_MAGIC) + 4 + 12
 
 
 def encode_args(corpus_dir, out, extra=()):
@@ -175,7 +182,7 @@ def test_covariant_query_matches_rotated_rows(corpus_dir, tmp_path, capsys):
     [
         (["--kappa", "4", "--nfreq", "2"],
          {"angle_family": "von_mises", "kappa": 4.0, "cosine_power": None, "n_freq": 2}),
-        (["--angle-family", "cosine-power", "--cosine-power", "6", "--nfreq", "1"],
+        (["--angle-family", "cosine-power", "--cosine-power", "6"],
          {"angle_family": "cosine_power", "cosine_power": 6, "n_freq": 3}),
     ],
 )
@@ -187,21 +194,41 @@ def test_stored_angle_config_is_canonical(corpus_dir, tmp_path, flags, stored):
     assert {key: config[key] for key in stored} == stored
 
 
-@pytest.mark.parametrize("command", ["encode", "angle-kernel-dump", "sim-hist"])
-def test_cosine_power_without_its_family_is_3(corpus_dir, tmp_path, capsys, command):
-    out = tmp_path / "out"
+def angle_command(corpus_dir, command):
+    """Arguments of ``command`` short of its angle flags and ``--out``."""
     query = str(sorted((corpus_dir / "queries").iterdir())[0])
-    argv = {
+    return {
         "encode": ["encode", str(corpus_dir / "database"), "--family", "phi1",
                    "--input-dim", "8"],
         "angle-kernel-dump": ["angle-kernel-dump"],
         "sim-hist": ["sim-hist", "--a", query, "--b", query],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["encode", "angle-kernel-dump", "sim-hist"])
+def test_cosine_power_without_its_family_is_3(corpus_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = angle_command(corpus_dir, command)
     capsys.readouterr()
     assert main([*argv, "--out", str(out), "--cosine-power", "8"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--cosine-power is read only with --angle-family cosine-power" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--nfreq", "1"), ("--kappa", "4")])
+@pytest.mark.parametrize("command", ["encode", "angle-kernel-dump", "sim-hist"])
+def test_von_mises_flag_with_cosine_power_is_3(corpus_dir, tmp_path, capsys, command, flag,
+                                                value):
+    out = tmp_path / "out"
+    argv = angle_command(corpus_dir, command)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out), "--angle-family", "cosine-power",
+                 "--cosine-power", "6", flag, value]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} is read only with --angle-family von-mises" in captured.err
     assert not out.exists()
 
 
@@ -527,8 +554,13 @@ class TestExitCodes:
         [({"kappa": -1.0}, ["--kappa", "-1"]),
          ({"n_freq": -2}, ["--nfreq", "-2"]),
          ({"angle_family": "bogus"}, None),
-         ({"power_law": 7.0}, ["--power-law", "7"])],
-        ids=["kappa", "n_freq", "angle_family", "power_law"],
+         ({"power_law": 7.0}, ["--power-law", "7"]),
+         ({"family": "fisher", "input_dim": None}, None),
+         ({"angle_family": "cosine_power", "cosine_power": 6, "n_freq": 1},
+          ["--angle-family", "cosine-power", "--cosine-power", "6", "--nfreq", "1"]),
+         ({"cosine_power": 6}, ["--cosine-power", "6"])],
+        ids=["kappa", "n_freq", "angle_family", "power_law", "fisher-without-gmm",
+             "n_freq-under-cosine-power", "cosine_power-under-von-mises"],
     )
     def test_out_of_range_stored_config_is_2(self, corpus_dir, tmp_path, capsys, changes, flags):
         db = tmp_path / "db.cvv"
@@ -569,6 +601,29 @@ class TestExitCodes:
         assert code == 3
         assert "does not hold a pca model" in capsys.readouterr().err
         assert not (tmp_path / "out.cvm").exists()
+
+    @pytest.mark.parametrize(
+        "family, flag, model, offset, message",
+        [("phi1", "--pca", pca_train(np.random.default_rng(0).standard_normal((40, 8)), 4),
+          MODEL_HEADER + 8 * 8, "pca basis rows are not orthonormal"),
+         ("fisher", "--gmm", GmmModel(np.array([0.25, 0.75]), np.eye(2, 8), np.ones((2, 8))),
+          MODEL_HEADER, "gmm weights must be positive and sum to 1")],
+        ids=["pca-basis", "gmm-weights"],
+    )
+    def test_model_failing_its_checks_is_2_and_named(self, corpus_dir, tmp_path, capsys, family,
+                                                     flag, model, offset, message):
+        # one stored real edited: the pca basis follows the 8-real mean
+        path = tmp_path / "bad.cvm"
+        save_model(path, model)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 8] = struct.pack("<d", 0.5)
+        path.write_bytes(bytes(data))
+        out = tmp_path / "o.cvv"
+        capsys.readouterr()
+        assert main(["encode", str(corpus_dir / "database"), "--out", str(out),
+                     "--family", family, flag, str(path)]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sample", ["-5", "0"])
     def test_non_positive_sample_is_3(self, corpus_dir, tmp_path, capsys, sample):
@@ -688,6 +743,19 @@ class TestExitCodes:
                      "--gt", str(corpus_dir / "groundtruth.txt")])
         assert code == 3
         assert f"{query}: cannot encode an empty descriptor set" in capsys.readouterr().err
+
+    def test_query_without_ground_truth_is_3_and_named(self, corpus_dir, tmp_path, capsys):
+        db = tmp_path / "db.cvv"
+        assert main(encode_args(corpus_dir, db)) == 0
+        stranger = tmp_path / "stranger.cvd"
+        write_descriptor_file(random_set(np.random.default_rng(0), 4, 8), stranger)
+        capsys.readouterr()
+        code = main(["evaluate", "--db", str(db), "--queries", str(stranger),
+                     "--gt", str(corpus_dir / "groundtruth.txt")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{stranger}: no ground-truth entry for query 'stranger'" in captured.err
 
     def test_evaluate_zero_rotations_is_3(self, corpus_dir, tmp_path, capsys):
         db = tmp_path / "db.cvv"

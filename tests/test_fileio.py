@@ -16,6 +16,7 @@ from covagg import (
     DescriptorSet,
     FormatError,
     GmmModel,
+    PcaModel,
     PipelineConfig,
     RnModel,
     fourier_coeffs,
@@ -33,12 +34,14 @@ from covagg import (
 import covagg.fileio as fileio_module
 from covagg.angle_map import SIM_HIST_HEADER
 from covagg.cli import main
-from covagg.fileio import DESCRIPTOR_MAGIC, VECTOR_MAGIC
+from covagg.fileio import DESCRIPTOR_MAGIC, MODEL_MAGIC, VECTOR_MAGIC
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 CONFIG = PipelineConfig(family="phi1", input_dim=8, power_law=0.2)
 # magic, then u32 count, base_dim, n_freq and config length
 VECTOR_HEADER = len(VECTOR_MAGIC) + 16
+# magic, kind tag, then u32 dimension count and two dims
+MODEL_HEADER = len(MODEL_MAGIC) + 4 + 12
 
 
 class TestDescriptorFile:
@@ -105,6 +108,16 @@ class TestDescriptorFile:
         write_descriptor_file(dset, tmp_path / "a.cvd")
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp")]
         assert leftovers == []
+
+
+def test_failed_atomic_write_is_reraised_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"before")
+    # the second part is not bytes-like, so the write fails after the first
+    with pytest.raises(TypeError):
+        fileio_module.atomic_write_bytes(path, b"first part", object())
+    assert path.read_bytes() == b"before"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 class TestVectorFile:
@@ -312,7 +325,7 @@ class TestModelFiles:
         model = pca_train(rng.standard_normal((50, 8)), 5)
         path = tmp_path / "pca.cvm"
         save_model(path, model)
-        loaded = load_model(path)
+        loaded = load_model(path, PcaModel)
         assert np.array_equal(loaded.mean, model.mean)
         assert np.array_equal(loaded.basis, model.basis)
         assert np.array_equal(loaded.eigenvalues, model.eigenvalues)
@@ -321,14 +334,14 @@ class TestModelFiles:
         model = CodebookModel(rng.standard_normal((6, 4)))
         path = tmp_path / "km.cvm"
         save_model(path, model)
-        assert np.array_equal(load_model(path).centroids, model.centroids)
+        assert np.array_equal(load_model(path, CodebookModel).centroids, model.centroids)
 
     def test_gmm_round_trip(self, rng, tmp_path):
         weights = np.array([0.25, 0.75])
         model = GmmModel(weights, rng.standard_normal((2, 3)), np.ones((2, 3)))
         path = tmp_path / "gmm.cvm"
         save_model(path, model)
-        loaded = load_model(path)
+        loaded = load_model(path, GmmModel)
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.means, model.means)
         assert np.array_equal(loaded.variances, model.variances)
@@ -337,7 +350,7 @@ class TestModelFiles:
         model = rn_train(rng.standard_normal((30, 6)), exponent=0.5)
         path = tmp_path / "rn.cvm"
         save_model(path, model)
-        loaded = load_model(path)
+        loaded = load_model(path, RnModel)
         assert isinstance(loaded, RnModel)
         assert np.array_equal(loaded.rotation, model.rotation)
         assert loaded.exponent == model.exponent
@@ -346,18 +359,46 @@ class TestModelFiles:
     @pytest.mark.parametrize("kind", ["pca", "codebook", "gmm", "rn"])
     def test_non_finite_value_reports_offset(self, rng, tmp_path, kind):
         path = tmp_path / f"{kind}.cvm"
-        save_model(path, _small_model(kind, rng))
+        model = _small_model(kind, rng)
+        save_model(path, model)
         data = bytearray(path.read_bytes())
         data[-8:] = struct.pack("<d", np.nan)
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"non-finite .* value at byte {len(data) - 8}"):
-            load_model(path)
+            load_model(path, type(model))
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "mystery.cvm"
         path.write_bytes(b"CVAGMDL1" + b"XYZ\x00" + struct.pack("<I", 0))
         with pytest.raises(FormatError, match="unknown model kind"):
-            load_model(path)
+            load_model(path, PcaModel)
+
+    @pytest.mark.parametrize("stored, kind", [("codebook", PcaModel), ("pca", GmmModel),
+                                              ("gmm", RnModel), ("rn", CodebookModel)])
+    def test_other_kind_is_refused(self, rng, tmp_path, stored, kind):
+        path = tmp_path / f"{stored}.cvm"
+        save_model(path, _small_model(stored, rng))
+        name = {PcaModel: "pca", GmmModel: "gmm", RnModel: "rn", CodebookModel: "codebook"}[kind]
+        with pytest.raises(ContractError, match=re.escape(f"{path} does not hold a {name} model")):
+            load_model(path, kind)
+
+    @pytest.mark.parametrize(
+        "kind, offset, value, message",
+        [("pca", MODEL_HEADER + 4 * 8, 0.5, "pca basis rows are not orthonormal"),
+         ("gmm", MODEL_HEADER, 0.3, "gmm weights must be positive and sum to 1")],
+        ids=["pca-basis", "gmm-weights"],
+    )
+    def test_model_failing_its_checks_names_the_path(self, rng, tmp_path, kind, offset, value,
+                                                     message):
+        # the pca model maps 4 to 3 dims, so its basis follows a 4-real mean
+        path = tmp_path / f"{kind}.cvm"
+        model = _small_model(kind, rng)
+        save_model(path, model)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            load_model(path, type(model))
 
 
 class TestSimilarityHistogram:
@@ -481,8 +522,9 @@ class TestParsersNeverCrash:
     @given(data=st.data())
     def test_model_file(self, tmp_path, kind, data):
         path = tmp_path / "fuzz.cvm"
-        save_model(path, _small_model(kind, np.random.default_rng(0)))
-        self.check(path, path.read_bytes(), load_model, data)
+        model = _small_model(kind, np.random.default_rng(0))
+        save_model(path, model)
+        self.check(path, path.read_bytes(), lambda p: load_model(p, type(model)), data)
 
     @FUZZ
     @given(data=st.data())

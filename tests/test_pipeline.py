@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -46,15 +47,36 @@ def test_config_refuses_fields_its_family_never_reads(fields, message):
 
 
 @pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"family": "vlad"}, "vlad needs codebook_path"),
+        ({"family": "fisher", "pca_path": "p.cvm"}, "fisher needs gmm_path"),
+        ({"family": "phi2"}, "phi2 needs input_dim"),
+        ({"family": "phi1", "input_dim": 8, "cosine_power": 6},
+         "the von_mises kernel runs n_freq=3 and cosine_power=None, not 3 and 6"),
+        ({"family": "phi1", "input_dim": 8, "angle_family": "cosine_power", "cosine_power": 6,
+          "n_freq": 1}, "the cosine_power kernel runs n_freq=3 and cosine_power=6, not 1 and 6"),
+    ],
+    ids=["vlad-without-codebook", "fisher-without-gmm", "phi2-without-input-dim",
+         "cosine-power-under-von-mises", "n-freq-under-cosine-power"],
+)
+def test_config_refuses_what_it_cannot_run_as_recorded(fields, message):
+    with pytest.raises(ContractError, match=re.escape(message)):
+        PipelineConfig(**fields)
+
+
+@pytest.mark.parametrize(
     "fields",
     [
         {"family": "phi3", "input_dim": 32, "power_law": 0.2, "adapted_power_law": True},
         {"family": "phi2", "pca_path": "p.cvm", "power_law": None},
+        {"family": "phi1", "input_dim": 8, "angle_family": "cosine_power", "cosine_power": 6,
+         "n_freq": 3},
         {"family": "vlad", "pca_path": "p.cvm", "codebook_path": "k.cvm", "power_law": 0.4},
         {"family": "fisher", "pca_path": "p.cvm", "gmm_path": "g.cvm", "rn_path": "r.cvm",
          "power_law": 0.4, "truncate": 512},
     ],
-    ids=["phi3-input-dim", "phi2-pca", "vlad", "fisher-rn"],
+    ids=["phi3-input-dim", "phi2-pca", "cosine-power", "vlad", "fisher-rn"],
 )
 def test_config_accepts_the_fields_its_family_reads(fields):
     assert PipelineConfig.from_dict(PipelineConfig(**fields).to_dict()) == PipelineConfig(**fields)
@@ -111,7 +133,7 @@ class TestRnRowSlice:
     def test_matches_truncating_the_full_model(self, rng, models, kind):
         gmm_path, rn_paths = models
         pipe = self.config(gmm_path, rn_paths[kind]).build()
-        full = load_model(rn_paths[kind])
+        full = load_model(rn_paths[kind], RnModel)
         assert pipe.rn.rotation.shape == (self.TRUNCATE, 56)
         unreduced = replace(pipe, rn=None, truncate_dim=None)
         dset = random_set(rng, 30, 4)
@@ -123,7 +145,7 @@ class TestRnRowSlice:
         assert np.max(np.abs(pipe.encode_rotations(dset, thetas) - ref_rows)) < 1e-12
 
     def test_slice_is_a_view_of_the_loaded_rotation(self, models):
-        full = load_model(models[1]["whiten"])
+        full = load_model(models[1]["whiten"], RnModel)
         head = full.leading_rows(self.TRUNCATE)
         assert np.shares_memory(head.rotation, full.rotation)
         assert np.array_equal(head.rotation, full.rotation[: self.TRUNCATE])
@@ -131,7 +153,7 @@ class TestRnRowSlice:
         assert head.dim == full.dim == 56
 
     def test_saving_a_slice_is_refused(self, models, tmp_path):
-        head = load_model(models[1]["exponent"]).leading_rows(self.TRUNCATE)
+        head = load_model(models[1]["exponent"], RnModel).leading_rows(self.TRUNCATE)
         with pytest.raises(ContractError, match="square"):
             save_model(tmp_path / "head.cvm", head)
         assert not (tmp_path / "head.cvm").exists()

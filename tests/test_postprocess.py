@@ -180,6 +180,21 @@ class TestRn:
         with pytest.raises(ContractError):
             RnModel(rotation=np.array([[1.0, 0.0], [1.0, 1.0]]))
 
+    def test_large_rotation_is_probed_for_norms(self, rng):
+        # above the Gram-check size the rotation is probed with random vectors
+        dim = 1100
+        with pytest.raises(ContractError, match="rotation does not preserve norms"):
+            RnModel(rotation=1.01 * np.eye(dim))
+        signed_permutation = np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], dim)
+        assert RnModel(rotation=signed_permutation).dim == dim
+
+    def test_identical_vectors_train_the_identity_and_warn(self, rng):
+        data = np.tile(rng.standard_normal(6), (4, 1))
+        with pytest.warns(UserWarning, match="sample span"):
+            model = rn_train(data)
+        assert np.array_equal(model.rotation, np.eye(6))
+        assert np.array_equal(model.eigenvalues, np.zeros(6))
+
     def test_row_slice_whitens_with_the_full_floor(self, rng):
         # the largest eigenvalue lies outside the slice, so only the full
         # spectrum puts the floor (1e-6) above the kept eigenvalues

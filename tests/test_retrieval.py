@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,20 @@ class TestGroundTruthFile:
         path = tmp_path / "gt.txt"
         path.write_text("q1\trelevant: a\n", encoding="utf-8")
         with pytest.raises(FormatError, match="gt.txt:1"):
+            read_ground_truth(path)
+
+    @pytest.mark.parametrize(
+        "second_line, message",
+        [(" \trelevant: b\tjunk: ", "empty query id"),
+         ("q2\tb\tjunk: ", "field must start with 'relevant:'"),
+         ("q2\trelevant: b\tc", "field must start with 'junk:'"),
+         ("q1\trelevant: b\tjunk: ", "duplicate query id 'q1'")],
+        ids=["empty-id", "relevant-unprefixed", "junk-unprefixed", "duplicate-id"],
+    )
+    def test_bad_line_names_path_and_line(self, tmp_path, second_line, message):
+        path = tmp_path / "gt.txt"
+        path.write_text(f"q1\trelevant: a\tjunk: \n{second_line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: {message}")):
             read_ground_truth(path)
 
     def test_non_utf8_file_names_the_path(self, tmp_path):
