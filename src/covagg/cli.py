@@ -241,7 +241,8 @@ def _map_jobs(func, items, jobs: int) -> list:
 def _open_database(path):
     """The vector store at ``path`` and the pipeline its header names."""
     store = fileio.read_vector_file(path)
-    pipeline = store.config.build()
+    with _naming(path):
+        pipeline = store.config.build()
     if pipeline.stored_layout() != (store.base_dim, store.n_freq):
         raise FormatError(
             f"{path}: header layout {(store.base_dim, store.n_freq)} does not match "

@@ -18,6 +18,7 @@ import numpy as np
 
 from .aggregate import ModulatedVector, aggregate, rotated_rows
 from .angle_map import (
+    COSINE_POWER,
     VON_MISES,
     AngleMapConfig,
     FourierCoefficients,
@@ -169,8 +170,9 @@ class PipelineConfig:
     (``None``: no power law), and a PCA model's ``out_dim`` is the
     dimension the embedding receives. A config the pipeline cannot run
     exactly as recorded is refused: each model path and ``input_dim`` is
-    set exactly when the family reads it, and ``n_freq`` and
-    ``cosine_power`` are the values the angle kernel runs.
+    set exactly when the family reads it, ``n_freq`` and
+    ``cosine_power`` are the values the angle kernel runs, and the
+    cosine-power kernel, which reads no ``kappa``, records the default 8.0.
     """
 
     family: str
@@ -206,6 +208,10 @@ class PipelineConfig:
             raise ContractError(
                 f"the {self.angle_family} kernel runs n_freq={amap.n_freq} and "
                 f"cosine_power={amap.power}, not {self.n_freq} and {self.cosine_power}"
+            )
+        if amap.family == COSINE_POWER and self.kappa != 8.0:
+            raise ContractError(
+                f"the cosine_power kernel reads no kappa, recorded as 8.0, not {self.kappa!r}"
             )
         if self.power_law is not None:
             _check_exponent(self.power_law)

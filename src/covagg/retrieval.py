@@ -30,7 +30,9 @@ class GroundTruthEntry:
 def average_precision(ranked, entry: GroundTruthEntry) -> float:
     """Mean precision at each relevant hit, after junk removal.
 
-    Relevant items missing from the ranking contribute precision 0.
+    Relevant items missing from the ranking contribute precision 0. The
+    scan ends at the last relevant id, since later ids add nothing; the
+    whole ranking is still checked for repeated ids.
     """
     if not entry.relevant:
         raise ContractError("query has an empty relevant set")
@@ -47,6 +49,8 @@ def average_precision(ranked, entry: GroundTruthEntry) -> float:
         if image_id in entry.relevant:
             hits += 1
             total += hits / rank
+            if hits == len(entry.relevant):
+                break
     return total / len(entry.relevant)
 
 

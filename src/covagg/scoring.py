@@ -15,7 +15,9 @@ whole database. When the pipeline is block-covariant (no plain power
 law, no RN, no truncation), the stored rows keep the block layout and
 the grid is read off every row's polynomial, whatever the grid size.
 Other pipelines post-process each rotated query row and score all of
-them with one matrix product.
+them against the database, which is streamed through that product in
+cache-sized tiles: one product over the whole store takes longer than a
+read of it, most likely because the BLAS packs the store first.
 """
 
 from __future__ import annotations
@@ -170,6 +172,44 @@ def score_coefficients(X: ModulatedVector, db_vectors) -> np.ndarray:
     return out
 
 
+# Tile shape of the rotated-row product; see ``_rotated_row_scores``.
+_TILE_COLS = 2048  # components per column block
+_TILE_MADDS = 500_000  # multiply-adds per tile product
+_TILE_MAX_ROTATIONS = 8  # more rotations, or one, take a single product
+
+
+def _rotated_row_scores(rows: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """(n_db, R) inner products of every database row with every rotated row.
+
+    The database is read once, in row tiles x column blocks, and the
+    column blocks of a tile are added together. At 10000 x 3696 and
+    R = 8 (one OpenBLAS thread, AVX-512) the single product took 42-48
+    ms, the R = 1 pass over the same store 18 ms, and these tiles 30-34
+    ms; tiles just over 10^6 multiply-adds took 44 ms, so the BLAS most
+    likely packs the store for larger products. The column block keeps
+    the rotated rows' share of a tile in cache. At one rotation the
+    product is a matrix-vector pass, and beyond eight the single product
+    is as fast or faster, so both run as one tile over the whole database.
+    """
+    n_db, dim = db.shape
+    n_rot = rows.shape[0]
+    if n_rot == 1 or n_rot > _TILE_MAX_ROTATIONS:
+        return (rows @ db.T).T  # in this order: db @ rows.T took up to 1.5x as long
+    out = np.empty((n_db, n_rot))
+    rows_t = rows.T
+    cols = min(dim, _TILE_COLS)
+    step = max(1, _TILE_MADDS // (cols * n_rot))
+    partial = np.empty((step, n_rot))
+    for lo in range(0, n_db, step):
+        hi = min(lo + step, n_db)
+        np.matmul(db[lo:hi, :cols], rows_t[:cols], out=out[lo:hi])
+        for k0 in range(cols, dim, cols):
+            block = partial[: hi - lo]
+            np.matmul(db[lo:hi, k0 : k0 + cols], rows_t[k0 : k0 + cols], out=block)
+            out[lo:hi] += block
+    return out
+
+
 def query_multi_rotation(query: DescriptorSet, pipeline, db_vectors, n_rot: int = 8):
     """Best score per database vector over n_rot query rotation hypotheses.
 
@@ -178,10 +218,10 @@ def query_multi_rotation(query: DescriptorSet, pipeline, db_vectors, n_rot: int 
     (``score_coefficients``) and no rotated row is built. Otherwise the
     query's blocks are rotated per hypothesis, the rotated rows are
     post-processed together (``Pipeline.encode_rotations``), and all
-    hypotheses are scored against the whole database with a single
-    matrix product.
+    hypotheses are scored against the database in one pass over it,
+    streamed in cache-sized tiles (``_rotated_row_scores``).
     Returns (scores, thetas): the per-database maximum and the rotation
-    hypothesis that achieved it.
+    hypothesis that achieved it (the first one, on a tie).
     """
     if int(n_rot) != n_rot or n_rot < 1:
         raise ContractError(f"n_rot must be a positive integer, got {n_rot!r}")
@@ -189,9 +229,8 @@ def query_multi_rotation(query: DescriptorSet, pipeline, db_vectors, n_rot: int 
     thetas = 2.0 * np.pi * np.arange(int(n_rot)) / float(n_rot)
     if pipeline.block_covariant:
         coefficients = score_coefficients(pipeline.modulated(query), db)
-        scores_all = harmonics(thetas, pipeline.n_freq) @ coefficients.T
+        scores_all = (harmonics(thetas, pipeline.n_freq) @ coefficients.T).T
     else:
-        scores_all = pipeline.encode_rotations(query, thetas) @ db.T
-    best = np.argmax(scores_all, axis=0)
-    cols = np.arange(db.shape[0])
-    return scores_all[best, cols], np.asarray(wrap_angle(thetas[best]))
+        scores_all = _rotated_row_scores(pipeline.encode_rotations(query, thetas), db)
+    best = np.argmax(scores_all, axis=1)
+    return scores_all[np.arange(db.shape[0]), best], np.asarray(wrap_angle(thetas[best]))

@@ -183,7 +183,7 @@ def test_covariant_query_matches_rotated_rows(corpus_dir, tmp_path, capsys):
         (["--kappa", "4", "--nfreq", "2"],
          {"angle_family": "von_mises", "kappa": 4.0, "cosine_power": None, "n_freq": 2}),
         (["--angle-family", "cosine-power", "--cosine-power", "6"],
-         {"angle_family": "cosine_power", "cosine_power": 6, "n_freq": 3}),
+         {"angle_family": "cosine_power", "cosine_power": 6, "n_freq": 3, "kappa": 8.0}),
     ],
 )
 def test_stored_angle_config_is_canonical(corpus_dir, tmp_path, flags, stored):
@@ -558,9 +558,12 @@ class TestExitCodes:
          ({"family": "fisher", "input_dim": None}, None),
          ({"angle_family": "cosine_power", "cosine_power": 6, "n_freq": 1},
           ["--angle-family", "cosine-power", "--cosine-power", "6", "--nfreq", "1"]),
-         ({"cosine_power": 6}, ["--cosine-power", "6"])],
+         ({"cosine_power": 6}, ["--cosine-power", "6"]),
+         ({"angle_family": "cosine_power", "cosine_power": 6, "kappa": 2.0},
+          ["--angle-family", "cosine-power", "--cosine-power", "6", "--kappa", "2"])],
         ids=["kappa", "n_freq", "angle_family", "power_law", "fisher-without-gmm",
-             "n_freq-under-cosine-power", "cosine_power-under-von-mises"],
+             "n_freq-under-cosine-power", "cosine_power-under-von-mises",
+             "kappa-under-cosine-power"],
     )
     def test_out_of_range_stored_config_is_2(self, corpus_dir, tmp_path, capsys, changes, flags):
         db = tmp_path / "db.cvv"
@@ -579,6 +582,23 @@ class TestExitCodes:
         assert main(["encode", str(garbage), "--out", str(out), "--family", "phi1",
                      "--input-dim", "8", *flags]) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["query", "evaluate"])
+    def test_stored_config_not_fitting_its_dims_is_3_and_names_the_store(
+            self, corpus_dir, tmp_path, capsys, command):
+        db = tmp_path / "db.cvv"
+        assert main(encode_args(corpus_dir, db)) == 0
+        edit_stored_config(db, truncate=10000)
+        if command == "query":
+            argv = ["query", "--query-desc", str(sorted((corpus_dir / "queries").iterdir())[0])]
+        else:
+            argv = ["evaluate", "--queries", str(corpus_dir / "queries"),
+                    "--gt", str(corpus_dir / "groundtruth.txt")]
+        capsys.readouterr()
+        assert main([*argv, "--db", str(db)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{db}: truncate=10000 exceeds encoded dim 56" in captured.err
 
     def test_layout_not_matching_config_is_2(self, tmp_path, capsys):
         db = tmp_path / "db.cvv"

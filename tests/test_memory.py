@@ -1,4 +1,4 @@
-"""Memory budgets of the vector store and the weighted sums, measured with tracemalloc.
+"""Memory budgets of the vector store, the weighted sums and scoring, measured with tracemalloc.
 
 tracemalloc sees numpy's array buffers, so a peak bounds every matrix a
 call holds at once, not just Python objects.
@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import random_set
 from covagg import (
     CodebookModel,
     FisherEmbedding,
@@ -16,6 +17,7 @@ from covagg import (
     MonomialConfig,
     PipelineConfig,
     VladEmbedding,
+    query_multi_rotation,
     read_vector_file,
     write_vector_file,
 )
@@ -109,3 +111,19 @@ def test_phi3_weighted_sum_holds_the_pair_rows_and_the_read_moments():
     # peak near 4.1 MiB; all K*d x d(d+1)/2 moments from two gathered pair
     # matrices peaked near 5.1 MiB
     assert peak < 4.75 * MIB, f"peak {peak / MIB:.2f} MiB"
+
+
+def test_rotated_row_scoring_copies_no_database():
+    # phi2 at d=32 with a plain power law: 2000 x 3696 float64 (56 MiB), rows path
+    pipeline = PipelineConfig(family="phi2", input_dim=32, power_law=0.2).build()
+    assert not pipeline.block_covariant
+    rng = np.random.default_rng(0)
+    db = rng.standard_normal((2000, pipeline.output_dim))
+    query = random_set(rng, 64, 32, "q")
+    query_multi_rotation(query, pipeline, db, 8)  # warm the angle tables outside the trace
+    peak, (scores, _) = traced_peak(query_multi_rotation, query, pipeline, db, 8)
+    assert scores.shape == (2000,)
+    # the 2000 x 8 score matrix is 0.12 MiB and the whole call peaks near 0.9 MiB;
+    # a transposed or float32-upcast copy of the store would add 28-56 MiB
+    budget = db.shape[0] * 8 * 8 + 2 * MIB
+    assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"

@@ -56,9 +56,11 @@ def test_config_refuses_fields_its_family_never_reads(fields, message):
          "the von_mises kernel runs n_freq=3 and cosine_power=None, not 3 and 6"),
         ({"family": "phi1", "input_dim": 8, "angle_family": "cosine_power", "cosine_power": 6,
           "n_freq": 1}, "the cosine_power kernel runs n_freq=3 and cosine_power=6, not 1 and 6"),
+        ({"family": "phi1", "input_dim": 8, "angle_family": "cosine_power", "cosine_power": 6,
+          "kappa": -1.0}, "the cosine_power kernel reads no kappa, recorded as 8.0, not -1.0"),
     ],
     ids=["vlad-without-codebook", "fisher-without-gmm", "phi2-without-input-dim",
-         "cosine-power-under-von-mises", "n-freq-under-cosine-power"],
+         "cosine-power-under-von-mises", "n-freq-under-cosine-power", "kappa-under-cosine-power"],
 )
 def test_config_refuses_what_it_cannot_run_as_recorded(fields, message):
     with pytest.raises(ContractError, match=re.escape(message)):

@@ -45,6 +45,34 @@ class TestAveragePrecision:
         with pytest.raises(ContractError):
             average_precision(["a", "a"], entry)
 
+    @staticmethod
+    def full_scan(ranked, entry):
+        """AP from every position of the ranking, the definition without an early stop."""
+        kept = [image_id for image_id in ranked if image_id not in entry.junk]
+        hits = np.cumsum([image_id in entry.relevant for image_id in kept])
+        precisions = [hits[i] / (i + 1) for i, image_id in enumerate(kept)
+                      if image_id in entry.relevant]
+        return sum(precisions) / len(entry.relevant)
+
+    @pytest.mark.parametrize("unranked", [0, 1])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_the_full_scan_with_misses_and_junk_after_the_last_hit(self, seed, unranked):
+        rng = np.random.default_rng(seed)
+        relevant = [f"r{i}" for i in range(6)]
+        junk = [f"j{i}" for i in range(4)]
+        others = [f"n{i:02d}" for i in range(40)]
+        head = relevant[: 6 - unranked] + junk[:2] + others[:20]
+        tail = junk[2:] + others[20:]
+        ranked = [head[i] for i in rng.permutation(len(head))]
+        ranked += [tail[i] for i in rng.permutation(len(tail))]
+        entry = GroundTruthEntry(frozenset(relevant), frozenset(junk))
+        assert average_precision(ranked, entry) == self.full_scan(ranked, entry)
+
+    def test_repeated_id_after_the_last_hit_is_refused(self):
+        entry = GroundTruthEntry(relevant=frozenset({"a", "b"}), junk=frozenset({"j"}))
+        with pytest.raises(ContractError, match="repeated id"):
+            average_precision(["a", "b", "c", "j", "d", "c"], entry)
+
     def test_invariant_to_tail_permutation(self, rng):
         entry = GroundTruthEntry(relevant=frozenset({"r1", "r2"}))
         tail = [f"n{i}" for i in range(10)]

@@ -26,7 +26,7 @@ from covagg import (
     score_polynomial,
     wrap_angle,
 )
-from covagg import oracle
+from covagg import oracle, scoring
 from covagg.aggregate import aggregate, rotated_rows
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
@@ -380,6 +380,61 @@ class TestQueryMultiRotation:
         pipe = make_pipeline()
         with pytest.raises(ContractError):
             query_multi_rotation(random_set(rng, 4, 8), pipe, np.zeros((2, 56)), n_rot=0)
+
+
+class TestRotatedRowTiles:
+    """The rows path streams the database in tiles; small tile constants make
+    23 rows x 56 dims cross several row tiles and column blocks (16 + 16 + 16 + 8)."""
+
+    @pytest.fixture
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(scoring, "_TILE_COLS", 16)
+        monkeypatch.setattr(scoring, "_TILE_MADDS", 16 * 8 * 5)  # 5 rows at R = 8, 13 at R = 3
+
+    @staticmethod
+    def check_against_one_product(rng, db, n_rot):
+        pipe = make_pipeline(exponent=0.3)
+        assert not pipe.block_covariant
+        query = random_set(rng, 20, 8, "q")
+        scores, thetas = query_multi_rotation(query, pipe, db, n_rot=n_rot)
+        grid = 2.0 * np.pi * np.arange(n_rot) / n_rot
+        by_rotation = pipe.encode_rotations(query, grid) @ db.T
+        assert by_rotation.dtype == np.float64
+        assert np.max(np.abs(scores - by_rotation.max(axis=0))) < 1e-12
+        assert np.array_equal(thetas, wrap_angle(grid[np.argmax(by_rotation, axis=0)]))
+
+    @staticmethod
+    def database(rng, n_db=23):
+        pipe = make_pipeline(exponent=0.3)
+        return np.stack([pipe.encode(random_set(rng, 20, 8, f"d{i}")) for i in range(n_db)])
+
+    # R = 1 and R = 9 take the single product; 3 and 8 take tiles
+    @pytest.mark.parametrize("n_rot", [1, 3, 8, 9])
+    @pytest.mark.parametrize("n_db", [1, 10, 23])
+    def test_matches_one_product(self, rng, small_tiles, n_rot, n_db):
+        self.check_against_one_product(rng, self.database(rng, n_db), n_rot)
+
+    def test_float32_database(self, rng, small_tiles):
+        self.check_against_one_product(rng, self.database(rng).astype(np.float32), 8)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_database(self, rng, small_tiles, layout):
+        db = self.database(rng)
+        if layout == "fortran":
+            db = np.asfortranarray(db)
+        else:
+            wide = np.zeros((db.shape[0], 2 * db.shape[1]))
+            wide[:, ::2] = db
+            db = wide[:, ::2]
+        assert not db.flags.c_contiguous
+        self.check_against_one_product(rng, db, 8)
+
+    def test_default_tiles_of_a_larger_database(self, rng):
+        # at R = 8 the default shape gives 30-row tiles and a 52-component last block
+        rows = rng.standard_normal((8, 2100)) / np.sqrt(2100)
+        db = rng.standard_normal((700, 2100)) / np.sqrt(2100)
+        tiled = scoring._rotated_row_scores(rows, db)
+        assert np.max(np.abs(tiled - db @ rows.T)) < 1e-12
 
 
 def test_max_invariant_under_global_shift(rng):
