@@ -108,6 +108,16 @@ class Pipeline:
         return DescriptorSet(X, dset.angles, image_id=dset.image_id)
 
     @property
+    def quarter_turn_covariant(self) -> bool:
+        """Whether every stage after aggregation commutes with quarter-turn ``rotated_rows``.
+
+        A turn by k*pi/2 maps each frequency's (cos, sin) block pair to a
+        signed permutation of itself, which the plain power law (a signed
+        power and an l2 norm) commutes with; RN and truncation do not.
+        """
+        return self.rn is None and self.truncate_dim is None
+
+    @property
     def block_covariant(self) -> bool:
         """Whether every stage after aggregation commutes with ``rotated_rows``.
 
@@ -116,7 +126,7 @@ class Pipeline:
         ``rotated_rows(modulated(dset), thetas)``.
         """
         plain_power_law = self.power_exponent is not None and not self.adapted
-        return not plain_power_law and self.rn is None and self.truncate_dim is None
+        return self.quarter_turn_covariant and not plain_power_law
 
     def modulated(self, dset: DescriptorSet) -> ModulatedVector:
         """Aggregate and apply the adapted power law: the stages that commute with rotation."""
@@ -217,6 +227,8 @@ class PipelineConfig:
             _check_exponent(self.power_law)
         elif self.adapted_power_law:
             raise ContractError("the adapted power law needs an exponent")
+        if self.input_dim is not None and self.input_dim < 1:
+            raise ContractError(f"input_dim must be at least 1, got {self.input_dim}")
         if self.truncate is not None and self.truncate < 1:
             raise ContractError(f"truncate must be at least 1, got {self.truncate}")
 

@@ -10,14 +10,13 @@ them for any number of database rows; ``score_polynomial`` is its
 one-row case. The maximum is found exactly, among the roots of the
 derivative, at the cost of one 2N x 2N eigenvalue problem.
 
-``query_multi_rotation`` scores a grid of query rotations against a
-whole database. When the pipeline is block-covariant (no plain power
-law, no RN, no truncation), the stored rows keep the block layout and
-the grid is read off every row's polynomial, whatever the grid size.
-Other pipelines post-process each rotated query row and score all of
-them against the database, which is streamed through that product in
-cache-sized tiles: one product over the whole store takes longer than a
-read of it, most likely because the BLAS packs the store first.
+``query_multi_rotation`` scores a grid of R query rotations against a
+whole database, at a cost in block products per database row of
+1 + 4N for a block-covariant pipeline (no plain power law, no RN, no
+truncation), (R/4)(1 + 4N) for a plain power law with 4 | R, and
+R(2N + 1) for any other pipeline and R, which scores every post-processed
+rotated row. All polynomials come from one tiled kernel,
+``_block_coefficients``.
 """
 
 from __future__ import annotations
@@ -138,7 +137,14 @@ def max_score(poly: ScorePolynomial, samples: int = 64):
 
 
 def _database(db_vectors, dim: int) -> np.ndarray:
-    db = np.asarray(db_vectors, dtype=np.float64)
+    """The database as a 2-D array of width ``dim``; float32 and float64 stay as they are.
+
+    The tiled products widen a float32 store one tile at a time, so it is
+    never copied whole (``_rotated_row_scores``'s single product excepted).
+    """
+    db = np.asarray(db_vectors)
+    if db.dtype not in (np.float32, np.float64):
+        db = db.astype(np.float64)
     if db.ndim != 2:
         raise ContractError("database vectors must form a 2-D array")
     if db.shape[1] != dim:
@@ -146,30 +152,67 @@ def _database(db_vectors, dim: int) -> np.ndarray:
     return db
 
 
+# Multiply-adds per row tile of ``_block_coefficients``. At 10000 x 3696
+# tiles of 4 * 10^6 and a single tile took 1.6-2.2x as long; over shapes
+# from 48 x 41888 to 10000 x 3696 the time rose past 2-3.5 * 10^6.
+_COEF_TILE_MADDS = 1_000_000
+
+
+def _block_coefficients(rows: np.ndarray, db: np.ndarray, base_dim: int, n_freq: int) -> np.ndarray:
+    """(2N+1, B, n_db) score-polynomial coefficients of B query rows against every database row.
+
+    Entry [:, j, i] is [c0, a_1, b_1, ..., a_N, b_N] of query row j against
+    database row i, in the order of ``harmonics`` and of the stored blocks.
+    The store is read once, in row tiles: the constant blocks take one
+    (B x d) by (d x T) product, and the tile's 2N (cos, sin) blocks, viewed
+    as (N, 2, d, T) without a copy, take one batched product with each
+    frequency's (2B x d) matrix [q_c; q_s]. Then a = p_cc + p_ss and
+    b = p_cs - p_sc, so a row costs 1 + 4N block products per query row.
+    """
+    n_db, dim = db.shape
+    n_rows = rows.shape[0]
+    q = rows.reshape(n_rows, 2 * n_freq + 1, base_dim)
+    # q_pairs[n, 0] = [q_c; q_s] of frequency n + 1, one row per query row
+    q_pairs = q[:, 1:].reshape(n_rows, n_freq, 2, base_dim).transpose(1, 2, 0, 3)
+    q_pairs = np.ascontiguousarray(q_pairs).reshape(n_freq, 1, 2 * n_rows, base_dim)
+    out = np.empty((2 * n_freq + 1, n_rows, n_db))
+    # equal tiles of about _COEF_TILE_MADDS: a last tile of a few rows costs
+    # nearly as much as a full one
+    n_tiles = max(1, round(n_db * dim * n_rows / _COEF_TILE_MADDS))
+    step = max(1, -(-n_db // n_tiles))
+    for lo in range(0, n_db, step):
+        tile = db[lo : lo + step].astype(np.float64, copy=False)  # widening is exact
+        size = tile.shape[0]
+        np.matmul(q[:, 0], tile[:, :base_dim].T, out=out[0, :, lo : lo + size])
+        if not n_freq:
+            continue
+        # p_c[n], p_s[n]: [q_c; q_s] of frequency n + 1 by the cos and by the sin blocks
+        if size == 1:  # one (d x 2) product per frequency reads [q_c; q_s] once, not twice
+            pair = tile.reshape(2 * n_freq + 1, base_dim)[1:].reshape(n_freq, 1, 2, base_dim)
+            p = (q_pairs @ pair.transpose(0, 1, 3, 2))[:, 0]
+            p_c, p_s = p[..., :1], p[..., 1:]
+        else:
+            pairs = tile[:, base_dim:].reshape(size, n_freq, 2, base_dim).transpose(1, 2, 3, 0)
+            p = q_pairs @ pairs
+            p_c, p_s = p[:, 0], p[:, 1]
+        np.add(p_c[:, :n_rows], p_s[:, n_rows:], out=out[1::2, :, lo : lo + size])
+        np.subtract(p_c[:, n_rows:], p_s[:, :n_rows], out=out[2::2, :, lo : lo + size])
+    counter = _block_dot_counter.get()
+    if counter is not None:
+        counter.count += (1 + 4 * n_freq) * n_db * n_rows
+    return out
+
+
 def score_coefficients(X: ModulatedVector, db_vectors) -> np.ndarray:
     """Score-polynomial coefficients of X against every database row.
 
     Returns an (n_db, 2N+1) array whose row i is [c0, a_1, b_1, ..., a_N,
     b_N] of ``score_polynomial(X, row i)``, in the order of ``harmonics``
-    and of the stored blocks. The constant blocks take one product; every
-    frequency of every row then takes the 2 x 2 products of its (cos, sin)
-    block pair with the query's in one batched matmul, so a row costs
-    1 + 4N block products and the database is not copied.
+    and of the stored blocks: ``_block_coefficients`` with one query row,
+    1 + 4N block products per database row and no copy of the database.
     """
     db = _database(db_vectors, X.dim)
-    n_db, n_freq, q = db.shape[0], X.n_freq, X.blocks
-    blocks = db.reshape(n_db, 2 * n_freq + 1, X.base_dim)
-    out = np.empty((n_db, 2 * n_freq + 1))
-    out[:, 0] = blocks[:, 0] @ q[0]
-    # p[i, n] = [[yc.qc, yc.qs], [ys.qc, ys.qs]] for row i, frequency n
-    pairs = blocks[:, 1:].reshape(n_db, n_freq, 2, X.base_dim)
-    p = pairs @ q[1:].reshape(n_freq, 2, X.base_dim).transpose(0, 2, 1)
-    np.add(p[..., 0, 0], p[..., 1, 1], out=out[:, 1::2])
-    np.subtract(p[..., 0, 1], p[..., 1, 0], out=out[:, 2::2])
-    counter = _block_dot_counter.get()
-    if counter is not None:
-        counter.count += n_db + p.size
-    return out
+    return _block_coefficients(X.values[None], db, X.base_dim, X.n_freq)[:, 0].T
 
 
 # Tile shape of the rotated-row product; see ``_rotated_row_scores``.
@@ -189,7 +232,9 @@ def _rotated_row_scores(rows: np.ndarray, db: np.ndarray) -> np.ndarray:
     likely packs the store for larger products. The column block keeps
     the rotated rows' share of a tile in cache. At one rotation the
     product is a matrix-vector pass, and beyond eight the single product
-    is as fast or faster, so both run as one tile over the whole database.
+    is as fast or faster, so both run as one tile over the whole database;
+    that single product widens a float32 store whole, the tiles a tile at
+    a time.
     """
     n_db, dim = db.shape
     n_rot = rows.shape[0]
@@ -210,26 +255,53 @@ def _rotated_row_scores(rows: np.ndarray, db: np.ndarray) -> np.ndarray:
     return out
 
 
+def _turn_harmonics(n_turns: int, n_freq: int) -> np.ndarray:
+    """``harmonics`` of the turns 2 pi k / n_turns; exact 0 and +-1 at quarter turns."""
+    basis = harmonics(2.0 * np.pi * np.arange(n_turns) / float(n_turns), n_freq)
+    return np.rint(basis) if 4 % n_turns == 0 else basis
+
+
+def _turn_scores(base: np.ndarray, db: np.ndarray, n_turns: int, base_dim: int, n_freq: int):
+    """(n_db, B * n_turns) scores; column k * B + b is base row b turned by 2 pi k / n_turns."""
+    coefficients = _block_coefficients(base, db, base_dim, n_freq).reshape(2 * n_freq + 1, -1)
+    by_turn = _turn_harmonics(n_turns, n_freq) @ coefficients
+    return by_turn.reshape(n_turns * base.shape[0], db.shape[0]).T
+
+
 def query_multi_rotation(query: DescriptorSet, pipeline, db_vectors, n_rot: int = 8):
     """Best score per database vector over n_rot query rotation hypotheses.
 
-    The query is aggregated once. For a block-covariant pipeline each
-    hypothesis is evaluated on every database row's score polynomial
-    (``score_coefficients``) and no rotated row is built. Otherwise the
-    query's blocks are rotated per hypothesis, the rotated rows are
-    post-processed together (``Pipeline.encode_rotations``), and all
-    hypotheses are scored against the database in one pass over it,
-    streamed in cache-sized tiles (``_rotated_row_scores``).
+    The query is aggregated once. Hypothesis k is a turn by 2 pi k / n_rot,
+    and the turns that commute with the pipeline's post-processing are
+    read off score polynomials (``_turn_scores``) instead of rotated rows:
+
+    * block-covariant pipeline: every turn commutes, so the aggregate's
+      polynomial against each database row gives the whole grid, for
+      1 + 4N block products per database row;
+    * plain power law as the only other stage, 4 | n_rot: quarter turns
+      commute, so hypothesis k * (n_rot / 4) + b is base row b turned by
+      k quarter turns, and the n_rot / 4 post-processed base rows cost
+      (n_rot / 4)(1 + 4N) block products per database row. Half turns
+      (n_rot = 2 mod 4) commute too but were no faster than the rows;
+    * otherwise (RN, truncation, other n_rot) every rotated row is
+      post-processed (``Pipeline.encode_rotations``) and scored against
+      the database in one pass over it, streamed in cache-sized tiles
+      (``_rotated_row_scores``): n_rot(2N + 1) block products per row.
+
     Returns (scores, thetas): the per-database maximum and the rotation
     hypothesis that achieved it (the first one, on a tie).
     """
     if int(n_rot) != n_rot or n_rot < 1:
         raise ContractError(f"n_rot must be a positive integer, got {n_rot!r}")
+    n_rot = int(n_rot)
     db = _database(db_vectors, pipeline.output_dim)
-    thetas = 2.0 * np.pi * np.arange(int(n_rot)) / float(n_rot)
+    thetas = 2.0 * np.pi * np.arange(n_rot) / float(n_rot)
+    layout = (pipeline.base_dim, pipeline.n_freq)
     if pipeline.block_covariant:
-        coefficients = score_coefficients(pipeline.modulated(query), db)
-        scores_all = (harmonics(thetas, pipeline.n_freq) @ coefficients.T).T
+        scores_all = _turn_scores(pipeline.modulated(query).values[None], db, n_rot, *layout)
+    elif pipeline.quarter_turn_covariant and n_rot % 4 == 0:
+        base = pipeline.encode_rotations(query, thetas[: n_rot // 4])
+        scores_all = _turn_scores(base, db, 4, *layout)
     else:
         scores_all = _rotated_row_scores(pipeline.encode_rotations(query, thetas), db)
     best = np.argmax(scores_all, axis=1)

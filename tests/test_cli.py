@@ -584,6 +584,31 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["query", "evaluate"])
+    @pytest.mark.parametrize("input_dim", [0, -4])
+    def test_non_positive_stored_input_dim_is_2_and_names_the_store(
+            self, corpus_dir, tmp_path, capsys, command, input_dim):
+        db = tmp_path / "db.cvv"
+        assert main(encode_args(corpus_dir, db)) == 0
+        edit_stored_config(db, input_dim=input_dim)
+        if command == "query":
+            argv = ["query", "--query-desc", str(sorted((corpus_dir / "queries").iterdir())[0])]
+        else:
+            argv = ["evaluate", "--queries", str(corpus_dir / "queries"),
+                    "--gt", str(corpus_dir / "groundtruth.txt")]
+        capsys.readouterr()
+        assert main([*argv, "--db", str(db)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{db}: bad pipeline config" in captured.err
+        assert f"input_dim must be at least 1, got {input_dim}" in captured.err
+
+    def test_encode_with_non_positive_input_dim_is_3(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "o.cvv"
+        assert main(encode_args(corpus_dir, out, ["--input-dim", "0"])) == 3
+        assert "input_dim must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["query", "evaluate"])
     def test_stored_config_not_fitting_its_dims_is_3_and_names_the_store(
             self, corpus_dir, tmp_path, capsys, command):
         db = tmp_path / "db.cvv"

@@ -114,9 +114,10 @@ def test_phi3_weighted_sum_holds_the_pair_rows_and_the_read_moments():
 
 
 def test_rotated_row_scoring_copies_no_database():
-    # phi2 at d=32 with a plain power law: 2000 x 3696 float64 (56 MiB), rows path
-    pipeline = PipelineConfig(family="phi2", input_dim=32, power_law=0.2).build()
-    assert not pipeline.block_covariant
+    # phi2 at d=32 with a plain power law, truncated to its full width so that
+    # it takes the rows path: 2000 x 3696 float64 (56 MiB)
+    pipeline = PipelineConfig(family="phi2", input_dim=32, power_law=0.2, truncate=3696).build()
+    assert not pipeline.quarter_turn_covariant
     rng = np.random.default_rng(0)
     db = rng.standard_normal((2000, pipeline.output_dim))
     query = random_set(rng, 64, 32, "q")
@@ -126,4 +127,23 @@ def test_rotated_row_scoring_copies_no_database():
     # the 2000 x 8 score matrix is 0.12 MiB and the whole call peaks near 0.9 MiB;
     # a transposed or float32-upcast copy of the store would add 28-56 MiB
     budget = db.shape[0] * 8 * 8 + 2 * MIB
+    assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"
+
+
+@pytest.mark.parametrize("truncate", [None, 3696], ids=["quarter-turns", "rows-tiles"])
+def test_float32_store_is_widened_a_tile_at_a_time(truncate):
+    # phi2 at d=32 with a plain power law: 2000 x 3696 float32 (28 MiB); untruncated
+    # it takes the coefficient kernel at R = 8, truncated the rotated-row tiles
+    config = PipelineConfig(family="phi2", input_dim=32, power_law=0.2, truncate=truncate)
+    pipeline = config.build()
+    assert pipeline.quarter_turn_covariant == (truncate is None)
+    rng = np.random.default_rng(0)
+    db = rng.standard_normal((2000, pipeline.output_dim)).astype(np.float32)
+    query = random_set(rng, 64, 32, "q")
+    query_multi_rotation(query, pipeline, db, 8)  # warm the angle tables outside the trace
+    peak, (scores, _) = traced_peak(query_multi_rotation, query, pipeline, db, 8)
+    assert np.array_equal(scores, query_multi_rotation(query, pipeline, db.astype(np.float64), 8)[0])
+    # widened tiles peak near 4 MiB on the kernel and 1 MiB on the rows tiles;
+    # a float64 copy of the store would add 56 MiB
+    budget = 8 * MIB
     assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"

@@ -28,6 +28,7 @@ from covagg import (
 )
 from covagg import oracle, scoring
 from covagg.aggregate import aggregate, rotated_rows
+from covagg.angle_map import harmonics
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 EMB8 = MonomialConfig(1, 8)
@@ -42,6 +43,22 @@ def make_pipeline(n_freq=3, exponent=None, dim=8, adapted=False):
         power_exponent=exponent,
         adapted=adapted,
     )
+
+
+def truncated_pipeline(truncate_dim=50):
+    """A plain-power-law phi1 pipeline (d = 8, N = 3) truncated to ``truncate_dim`` components."""
+    return Pipeline("phi1", EMB8, K8_N3, power_exponent=0.3, truncate_dim=truncate_dim)
+
+
+def quarter_turn(rows, base_dim, n_freq, k):
+    """Rows turned by k quarter turns: frequency n's (c, s) pair becomes
+    (c, s), (s, -c), (-c, -s) or (-s, c) for n * k = 0, 1, 2, 3 mod 4."""
+    blocks = rows.reshape(rows.shape[0], 2 * n_freq + 1, base_dim)
+    out = blocks.copy()
+    for n in range(1, n_freq + 1):
+        c, s = blocks[:, 2 * n - 1], blocks[:, 2 * n]
+        out[:, 2 * n - 1], out[:, 2 * n] = [(c, s), (s, -c), (-c, -s), (-s, c)][n * k % 4]
+    return out.reshape(rows.shape)
 
 
 def covariant_pipeline(rng, family, adapted):
@@ -166,12 +183,24 @@ class TestCountBlockDots:
         assert counter.count == (1 + 4 * n_freq) * 5
 
     def test_rows_path_counts_nothing(self, rng):
+        rn = RnModel(rotation=np.eye(56), eigenvalues=np.ones(56))
+        for pipe in (Pipeline("phi1", EMB8, K8_N3, power_exponent=0.3, rn=rn),
+                     truncated_pipeline()):
+            assert not pipe.quarter_turn_covariant
+            db = np.stack([pipe.encode(random_set(rng, 12, 8, f"d{i}")) for i in range(5)])
+            with count_block_dots() as counter:
+                query_multi_rotation(random_set(rng, 12, 8, "q"), pipe, db, n_rot=8)
+            assert counter.count == 0
+
+    # half turns (n_rot = 2 mod 4) take the rows path
+    @pytest.mark.parametrize("n_rot, base_rows", [(2, 0), (4, 1), (6, 0), (8, 2), (12, 3)])
+    def test_quarter_turn_path_counts_one_polynomial_per_base_row(self, rng, n_rot, base_rows):
         pipe = make_pipeline(exponent=0.3)
-        assert not pipe.block_covariant
+        assert pipe.quarter_turn_covariant and not pipe.block_covariant
         db = np.stack([pipe.encode(random_set(rng, 12, 8, f"d{i}")) for i in range(5)])
         with count_block_dots() as counter:
-            query_multi_rotation(random_set(rng, 12, 8, "q"), pipe, db, n_rot=8)
-        assert counter.count == 0
+            query_multi_rotation(random_set(rng, 12, 8, "q"), pipe, db, n_rot=n_rot)
+        assert counter.count == base_rows * (1 + 4 * 3) * 5
 
     def test_nested_counter_hides_the_outer_one(self, rng):
         X = aggregate(random_set(rng, 6, 8, "x"), EMB8, K8_N3)
@@ -382,9 +411,75 @@ class TestQueryMultiRotation:
             query_multi_rotation(random_set(rng, 4, 8), pipe, np.zeros((2, 56)), n_rot=0)
 
 
+class TestQuarterTurns:
+    """A plain-power-law store scores n_rot = 4m rotations from m post-processed
+    rows, each read off at its quarter turns; other n_rot take the rows path."""
+
+    @pytest.mark.parametrize("n_freq", [1, 3, 4])
+    def test_quarter_turn_is_a_signed_block_permutation(self, rng, n_freq):
+        pipe = make_pipeline(n_freq=n_freq, exponent=0.3)
+        query = random_set(rng, 20, 8, "q")
+        thetas = rng.uniform(-np.pi, np.pi, 5)
+        rows = pipe.encode_rotations(query, thetas)
+        for k in range(4):
+            turned = pipe.encode_rotations(query, thetas + k * np.pi / 2)
+            # exact but for the rounding of cos and sin at n(theta + k pi / 2), which the
+            # signed power amplifies in small components: 1.9e-14 at worst over 150 draws
+            assert np.max(np.abs(turned - quarter_turn(rows, 8, n_freq, k))) < 1e-13
+
+    @pytest.fixture
+    def small_tiles(self, monkeypatch):
+        # 4-row tiles at one base row; 9 rows at three base rows end in a one-row tile
+        monkeypatch.setattr(scoring, "_COEF_TILE_MADDS", 56 * 4)
+
+    @staticmethod
+    def check_against_rotated_rows(rng, db, n_rot):
+        pipe = make_pipeline(exponent=0.3)
+        assert pipe.quarter_turn_covariant and not pipe.block_covariant
+        query = random_set(rng, 20, 8, "q")
+        scores, thetas = query_multi_rotation(query, pipe, db, n_rot=n_rot)
+        grid = 2.0 * np.pi * np.arange(n_rot) / n_rot
+        by_rotation = pipe.encode_rotations(query, grid) @ np.asarray(db, dtype=np.float64).T
+        assert np.max(np.abs(scores - by_rotation.max(axis=0))) < 1e-12
+        assert np.array_equal(thetas, wrap_angle(grid[np.argmax(by_rotation, axis=0)]))
+
+    @staticmethod
+    def database(rng, n_db=23):
+        # the zero row ties every rotation: the first one wins
+        pipe = make_pipeline(exponent=0.3)
+        rows = [pipe.encode(random_set(rng, 20, 8, f"d{i}")) for i in range(n_db - 1)]
+        return np.stack(rows + [np.zeros(pipe.output_dim)])
+
+    @pytest.mark.parametrize("n_rot", [1, 2, 3, 4, 6, 8, 12, 16])
+    @pytest.mark.parametrize("n_db", [1, 9, 23])
+    def test_matches_rotated_rows(self, rng, small_tiles, n_rot, n_db):
+        self.check_against_rotated_rows(rng, self.database(rng, n_db), n_rot)
+
+    def test_float32_database(self, rng, small_tiles):
+        self.check_against_rotated_rows(rng, self.database(rng).astype(np.float32), 8)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_database(self, rng, small_tiles, layout):
+        db = self.database(rng)
+        if layout == "fortran":
+            db = np.asfortranarray(db)
+        else:
+            wide = np.zeros((db.shape[0], 2 * db.shape[1]))
+            wide[:, ::2] = db
+            db = wide[:, ::2]
+        assert not db.flags.c_contiguous
+        self.check_against_rotated_rows(rng, db, 8)
+
+    @pytest.mark.parametrize("n_turns", [1, 2, 4])
+    def test_quarter_turn_harmonics_are_exact(self, n_turns):
+        basis = scoring._turn_harmonics(n_turns, 5)
+        assert np.all(np.isin(basis, [-1.0, 0.0, 1.0]))
+        assert np.max(np.abs(basis - harmonics(2 * np.pi * np.arange(n_turns) / n_turns, 5))) < 1e-14
+
+
 class TestRotatedRowTiles:
     """The rows path streams the database in tiles; small tile constants make
-    23 rows x 56 dims cross several row tiles and column blocks (16 + 16 + 16 + 8)."""
+    23 rows x 50 dims cross several row tiles and column blocks (16 + 16 + 16 + 2)."""
 
     @pytest.fixture
     def small_tiles(self, monkeypatch):
@@ -393,8 +488,8 @@ class TestRotatedRowTiles:
 
     @staticmethod
     def check_against_one_product(rng, db, n_rot):
-        pipe = make_pipeline(exponent=0.3)
-        assert not pipe.block_covariant
+        pipe = truncated_pipeline()
+        assert not pipe.quarter_turn_covariant
         query = random_set(rng, 20, 8, "q")
         scores, thetas = query_multi_rotation(query, pipe, db, n_rot=n_rot)
         grid = 2.0 * np.pi * np.arange(n_rot) / n_rot
@@ -405,7 +500,7 @@ class TestRotatedRowTiles:
 
     @staticmethod
     def database(rng, n_db=23):
-        pipe = make_pipeline(exponent=0.3)
+        pipe = truncated_pipeline()
         return np.stack([pipe.encode(random_set(rng, 20, 8, f"d{i}")) for i in range(n_db)])
 
     # R = 1 and R = 9 take the single product; 3 and 8 take tiles
@@ -454,8 +549,15 @@ class TestBlockCovariant:
     def test_truth_table(self, rng):
         dim = 8 * 7
         rn = RnModel(rotation=np.eye(dim), eigenvalues=np.ones(dim))
-        assert make_pipeline().block_covariant
-        assert make_pipeline(exponent=0.3, adapted=True).block_covariant
-        assert not make_pipeline(exponent=0.3).block_covariant
-        assert not Pipeline("phi1", EMB8, K8_N3, rn=rn).block_covariant
-        assert not Pipeline("phi1", EMB8, K8_N3, truncate_dim=20).block_covariant
+        # (pipeline, block_covariant, quarter_turn_covariant)
+        table = [
+            (make_pipeline(), True, True),
+            (make_pipeline(exponent=0.3, adapted=True), True, True),
+            (make_pipeline(exponent=0.3), False, True),
+            (Pipeline("phi1", EMB8, K8_N3, rn=rn), False, False),
+            (Pipeline("phi1", EMB8, K8_N3, truncate_dim=20), False, False),
+            (Pipeline("phi1", EMB8, K8_N3, power_exponent=0.3, rn=rn), False, False),
+            (truncated_pipeline(), False, False),
+        ]
+        for pipe, covariant, quarter_turns in table:
+            assert (pipe.block_covariant, pipe.quarter_turn_covariant) == (covariant, quarter_turns)

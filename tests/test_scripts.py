@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under ``scripts/`` with tiny arguments."""
 
+import json
 import os
 import subprocess
 import sys
@@ -46,3 +47,21 @@ def test_angle_kernel_study(tmp_path):
     assert summary[0] == "kappa,n_freq,sup_error"
     assert len(summary) == 2
     assert 0.0 <= float(summary[1].split(",")[2]) < 1.0
+
+
+def test_scoring_sweep(tmp_path):
+    result = run_script(
+        "scoring_sweep.py",
+        ["--shapes", "5x56", "3x50", "--rotations", "1", "6", "8", "--repeats", "2"],
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert set(report["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+    entries = {(e["n_db"], e["dim"], e["n_rot"]): e for e in report["results"]}
+    assert len(entries) == 6
+    # 56 = 8 x (2 * 3 + 1) has the block layout, 50 has not
+    assert [entries[(5, 56, r)]["base_rows"] for r in (1, 6, 8)] == [1, 3, 2]
+    assert all("turns" not in entries[(3, 50, r)] for r in (1, 6, 8))
+    for entry in entries.values():
+        assert entry["rows"]["best_ms"] >= 0.0 and entry["rows"]["spread_ms"] >= 0.0
