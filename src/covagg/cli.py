@@ -42,6 +42,12 @@ from .synth import SynthConfig, generate_corpus
 
 DESCRIPTOR_SUFFIX = ".cvd"
 
+# Bytes of aggregated float64 rows that ``encode`` post-processes as one
+# matrix. ``scripts/encode_sweep.py`` shows RN near its best from about 24
+# rows of 1344 on, and ``encode``'s peak memory grows by about five times
+# the block, so a larger one buys little and costs memory.
+ROWS_BYTES = 1 << 18
+
 
 def _collect_descriptor_paths(inputs) -> list:
     """Expand files and directories into a sorted list of descriptor files."""
@@ -256,14 +262,28 @@ def cmd_encode(args) -> int:
     pipeline = config.build()
     paths = _collect_descriptor_paths(args.descriptors)
     vectors = np.empty((len(paths), pipeline.output_dim), dtype="<f4")
+    image_ids = [None] * len(paths)
+    block_rows = max(1, ROWS_BYTES // (8 * pipeline.modulated_dim))
 
-    def encode_one(row):
-        with _naming(paths[row]):
-            dset = fileio.read_descriptor_file(paths[row])
-            vectors[row] = pipeline.encode(dset)
-        return dset.image_id
+    def encode_rows(start):
+        stop = min(start + block_rows, len(paths))
 
-    image_ids = _map_jobs(encode_one, range(len(paths)), args.jobs)
+        def dsets():
+            for row in range(start, stop):
+                with _naming(paths[row]):
+                    dset = fileio.read_descriptor_file(paths[row])
+                    image_ids[row] = dset.image_id
+                    yield dset
+
+        reads = dsets()
+        try:
+            vectors[start:stop] = pipeline.encode_block(reads)
+        except (ContractError, DegenerateDataError) as exc:
+            # the generator still waits inside the _naming of the set that
+            # failed to encode, so the error comes back naming its file
+            reads.throw(exc)
+
+    _map_jobs(encode_rows, range(0, len(paths), block_rows), args.jobs)
     base_dim, n_freq = pipeline.stored_layout()
     fileio.write_vector_file(
         args.out, image_ids, vectors, base_dim=base_dim, n_freq=n_freq, config=config

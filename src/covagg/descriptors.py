@@ -51,9 +51,9 @@ class DescriptorSet:
             raise ContractError("descriptors must form a 2-D array")
         if ang.shape != (desc.shape[0],):
             raise ContractError("need exactly one angle per descriptor")
-        if not np.all(np.isfinite(desc)):
+        if not np.isfinite(desc).all():
             raise ContractError("descriptors must be finite")
-        if not np.all(np.isfinite(ang)):
+        if not np.isfinite(ang).all():
             raise ContractError("angles must be finite")
         ang = np.asarray(wrap_angle(ang))
         desc.setflags(write=False)

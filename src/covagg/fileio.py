@@ -8,11 +8,13 @@ non-finite real. Every write goes to a temporary file in the destination
 directory followed by an atomic rename.
 
 Readers stream from the open file. Every length a header declares is
-checked against the file size before anything is allocated, and each
-table of reals is read ``READ_CHUNK`` bytes at a time through one reused
-buffer into the float64 array it fills. A vector file's payload is thus
-never held whole as bytes or as float32 next to its float64 matrix, and
-the writer stores a float32 matrix as it is, without a copy.
+checked against the file size before anything is allocated. A model or
+vector table is read ``READ_CHUNK`` bytes at a time through one reused
+buffer into the float64 array it fills, so a vector file's payload is
+never held whole as bytes or as float32 next to its float64 matrix; the
+writer stores a float32 matrix as it is, without a copy. A descriptor
+table is read whole as float32, and ``DescriptorSet`` widens, checks
+and wraps it once.
 
 Layouts:
 
@@ -121,6 +123,16 @@ class _Reader:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def array(self, count: int, dtype: str, what: str) -> np.ndarray:
+        """The next ``count`` values of ``dtype`` as they are stored, unchecked."""
+        self.need(count * np.dtype(dtype).itemsize, what)
+        out = np.empty(count, dtype=dtype)
+        got = self.handle.readinto(out)
+        if got != out.nbytes:
+            raise self._truncated(out.nbytes, what, self.offset + got)
+        self.offset += got
+        return out
+
     def reals(self, count: int, dtype: str, what: str) -> np.ndarray:
         """``count`` reals of the little-endian ``dtype`` as a new float64 array.
 
@@ -178,21 +190,30 @@ def write_descriptor_file(dset: DescriptorSet, path):
 
 
 def read_descriptor_file(path, image_id: str | None = None) -> DescriptorSet:
-    """Parse a descriptor file; the image id defaults to the file stem."""
+    """Parse a descriptor file; the image id defaults to the file stem.
+
+    ``DescriptorSet`` widens the float32 records, checks them and wraps
+    the angles; a non-finite record is then a format error at its byte.
+    """
     with _open_checked(path, DESCRIPTOR_MAGIC) as reader:
         dim = reader.u32("descriptor dim")
         count = reader.u32("record count")
         flags = reader.u32("flags")
         if dim < 1:
             raise FormatError(f"{path}: descriptor dim must be positive, got {dim}")
-        table = reader.reals(count * (dim + 1), "<f4", "record").reshape(count, dim + 1)
+        start = reader.offset
+        table = reader.array(count * (dim + 1), "<f4", "record").reshape(count, dim + 1)
         reader.expect_end()
+    try:
         return DescriptorSet(
             descriptors=table[:, :dim],
             angles=table[:, dim],
             image_id=image_id if image_id is not None else Path(path).stem,
             raw=bool(flags & DESC_FLAG_RAW),
         )
+    except ContractError:  # the shapes fit, so a value is not finite
+        offset = start + int(np.argmin(np.isfinite(table).ravel())) * table.itemsize
+        raise FormatError(f"{path}: non-finite record value at byte {offset}") from None
 
 
 @dataclass(frozen=True)

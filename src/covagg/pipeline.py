@@ -11,6 +11,7 @@ checks the dimensions that need them.
 from __future__ import annotations
 
 import typing
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -88,6 +89,11 @@ class Pipeline:
         length, n_freq = self.stored_layout()
         return length * (2 * n_freq + 1)
 
+    @property
+    def modulated_dim(self) -> int:
+        """Length of a ``modulated`` vector, the row that post-processing takes."""
+        return self.base_dim * (2 * self.n_freq + 1)
+
     def stored_layout(self) -> tuple[int, int]:
         """(base_dim, n_freq) describing the final vector layout.
 
@@ -145,9 +151,20 @@ class Pipeline:
             rows = truncate_l2(rows, self.truncate_dim)
         return rows
 
+    def encode_block(self, dsets: Iterable[DescriptorSet]) -> np.ndarray:
+        """Full pipeline: row i is the database-ready vector of the i-th set.
+
+        The sets are aggregated one at a time, in order, and their rows
+        stacked into one float64 matrix; the plain power law, RN and
+        truncation then run once on that matrix, so RN reads its rotation
+        once per block rather than once per image.
+        """
+        values = [self.modulated(dset).values for dset in dsets]
+        return self._postprocess_rows(np.array(values).reshape(len(values), self.modulated_dim))
+
     def encode(self, dset: DescriptorSet) -> np.ndarray:
         """Full pipeline: database-ready vector for one image."""
-        return self._postprocess_rows(self.modulated(dset).values)
+        return self.encode_block([dset])[0]
 
     def encode_rotations(self, dset: DescriptorSet, thetas) -> np.ndarray:
         """Row i is ``encode`` of the set rotated by ``thetas[i]``.

@@ -18,6 +18,7 @@ from covagg import (
     write_descriptor_file,
     write_vector_file,
 )
+from covagg import cli
 from covagg.cli import main
 from covagg.fileio import MODEL_MAGIC, VECTOR_MAGIC
 
@@ -351,6 +352,41 @@ def test_encode_parallel_matches_serial(corpus_dir, tmp_path):
     for row, path in enumerate(paths):
         expected = pipeline.encode(read_descriptor_file(path)).astype(np.float32)
         assert np.array_equal(store.vectors[row], expected)
+
+
+def test_rn_store_encodes_the_same_in_blocks_on_any_jobs(corpus_dir, tmp_path, monkeypatch):
+    db_dir = str(corpus_dir / "database")
+    pca, gmm, rn = (tmp_path / name for name in ("pca.cvm", "gmm.cvm", "rn.cvm"))
+    assert main(["train-pca", "--train-descriptors", db_dir, "--out-dim", "4",
+                 "--out", str(pca)]) == 0
+    assert main(["train-gmm", "--train-descriptors", db_dir, "--pca", str(pca), "--k", "2",
+                 "--seed", "5", "--out", str(gmm)]) == 0
+    fisher = ["--family", "fisher", "--pca", str(pca), "--gmm", str(gmm), "--power-law", "0.4"]
+    assert main(["encode", db_dir, "--out", str(tmp_path / "heldout.cvv"), *fisher]) == 0
+    with pytest.warns(UserWarning, match="sample span"):
+        assert main(["train-rn", "--vectors", str(tmp_path / "heldout.cvv"),
+                     "--out", str(rn)]) == 0
+    flags = [*fisher, "--rn", str(rn), "--truncate", "16"]
+    paths = sorted((corpus_dir / "database").iterdir())
+    assert len(paths) == 18
+    # 2 * 4 * 7 = 56 encoded dims; 17-row blocks leave one image for the last block
+    for block_rows in (1, 2, 17):
+        monkeypatch.setattr(cli, "ROWS_BYTES", block_rows * 8 * 56)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for jobs in ("1", "2"):
+                assert main(["encode", db_dir, "--out", str(tmp_path / f"jobs{jobs}.cvv"),
+                             "--jobs", jobs, *flags]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert (tmp_path / "jobs2.cvv").read_bytes() == (tmp_path / "jobs1.cvv").read_bytes()
+        store = read_vector_file(tmp_path / "jobs1.cvv")
+        assert store.image_ids == [p.stem for p in paths] and store.vectors.shape == (18, 16)
+        pipeline = store.config.build()
+        for row, path in enumerate(paths):
+            expected = pipeline.encode(read_descriptor_file(path))
+            assert np.max(np.abs(store.vectors[row] - expected)) < 1e-6
 
 
 @pytest.mark.parametrize(

@@ -76,15 +76,17 @@ class TestDescriptorFile:
         with pytest.raises(FormatError, match="bad magic"):
             read_descriptor_file(path)
 
-    def test_non_finite_value_reports_offset(self, rng, tmp_path):
+    # record 0's first component, record 1's angle (after 4 components)
+    @pytest.mark.parametrize("value_index, bad", [(0, np.nan), (9, np.inf)])
+    def test_non_finite_value_reports_offset(self, rng, tmp_path, value_index, bad):
         dset = random_set(rng, 3, 4, "x")
         path = tmp_path / "nan.cvd"
         write_descriptor_file(dset, path)
         data = bytearray(path.read_bytes())
-        header = len(DESCRIPTOR_MAGIC) + 12
-        data[header : header + 4] = struct.pack("<f", np.nan)
+        offset = len(DESCRIPTOR_MAGIC) + 12 + 4 * value_index
+        data[offset : offset + 4] = struct.pack("<f", bad)
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match=f"byte {header}"):
+        with pytest.raises(FormatError, match=f"non-finite record value at byte {offset}$"):
             read_descriptor_file(path)
 
     def test_trailing_garbage_rejected(self, rng, tmp_path):

@@ -111,21 +111,44 @@ def test_config_refuses_truncate_below_one(truncate):
         PipelineConfig(family="phi1", input_dim=8, truncate=truncate)
 
 
+@pytest.fixture
+def models(rng, tmp_path):
+    # fisher at k=2, d=4 with 3 frequencies encodes 2 * 4 * 7 = 56 dims
+    gmm = GmmModel(np.array([0.4, 0.6]), unit_rows(rng, 2, 4), rng.uniform(0.05, 0.3, (2, 4)))
+    save_model(tmp_path / "gmm.cvm", gmm)
+    paths = {}
+    for name, whiten in [("exponent", False), ("whiten", True)]:
+        paths[name] = tmp_path / f"rn-{name}.cvm"
+        save_model(paths[name], rn_train(rng.standard_normal((200, 56)), 0.5, whiten=whiten))
+    return tmp_path / "gmm.cvm", paths
+
+
+@pytest.mark.parametrize("n_sets", [1, 2, 3])
+@pytest.mark.parametrize(
+    "stages",
+    [{"power_law": 0.4},
+     {"power_law": 0.4, "adapted_power_law": True},
+     {"power_law": 0.4, "rn_path": "exponent"},
+     {"power_law": 0.4, "rn_path": "exponent", "truncate": 20},
+     {"power_law": 0.4, "rn_path": "whiten"}],
+    ids=["power-law", "adapted", "rn", "rn-truncate", "rn-whiten"],
+)
+def test_encode_block_rows_match_encode(rng, models, stages, n_sets):
+    gmm_path, rn_paths = models
+    if "rn_path" in stages:
+        stages = {**stages, "rn_path": str(rn_paths[stages["rn_path"]])}
+    pipe = PipelineConfig(family="fisher", gmm_path=str(gmm_path), **stages).build()
+    dsets = [random_set(rng, 30, 4, f"img{i}") for i in range(n_sets)]
+    block = pipe.encode_block(dsets)
+    assert block.shape == (n_sets, pipe.output_dim)
+    for row, dset in zip(block, dsets):
+        assert np.max(np.abs(row - pipe.encode(dset))) < 1e-12
+
+
 class TestRnRowSlice:
     """RN followed by truncation applies only the kept rows of the rotation."""
 
     TRUNCATE = 20
-
-    @pytest.fixture
-    def models(self, rng, tmp_path):
-        # fisher at k=2, d=4 with 3 frequencies encodes 2 * 4 * 7 = 56 dims
-        gmm = GmmModel(np.array([0.4, 0.6]), unit_rows(rng, 2, 4), rng.uniform(0.05, 0.3, (2, 4)))
-        save_model(tmp_path / "gmm.cvm", gmm)
-        paths = {}
-        for name, whiten in [("exponent", False), ("whiten", True)]:
-            paths[name] = tmp_path / f"rn-{name}.cvm"
-            save_model(paths[name], rn_train(rng.standard_normal((200, 56)), 0.5, whiten=whiten))
-        return tmp_path / "gmm.cvm", paths
 
     def config(self, gmm_path, rn_path):
         return PipelineConfig(family="fisher", gmm_path=str(gmm_path), power_law=0.4,

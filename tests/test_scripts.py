@@ -65,3 +65,21 @@ def test_scoring_sweep(tmp_path):
     assert all("turns" not in entries[(3, 50, r)] for r in (1, 6, 8))
     for entry in entries.values():
         assert entry["rows"]["best_ms"] >= 0.0 and entry["rows"]["spread_ms"] >= 0.0
+
+
+def test_encode_sweep(tmp_path):
+    result = run_script(
+        "encode_sweep.py", ["--rows", "3", "--blocks", "1", "2", "--repeats", "1"], tmp_path
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert set(report["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+    shapes = {e["pipeline"]: (e["width"], e["output_dim"], e["rows"]) for e in report["results"]}
+    assert shapes == {"rn": (1344, 512, 3), "power-law": (3696, 3696, 3),
+                      "identity": (41888, 41888, 3)}
+    for entry in report["results"]:
+        assert entry["rows_bytes_block"] == max(1, report["rows_bytes"] // (8 * entry["width"]))
+        assert [b["rows_per_block"] for b in entry["blocks"]] == [1, 2]
+        for block in entry["blocks"]:
+            assert block["best_ms"] >= 0.0 and block["spread_ms"] >= 0.0
+            assert block["max_diff"] < 1e-12
