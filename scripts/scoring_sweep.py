@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Time the two ways ``query_multi_rotation`` scores a store that is not block-covariant.
+"""Time the two ways ``query_multi_rotation`` can score a store with a plain power law.
 
 For every database shape and rotation count R it times, on random data:
 
 * ``rows``: the R post-processed query rows against the store
-  (``scoring._rotated_row_scores``, the path of RN and truncated stores);
+  (``scoring._rotated_row_scores``, the path wherever
+  ``Pipeline.commuting_turns`` gives 1: RN, truncation, and a plain power
+  law unless 4 | R);
 * ``turns``: the R / g base rows through the coefficient kernel, each
-  read off at the g = gcd(R, 4) quarter turns (``scoring._turn_scores``,
-  the path of plain-power-law stores). A shape whose width is not a
-  multiple of 2N + 1 has no block layout and times ``rows`` only.
+  read off at its g = gcd(R, 4) turns (``scoring._turn_scores``). The
+  entry records ``n_turns`` (g) and ``picked``, whether
+  ``commuting_turns`` sends a plain-power-law store there; it does at
+  4 | R only, and the half turns (g = 2) stay in the sweep as the
+  measurement behind that. A shape whose width is not a multiple of
+  2N + 1 has no block layout and times ``rows`` only.
 
 Prints one JSON object: best-of-k and spread (max - min) in ms per
 (shape, R) and path, with the BLAS thread variables of the environment.
@@ -25,7 +30,7 @@ import time
 
 import numpy as np
 
-from covagg import scoring
+from covagg import AngleMapConfig, MonomialConfig, Pipeline, fourier_coeffs, scoring
 
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -60,6 +65,9 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     n_blocks = 2 * args.nfreq + 1
+    # the turn rule reads the stages, not the widths, so one plain-power-law pipeline serves
+    coeffs = fourier_coeffs(AngleMapConfig(n_freq=args.nfreq))
+    plain = Pipeline("phi1", MonomialConfig(1, 1), coeffs, power_exponent=0.5)
     results = []
     for n_db, dim in args.shapes:
         db = rng.standard_normal((n_db, dim)) / math.sqrt(dim)
@@ -74,6 +82,7 @@ def main():
                     lambda: scoring._turn_scores(base, db, n_turns, dim // n_blocks, args.nfreq),
                     args.repeats,
                 )
+                entry["turns"].update(n_turns=n_turns, picked=plain.commuting_turns(n_rot) > 1)
                 entry["base_rows"] = base.shape[0]
             results.append(entry)
         del db

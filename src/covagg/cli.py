@@ -37,7 +37,7 @@ from .descriptors import preprocess_batch, rootsift_batch
 from .errors import ContractError, CovaggError, DegenerateDataError, FormatError
 from .pipeline import FAMILIES, PipelineConfig, default_power_exponent
 from .postprocess import rn_train
-from .scoring import query_multi_rotation
+from .scoring import MAX_ROTATIONS, query_multi_rotation
 from .synth import SynthConfig, generate_corpus
 
 DESCRIPTOR_SUFFIX = ".cvd"
@@ -107,6 +107,13 @@ def _write_manifest(args):
 def _require_positive(flag: str, value: int):
     if value < 1:
         raise ContractError(f"{flag} must be a positive integer, got {value}")
+
+
+def _check_rotations(value: int):
+    """Refuse a ``--rotations`` that ``query_multi_rotation`` would, before any file is read."""
+    _require_positive("--rotations", value)
+    if value > MAX_ROTATIONS:
+        raise ContractError(f"--rotations must be at most {MAX_ROTATIONS}, got {value}")
 
 
 def _absolute(path):
@@ -295,7 +302,7 @@ def cmd_encode(args) -> int:
 def cmd_query(args) -> int:
     if args.top < 0:
         raise ContractError(f"--top must be non-negative, got {args.top}")
-    _require_positive("--rotations", args.rotations)
+    _check_rotations(args.rotations)
     store, pipeline = _open_database(args.db)
     with _naming(args.query_desc):
         query = fileio.read_descriptor_file(args.query_desc)
@@ -310,7 +317,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _require_positive("--rotations", args.rotations)
+    _check_rotations(args.rotations)
     store, pipeline = _open_database(args.db)
     ground_truth = retrieval.read_ground_truth(args.gt, exclude_query=args.exclude_query)
     paths = _collect_descriptor_paths(args.queries)

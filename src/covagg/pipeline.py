@@ -113,26 +113,20 @@ class Pipeline:
             X = preprocess_batch(X, self.pca)
         return DescriptorSet(X, dset.angles, image_id=dset.image_id)
 
-    @property
-    def quarter_turn_covariant(self) -> bool:
-        """Whether every stage after aggregation commutes with quarter-turn ``rotated_rows``.
+    def commuting_turns(self, n_rot: int) -> int:
+        """g: the turns by 2 pi k / g, of a grid of n_rot, that commute with post-processing.
 
-        A turn by k*pi/2 maps each frequency's (cos, sin) block pair to a
-        signed permutation of itself, which the plain power law (a signed
-        power and an l2 norm) commutes with; RN and truncation do not.
+        The scorer reads those off score polynomials instead of rotated rows. A
+        rotation turns each (cos, sin) block pair, whose modulus the adapted power
+        law reads (g = n_rot); a quarter turn permutes each pair with signs, which
+        the plain power law commutes with (g = 4 if 4 | n_rot; half turns were measured
+        no faster, ``scripts/scoring_sweep.py``). RN and truncation mix blocks (g = 1).
         """
-        return self.rn is None and self.truncate_dim is None
-
-    @property
-    def block_covariant(self) -> bool:
-        """Whether every stage after aggregation commutes with ``rotated_rows``.
-
-        Then ``_postprocess_rows`` is the identity, a stored vector keeps
-        the block layout, and ``encode_rotations`` is
-        ``rotated_rows(modulated(dset), thetas)``.
-        """
-        plain_power_law = self.power_exponent is not None and not self.adapted
-        return self.quarter_turn_covariant and not plain_power_law
+        if self.rn is not None or self.truncate_dim is not None:
+            return 1
+        if self.power_exponent is None or self.adapted:
+            return n_rot
+        return 4 if n_rot % 4 == 0 else 1
 
     def modulated(self, dset: DescriptorSet) -> ModulatedVector:
         """Aggregate and apply the adapted power law: the stages that commute with rotation."""

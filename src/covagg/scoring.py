@@ -11,12 +11,11 @@ one-row case. The maximum is found exactly, among the roots of the
 derivative, at the cost of one 2N x 2N eigenvalue problem.
 
 ``query_multi_rotation`` scores a grid of R query rotations against a
-whole database, at a cost in block products per database row of
-1 + 4N for a block-covariant pipeline (no plain power law, no RN, no
-truncation), (R/4)(1 + 4N) for a plain power law with 4 | R, and
-R(2N + 1) for any other pipeline and R, which scores every post-processed
-rotated row. All polynomials come from one tiled kernel,
-``_block_coefficients``.
+whole database by one rule, ``Pipeline.commuting_turns``: the g turns
+that commute with post-processing are read off the score polynomials of
+the first R/g post-processed rows, (R/g)(1 + 4N) block products per
+database row, and at g = 1 the R rows are scored directly, R(2N + 1).
+All polynomials come from one tiled kernel, ``_block_coefficients``.
 """
 
 from __future__ import annotations
@@ -34,6 +33,10 @@ from .descriptors import DescriptorSet
 from .errors import ContractError
 
 _block_dot_counter = ContextVar("block_dot_counter", default=None)
+
+# Largest rotation grid ``query_multi_rotation`` takes: one hypothesis per degree. The exact
+# maximum is ``max_score``'s, and a huge grid would fail allocating its angles.
+MAX_ROTATIONS = 360
 
 
 @contextmanager
@@ -271,38 +274,30 @@ def _turn_scores(base: np.ndarray, db: np.ndarray, n_turns: int, base_dim: int, 
 def query_multi_rotation(query: DescriptorSet, pipeline, db_vectors, n_rot: int = 8):
     """Best score per database vector over n_rot query rotation hypotheses.
 
-    The query is aggregated once. Hypothesis k is a turn by 2 pi k / n_rot,
-    and the turns that commute with the pipeline's post-processing are
-    read off score polynomials (``_turn_scores``) instead of rotated rows:
+    The query is aggregated once. Hypothesis k is a turn by 2 pi k / n_rot.
+    With g = ``pipeline.commuting_turns(n_rot)``, the first n_rot / g
+    rotated rows are post-processed (``Pipeline.encode_rotations``), and:
 
-    * block-covariant pipeline: every turn commutes, so the aggregate's
-      polynomial against each database row gives the whole grid, for
-      1 + 4N block products per database row;
-    * plain power law as the only other stage, 4 | n_rot: quarter turns
-      commute, so hypothesis k * (n_rot / 4) + b is base row b turned by
-      k quarter turns, and the n_rot / 4 post-processed base rows cost
-      (n_rot / 4)(1 + 4N) block products per database row. Half turns
-      (n_rot = 2 mod 4) commute too but were no faster than the rows;
-    * otherwise (RN, truncation, other n_rot) every rotated row is
-      post-processed (``Pipeline.encode_rotations``) and scored against
-      the database in one pass over it, streamed in cache-sized tiles
-      (``_rotated_row_scores``): n_rot(2N + 1) block products per row.
+    * g = 1: the rows are scored in one pass over the database, streamed in
+      cache-sized tiles (``_rotated_row_scores``): n_rot(2N + 1) block
+      products per database row;
+    * g > 1: hypothesis k * (n_rot / g) + b is row b turned by 2 pi k / g,
+      read off its score polynomial (``_turn_scores``): (n_rot / g)(1 + 4N)
+      block products per database row, 1 + 4N when every turn commutes.
 
     Returns (scores, thetas): the per-database maximum and the rotation
     hypothesis that achieved it (the first one, on a tie).
     """
-    if int(n_rot) != n_rot or n_rot < 1:
-        raise ContractError(f"n_rot must be a positive integer, got {n_rot!r}")
+    if int(n_rot) != n_rot or not 1 <= n_rot <= MAX_ROTATIONS:
+        raise ContractError(f"n_rot must be an integer in [1, {MAX_ROTATIONS}], got {n_rot!r}")
     n_rot = int(n_rot)
     db = _database(db_vectors, pipeline.output_dim)
     thetas = 2.0 * np.pi * np.arange(n_rot) / float(n_rot)
-    layout = (pipeline.base_dim, pipeline.n_freq)
-    if pipeline.block_covariant:
-        scores_all = _turn_scores(pipeline.modulated(query).values[None], db, n_rot, *layout)
-    elif pipeline.quarter_turn_covariant and n_rot % 4 == 0:
-        base = pipeline.encode_rotations(query, thetas[: n_rot // 4])
-        scores_all = _turn_scores(base, db, 4, *layout)
+    g = pipeline.commuting_turns(n_rot)
+    rows = pipeline.encode_rotations(query, thetas[: n_rot // g])
+    if g == 1:
+        scores_all = _rotated_row_scores(rows, db)
     else:
-        scores_all = _rotated_row_scores(pipeline.encode_rotations(query, thetas), db)
+        scores_all = _turn_scores(rows, db, g, pipeline.base_dim, pipeline.n_freq)
     best = np.argmax(scores_all, axis=1)
     return scores_all[np.arange(db.shape[0]), best], np.asarray(wrap_angle(thetas[best]))

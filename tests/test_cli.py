@@ -167,7 +167,7 @@ def test_covariant_query_matches_rotated_rows(corpus_dir, tmp_path, capsys):
 
     store = read_vector_file(db)
     pipeline = store.config.build()
-    assert pipeline.block_covariant
+    assert pipeline.commuting_turns(8) == 8
     grid = 2.0 * np.pi * np.arange(8) / 8
     by_rotation = pipeline.encode_rotations(read_descriptor_file(query), grid) @ store.vectors.T
     scores = by_rotation.max(axis=0)
@@ -846,3 +846,20 @@ class TestExitCodes:
                      "--gt", str(corpus_dir / "groundtruth.txt"), "--rotations", "0"])
         assert code == 3
         assert "--rotations must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["query", "evaluate"])
+    def test_rotations_above_the_bound_is_3_before_the_store_is_read(
+        self, corpus_dir, tmp_path, capsys, command
+    ):
+        # 10^15 angles cannot be allocated; the store does not exist, so only a
+        # check made before anything is read names the flag
+        query = sorted((corpus_dir / "queries").iterdir())[0]
+        inputs = {
+            "query": ["--query-desc", str(query)],
+            "evaluate": ["--queries", str(corpus_dir / "queries"),
+                         "--gt", str(corpus_dir / "groundtruth.txt")],
+        }[command]
+        code = main([command, "--db", str(tmp_path / "missing.cvv"), *inputs,
+                     "--rotations", str(10**15)])
+        assert code == 3
+        assert f"--rotations must be at most 360, got {10**15}" in capsys.readouterr().err

@@ -117,7 +117,7 @@ def test_rotated_row_scoring_copies_no_database():
     # phi2 at d=32 with a plain power law, truncated to its full width so that
     # it takes the rows path: 2000 x 3696 float64 (56 MiB)
     pipeline = PipelineConfig(family="phi2", input_dim=32, power_law=0.2, truncate=3696).build()
-    assert not pipeline.quarter_turn_covariant
+    assert pipeline.commuting_turns(8) == 1
     rng = np.random.default_rng(0)
     db = rng.standard_normal((2000, pipeline.output_dim))
     query = random_set(rng, 64, 32, "q")
@@ -136,7 +136,7 @@ def test_float32_store_is_widened_a_tile_at_a_time(truncate):
     # it takes the coefficient kernel at R = 8, truncated the rotated-row tiles
     config = PipelineConfig(family="phi2", input_dim=32, power_law=0.2, truncate=truncate)
     pipeline = config.build()
-    assert pipeline.quarter_turn_covariant == (truncate is None)
+    assert pipeline.commuting_turns(8) == (4 if truncate is None else 1)
     rng = np.random.default_rng(0)
     db = rng.standard_normal((2000, pipeline.output_dim)).astype(np.float32)
     query = random_set(rng, 64, 32, "q")

@@ -29,6 +29,7 @@ from covagg import (
 from covagg import oracle, scoring
 from covagg.aggregate import aggregate, rotated_rows
 from covagg.angle_map import harmonics
+from covagg.scoring import MAX_ROTATIONS
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 EMB8 = MonomialConfig(1, 8)
@@ -176,17 +177,28 @@ class TestCountBlockDots:
     @pytest.mark.parametrize("n_freq", [0, 1, 3])
     def test_covariant_query_counts_one_polynomial_per_row(self, rng, n_freq):
         pipe = make_pipeline(n_freq=n_freq, exponent=0.3, adapted=True)
-        assert pipe.block_covariant
+        assert pipe.commuting_turns(8) == 8
         db = np.stack([pipe.encode(random_set(rng, 12, 8, f"d{i}")) for i in range(5)])
         with count_block_dots() as counter:
             query_multi_rotation(random_set(rng, 12, 8, "q"), pipe, db, n_rot=8)
         assert counter.count == (1 + 4 * n_freq) * 5
 
+    @pytest.mark.parametrize("n_freq", [0, 1, 3])
+    def test_covariant_query_at_one_rotation_counts_nothing(self, rng, n_freq):
+        # at R = 1 every store takes the single product of its one row: 2N + 1
+        # block products per database row, none of them in the coefficient kernel
+        pipe = make_pipeline(n_freq=n_freq, exponent=0.3, adapted=True)
+        assert pipe.commuting_turns(1) == 1
+        db = np.stack([pipe.encode(random_set(rng, 12, 8, f"d{i}")) for i in range(5)])
+        with count_block_dots() as counter:
+            query_multi_rotation(random_set(rng, 12, 8, "q"), pipe, db, n_rot=1)
+        assert counter.count == 0
+
     def test_rows_path_counts_nothing(self, rng):
         rn = RnModel(rotation=np.eye(56), eigenvalues=np.ones(56))
         for pipe in (Pipeline("phi1", EMB8, K8_N3, power_exponent=0.3, rn=rn),
                      truncated_pipeline()):
-            assert not pipe.quarter_turn_covariant
+            assert pipe.commuting_turns(8) == 1
             db = np.stack([pipe.encode(random_set(rng, 12, 8, f"d{i}")) for i in range(5)])
             with count_block_dots() as counter:
                 query_multi_rotation(random_set(rng, 12, 8, "q"), pipe, db, n_rot=8)
@@ -196,7 +208,7 @@ class TestCountBlockDots:
     @pytest.mark.parametrize("n_rot, base_rows", [(2, 0), (4, 1), (6, 0), (8, 2), (12, 3)])
     def test_quarter_turn_path_counts_one_polynomial_per_base_row(self, rng, n_rot, base_rows):
         pipe = make_pipeline(exponent=0.3)
-        assert pipe.quarter_turn_covariant and not pipe.block_covariant
+        assert pipe.commuting_turns(n_rot) == (4 if base_rows else 1)
         db = np.stack([pipe.encode(random_set(rng, 12, 8, f"d{i}")) for i in range(5)])
         with count_block_dots() as counter:
             query_multi_rotation(random_set(rng, 12, 8, "q"), pipe, db, n_rot=n_rot)
@@ -369,7 +381,7 @@ class TestQueryMultiRotation:
     @pytest.mark.parametrize("n_rot", [1, 3, 8])
     def test_covariant_path_matches_rotated_rows(self, rng, family, adapted, n_rot):
         pipe = covariant_pipeline(rng, family, adapted)
-        assert pipe.block_covariant
+        assert pipe.commuting_turns(n_rot) == n_rot
         query = random_set(rng, 20, 8, "q")
         db = np.stack([pipe.encode(random_set(rng, 20, 8, f"d{i}")) for i in range(6)])
         scores, thetas = query_multi_rotation(query, pipe, db, n_rot=n_rot)
@@ -379,21 +391,27 @@ class TestQueryMultiRotation:
         assert np.max(np.abs(scores - by_rotation.max(axis=0))) < 1e-12
         assert np.array_equal(thetas, wrap_angle(grid[best]))
 
-    def test_covariant_path_builds_no_rotated_rows(self, rng, monkeypatch):
+    @pytest.mark.parametrize("n_rot", [1, 8])
+    def test_covariant_path_encodes_one_rotation(self, rng, monkeypatch, n_rot):
+        # whatever n_rot, a covariant query post-processes one row, at theta = 0
         pipe = make_pipeline(exponent=0.3, adapted=True)
         db = np.stack([pipe.encode(random_set(rng, 12, 8, f"d{i}")) for i in range(3)])
+        calls = []
+        encode_rotations = Pipeline.encode_rotations
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("encode_rotations called on a block-covariant pipeline")
+        def spy(self, dset, thetas):
+            calls.append(np.asarray(thetas).tolist())
+            return encode_rotations(self, dset, thetas)
 
-        monkeypatch.setattr(Pipeline, "encode_rotations", refuse)
-        scores, _ = query_multi_rotation(random_set(rng, 12, 8, "q"), pipe, db, n_rot=8)
+        monkeypatch.setattr(Pipeline, "encode_rotations", spy)
+        scores, _ = query_multi_rotation(random_set(rng, 12, 8, "q"), pipe, db, n_rot=n_rot)
         assert scores.shape == (3,)
+        assert calls == [[0.0]]
 
-    @pytest.mark.parametrize("adapted", [False, True], ids=["rows", "covariant"])
+    @pytest.mark.parametrize("adapted", [False, True], ids=["quarter-turns", "covariant"])
     def test_empty_database(self, rng, adapted):
         pipe = make_pipeline(exponent=0.3, adapted=adapted)
-        assert pipe.block_covariant == adapted
+        assert pipe.commuting_turns(8) == (8 if adapted else 4)
         scores, thetas = query_multi_rotation(
             random_set(rng, 12, 8), pipe, np.empty((0, pipe.output_dim)), n_rot=8
         )
@@ -409,6 +427,16 @@ class TestQueryMultiRotation:
         pipe = make_pipeline()
         with pytest.raises(ContractError):
             query_multi_rotation(random_set(rng, 4, 8), pipe, np.zeros((2, 56)), n_rot=0)
+
+    def test_rejects_more_rotations_than_the_bound(self, rng):
+        pipe = make_pipeline()
+        query = random_set(rng, 4, 8)
+        scores, _ = query_multi_rotation(query, pipe, np.zeros((2, 56)), n_rot=MAX_ROTATIONS)
+        assert scores.shape == (2,)
+        # refused before the grid of angles is allocated, not with a MemoryError
+        for n_rot in (MAX_ROTATIONS + 1, 10**15):
+            with pytest.raises(ContractError, match=rf"\[1, {MAX_ROTATIONS}\], got {n_rot}"):
+                query_multi_rotation(query, pipe, np.zeros((2, 56)), n_rot=n_rot)
 
 
 class TestQuarterTurns:
@@ -435,7 +463,7 @@ class TestQuarterTurns:
     @staticmethod
     def check_against_rotated_rows(rng, db, n_rot):
         pipe = make_pipeline(exponent=0.3)
-        assert pipe.quarter_turn_covariant and not pipe.block_covariant
+        assert pipe.commuting_turns(8) == 4
         query = random_set(rng, 20, 8, "q")
         scores, thetas = query_multi_rotation(query, pipe, db, n_rot=n_rot)
         grid = 2.0 * np.pi * np.arange(n_rot) / n_rot
@@ -489,7 +517,7 @@ class TestRotatedRowTiles:
     @staticmethod
     def check_against_one_product(rng, db, n_rot):
         pipe = truncated_pipeline()
-        assert not pipe.quarter_turn_covariant
+        assert pipe.commuting_turns(n_rot) == 1
         query = random_set(rng, 20, 8, "q")
         scores, thetas = query_multi_rotation(query, pipe, db, n_rot=n_rot)
         grid = 2.0 * np.pi * np.arange(n_rot) / n_rot
@@ -545,19 +573,37 @@ def test_max_invariant_under_global_shift(rng):
     assert shifted == pytest.approx(base, abs=1e-6)
 
 
-class TestBlockCovariant:
-    def test_truth_table(self, rng):
+class TestCommutingTurns:
+    N_ROT = (1, 2, 3, 4, 6, 8, 12)
+
+    def test_truth_table(self):
         dim = 8 * 7
         rn = RnModel(rotation=np.eye(dim), eigenvalues=np.ones(dim))
-        # (pipeline, block_covariant, quarter_turn_covariant)
+        every, none = list(self.N_ROT), [1] * len(self.N_ROT)
+        # (pipeline, commuting_turns(n) for n in N_ROT)
         table = [
-            (make_pipeline(), True, True),
-            (make_pipeline(exponent=0.3, adapted=True), True, True),
-            (make_pipeline(exponent=0.3), False, True),
-            (Pipeline("phi1", EMB8, K8_N3, rn=rn), False, False),
-            (Pipeline("phi1", EMB8, K8_N3, truncate_dim=20), False, False),
-            (Pipeline("phi1", EMB8, K8_N3, power_exponent=0.3, rn=rn), False, False),
-            (truncated_pipeline(), False, False),
+            (make_pipeline(), every),
+            (make_pipeline(exponent=0.3, adapted=True), every),
+            (make_pipeline(exponent=0.3), [1, 1, 1, 4, 1, 4, 4]),
+            (Pipeline("phi1", EMB8, K8_N3, rn=rn), none),
+            (Pipeline("phi1", EMB8, K8_N3, truncate_dim=20), none),
+            (Pipeline("phi1", EMB8, K8_N3, power_exponent=0.3, rn=rn), none),
+            (truncated_pipeline(), none),
         ]
-        for pipe, covariant, quarter_turns in table:
-            assert (pipe.block_covariant, pipe.quarter_turn_covariant) == (covariant, quarter_turns)
+        for pipe, turns in table:
+            assert [pipe.commuting_turns(n) for n in self.N_ROT] == turns
+
+    # cos 0 = 1 and sin 0 = 0 exactly, so the base row at theta = 0 is the
+    # aggregate itself: reading every turn off it loses nothing
+    @pytest.mark.parametrize("family", ["phi1", "phi3", "vlad", "fisher"])
+    @pytest.mark.parametrize("adapted", [False, True], ids=["none", "adapted"])
+    def test_zero_rotation_of_a_covariant_pipeline_is_the_aggregate(self, rng, family, adapted):
+        pipe = covariant_pipeline(rng, family, adapted)
+        query = random_set(rng, 20, 8, "q")
+        row = pipe.encode_rotations(query, [0.0])[0]
+        assert row.tobytes() == pipe.modulated(query).values.tobytes()
+
+    def test_zero_rotation_of_a_plain_power_law_is_encode(self, rng):
+        pipe = make_pipeline(exponent=0.3)
+        query = random_set(rng, 20, 8, "q")
+        assert pipe.encode_rotations(query, [0.0])[0].tobytes() == pipe.encode(query).tobytes()

@@ -62,6 +62,9 @@ def test_scoring_sweep(tmp_path):
     assert len(entries) == 6
     # 56 = 8 x (2 * 3 + 1) has the block layout, 50 has not
     assert [entries[(5, 56, r)]["base_rows"] for r in (1, 6, 8)] == [1, 3, 2]
+    # the scorer reads turns off polynomials at 4 | R only; half turns stay timed
+    turns = [entries[(5, 56, r)]["turns"] for r in (1, 6, 8)]
+    assert [(t["n_turns"], t["picked"]) for t in turns] == [(1, False), (2, False), (4, True)]
     assert all("turns" not in entries[(3, 50, r)] for r in (1, 6, 8))
     for entry in entries.values():
         assert entry["rows"]["best_ms"] >= 0.0 and entry["rows"]["spread_ms"] >= 0.0
