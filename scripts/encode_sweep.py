@@ -24,17 +24,32 @@ report gives the count. Prints one JSON object: best-of-k and spread
 Set them (for example ``OPENBLAS_NUM_THREADS=1``) when you run it:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/encode_sweep.py --repeats 5
+
+With ``--per-image`` it times ``encode``'s whole in-process path instead,
+at phi2-bigdb's shape: ``--images`` files of 64 random unit descriptors
+of dim 32, written to a temporary directory, encoded by phi2 with N = 3
+and the plain power law in blocks of ``ROWS_BYTES``. It reports the best
+and median over ``--repeats`` runs, in microseconds per image, of each
+stage on its own (``read``: parsing the files; ``aggregate``: filling the
+blocks' rows; ``postprocess``: the power law on the filled blocks) and
+of ``encode``, which reads and encodes block by block as ``covagg
+encode`` does:
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/encode_sweep.py --per-image --images 2000
 """
 
 import argparse
 import json
 import os
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from covagg import AngleMapConfig, Pipeline, fourier_coeffs
+from covagg import AngleMapConfig, DescriptorSet, Pipeline, PipelineConfig, fourier_coeffs
 from covagg.cli import ROWS_BYTES
+from covagg.fileio import read_descriptor_file, write_descriptor_file
 from covagg.monomial import MonomialConfig
 from covagg.postprocess import RnModel
 
@@ -60,8 +75,9 @@ def pipelines(rng):
 
 
 def in_blocks(pipeline, rows, block_rows):
+    # _postprocess_rows overwrites the rows it takes
     return np.concatenate([
-        pipeline._postprocess_rows(rows[start : start + block_rows])
+        pipeline._postprocess_rows(rows[start : start + block_rows].copy())
         for start in range(0, rows.shape[0], block_rows)
     ])
 
@@ -76,6 +92,50 @@ def best_and_spread(func, repeats):
     return {"best_ms": round(min(times), 4), "spread_ms": round(max(times) - min(times), 4)}
 
 
+def per_image(images, repeats, rng):
+    """Best and median microseconds per image of each stage of ``encode`` at phi2-bigdb's shape."""
+    pipeline = PipelineConfig(family="phi2", input_dim=32, power_law=0.2).build()
+    block_rows = max(1, ROWS_BYTES // (8 * pipeline.modulated_dim))
+    starts = range(0, images, block_rows)
+
+    def timed(func, fresh=lambda: None):
+        times = []
+        for _ in range(repeats):
+            args = fresh()
+            start = time.perf_counter()
+            func(args)
+            times.append(1e6 * (time.perf_counter() - start) / images)
+        return {"best_us": round(min(times), 2), "median_us": round(float(np.median(times)), 2)}
+
+    def aggregate(dsets):
+        return [pipeline._modulated_rows(dsets[lo : lo + block_rows], len(dsets[lo : lo + block_rows]))
+                for lo in starts]
+
+    def encode(_):
+        for lo in starts:
+            block = paths[lo : lo + block_rows]
+            pipeline.encode_block((read_descriptor_file(path) for path in block), len(block))
+
+    with tempfile.TemporaryDirectory() as folder:
+        paths = [Path(folder) / f"img{i:06d}.cvd" for i in range(images)]
+        for path in paths:
+            rows = rng.standard_normal((64, 32))
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+            write_descriptor_file(DescriptorSet(rows, rng.uniform(-np.pi, np.pi, 64)), path)
+        dsets = [read_descriptor_file(path) for path in paths]
+        blocks = aggregate(dsets)
+        stages = {
+            "read": timed(lambda _: [read_descriptor_file(path) for path in paths]),
+            "aggregate": timed(lambda _: aggregate(dsets)),
+            # the power law overwrites the blocks it takes, so each run takes fresh copies
+            "postprocess": timed(lambda copies: [pipeline._postprocess_rows(b) for b in copies],
+                                 lambda: [block.copy() for block in blocks]),
+            "encode": timed(encode),
+        }
+    return {"images": images, "descriptors": 64, "dim": 32, "rows_per_block": block_rows,
+            "stages": stages}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     parser.add_argument("--rows", type=int, default=1000, help="rows per width (default: %(default)s)")
@@ -84,11 +144,20 @@ def main():
     parser.add_argument("--max-mib", type=int, default=64, help="bound on the rows of one width")
     parser.add_argument("--repeats", type=int, default=5, help="runs per timing (best-of-k)")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--per-image", action="store_true",
+                        help="time encode's stages per image at phi2-bigdb's shape instead")
+    parser.add_argument("--images", type=int, default=2000,
+                        help="files of the --per-image corpus (default: %(default)s)")
     args = parser.parse_args()
-    if min(args.rows, args.max_mib, args.repeats, *args.blocks) < 1:
-        parser.error("--rows, --blocks, --max-mib and --repeats must be positive")
+    if min(args.rows, args.max_mib, args.repeats, args.images, *args.blocks) < 1:
+        parser.error("--rows, --blocks, --max-mib, --repeats and --images must be positive")
 
     rng = np.random.default_rng(args.seed)
+    threads = {name: os.environ.get(name) for name in THREAD_VARIABLES}
+    if args.per_image:
+        print(json.dumps({"rows_bytes": ROWS_BYTES, "repeats": args.repeats, "threads": threads,
+                          **per_image(args.images, args.repeats, rng)}, indent=1))
+        return
     results = []
     for name, pipeline in pipelines(rng):
         width = pipeline.modulated_dim
@@ -105,7 +174,6 @@ def main():
                         "rows": n_rows, "rows_bytes_block": max(1, ROWS_BYTES // (8 * width)),
                         "blocks": blocks})
         del rows, one_by_one
-    threads = {name: os.environ.get(name) for name in THREAD_VARIABLES}
     print(json.dumps({"rows_bytes": ROWS_BYTES, "repeats": args.repeats, "threads": threads,
                       "results": results}, indent=1))
 

@@ -14,11 +14,12 @@ rotation, so every rotation hypothesis follows from one aggregate
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .angle_map import FourierCoefficients, angle_feature_batch, harmonics
+from .angle_map import FourierCoefficients, harmonics, wrapped_angle_features
 from .descriptors import DescriptorSet, EmbeddingConfig, embed_weighted_sum
 from .errors import ContractError, DegenerateDataError
 
@@ -94,37 +95,55 @@ def modulate(v, a) -> np.ndarray:
     return np.multiply.outer(a, v).ravel()
 
 
-def aggregate_raw_sum(
-    dset: DescriptorSet, embedding: EmbeddingConfig, coeffs: FourierCoefficients
-) -> np.ndarray:
+def _raw_sum(angles, X, embedding: EmbeddingConfig, coeffs: FourierCoefficients) -> np.ndarray:
     """Unnormalized sum of modulated embeddings, flattened.
 
+    ``angles`` and ``X`` are a ``DescriptorSet``'s, already checked and
+    wrapped, or rows that ``Pipeline.prepare`` made from them; the
+    embedding checks only what it alone requires (unit rows, its dim).
     Descriptors are consumed in record order, ``AGGREGATE_CHUNK`` at a
     time, and chunk partial sums are added in chunk order, so results
     are machine-deterministic.
     """
-    if len(dset) == 0:
+    if len(angles) == 0:
         raise ContractError("cannot encode an empty descriptor set")
     total = None
-    for start in range(0, len(dset), AGGREGATE_CHUNK):
+    for start in range(0, len(angles), AGGREGATE_CHUNK):
         stop = start + AGGREGATE_CHUNK
-        feats = angle_feature_batch(dset.angles[start:stop], coeffs)
-        part = embed_weighted_sum(feats, dset.descriptors[start:stop], embedding)
+        feats = wrapped_angle_features(angles[start:stop], coeffs)
+        part = embed_weighted_sum(feats, X[start:stop], embedding)
         total = part if total is None else total + part
     return total.ravel()
+
+
+def aggregate_raw_sum(
+    dset: DescriptorSet, embedding: EmbeddingConfig, coeffs: FourierCoefficients
+) -> np.ndarray:
+    """Unnormalized sum of modulated embeddings, flattened."""
+    return _raw_sum(dset.angles, dset.descriptors, embedding, coeffs)
+
+
+def aggregate_into(out: np.ndarray, angles, X, embedding: EmbeddingConfig,
+                   coeffs: FourierCoefficients):
+    """Write the normalized aggregate of (``angles``, ``X``) into the row ``out``.
+
+    The arguments are those of ``_raw_sum``; the row must hold
+    ``embedding.output_dim * (2N+1)`` float64 components.
+    """
+    flat = _raw_sum(angles, X, embedding, coeffs)
+    norm = float(np.linalg.norm(flat))
+    if norm == 0.0 or not math.isfinite(norm):
+        raise DegenerateDataError("aggregated vector has no usable magnitude")
+    np.divide(flat, norm, out=out)
 
 
 def aggregate(
     dset: DescriptorSet, embedding: EmbeddingConfig, coeffs: FourierCoefficients
 ) -> ModulatedVector:
     """Normalized aggregated image vector."""
-    flat = aggregate_raw_sum(dset, embedding, coeffs)
-    norm = float(np.linalg.norm(flat))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise DegenerateDataError("aggregated vector has no usable magnitude")
-    return ModulatedVector(
-        values=flat / norm, base_dim=embedding.output_dim, n_freq=coeffs.n_freq
-    )
+    values = np.empty(embedding.output_dim * (2 * coeffs.n_freq + 1))
+    aggregate_into(values, dset.angles, dset.descriptors, embedding, coeffs)
+    return ModulatedVector(values=values, base_dim=embedding.output_dim, n_freq=coeffs.n_freq)
 
 
 def aggregate_rotations(

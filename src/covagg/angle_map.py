@@ -9,7 +9,8 @@ it exactly: <alpha(t1), alpha(t2)> = k(t1 - t2).
 
 The series, the feature map, the block rotation and the rotation-score
 polynomial are all written in the basis
-[1, cos theta, sin theta, ..., cos N theta, sin N theta] of ``harmonics``,
+[1, cos theta, sin theta, ..., cos N theta, sin N theta] of ``harmonics``.
+It and its cosine-only companion ``cosines``, which the series takes, are
 the one place that takes the cosine or sine of a multiple angle. This is
 also the order of the blocks of a stored aggregate, so no code permutes
 between orders.
@@ -33,7 +34,7 @@ per-descriptor code paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,9 +50,16 @@ BESSEL_MAX_ARG = 100.0
 
 
 def wrap_angle(theta):
-    """Wrap angles (scalar or array) to the interval (-pi, pi]."""
+    """Wrap angles (scalar or array) to the interval (-pi, pi].
+
+    Wrapping a wrapped angle changes no bit, so angles are wrapped once,
+    where a ``DescriptorSet`` takes them.
+    """
     t = np.asarray(theta, dtype=np.float64)
-    wrapped = np.pi - np.remainder(np.pi - t, 2.0 * np.pi)
+    turns = np.remainder(np.pi - t, 2.0 * np.pi)
+    # the remainder rounds up to 2 pi when pi - t lies a hair below a multiple
+    # of 2 pi, as for the float just above pi; that t wraps to pi, not -pi
+    wrapped = np.pi - np.where(turns == 2.0 * np.pi, 0.0, turns)
     if t.ndim == 0:
         return float(wrapped)
     return wrapped
@@ -143,9 +151,14 @@ class AngleMapConfig:
 
 @dataclass(frozen=True)
 class FourierCoefficients:
-    """Non-negative cosine-series weights gamma_0..gamma_N."""
+    """Non-negative cosine-series weights gamma_0..gamma_N.
+
+    ``feature_scale`` is sqrt([g0, g1, g1, ..., gN, gN]), g = gamma: the
+    factor by which an angle feature scales its ``harmonics``.
+    """
 
     gamma: np.ndarray
+    feature_scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.ascontiguousarray(np.asarray(self.gamma, dtype=np.float64))
@@ -155,6 +168,9 @@ class FourierCoefficients:
             raise ContractError("coefficients must be finite and non-negative")
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
+        scale = np.repeat(np.sqrt(g), 2)[1:]
+        scale.setflags(write=False)
+        object.__setattr__(self, "feature_scale", scale)
 
     @property
     def n_freq(self) -> int:
@@ -181,41 +197,60 @@ def fourier_coeffs(config: AngleMapConfig) -> FourierCoefficients:
     return FourierCoefficients(gamma)
 
 
+def _phases(theta, n_freq: int) -> np.ndarray:
+    """n theta for n = 1..N on a new last axis."""
+    return np.asarray(theta, dtype=np.float64)[..., None] * np.arange(1, n_freq + 1)
+
+
 def harmonics(theta, n_freq: int) -> np.ndarray:
     """[1, cos theta, sin theta, ..., cos N theta, sin N theta] on a new last axis."""
-    t = np.asarray(theta, dtype=np.float64)
-    out = np.empty(t.shape + (2 * n_freq + 1,))
+    phases = _phases(theta, n_freq)
+    out = np.empty(phases.shape[:-1] + (2 * n_freq + 1,))
     out[..., 0] = 1.0
-    phases = t[..., None] * np.arange(1, n_freq + 1)
     np.cos(phases, out=out[..., 1::2])
     np.sin(phases, out=out[..., 2::2])
     return out
+
+
+def cosines(theta, n_freq: int) -> np.ndarray:
+    """[cos theta, ..., cos N theta] on a new last axis: the cosines of ``harmonics``."""
+    return np.cos(_phases(theta, n_freq))
 
 
 def truncated_kernel(delta, coeffs: FourierCoefficients):
     """Evaluate the cosine series at ``delta`` (scalar or array)."""
     d = np.asarray(wrap_angle(delta), dtype=np.float64)
     g = coeffs.gamma
-    basis = harmonics(d, coeffs.n_freq)
+    basis = cosines(d, coeffs.n_freq)
     out = np.full(d.shape, g[0])
     for n in range(1, g.size):
-        out += g[n] * basis[..., 2 * n - 1]
+        out += g[n] * basis[..., n - 1]
     if d.ndim == 0:
         return float(out)
     return out
 
 
+def wrapped_angle_features(angles: np.ndarray, coeffs: FourierCoefficients) -> np.ndarray:
+    """``angle_feature_batch`` of a 1-D array of finite angles already in (-pi, pi].
+
+    A ``DescriptorSet`` holds such angles, so aggregation takes their
+    features without checking or wrapping them again; wrapping twice
+    changes no bit (``tests/test_angle_map.py``).
+    """
+    out = harmonics(angles, coeffs.n_freq)
+    out *= coeffs.feature_scale
+    return out
+
+
 def angle_feature_batch(thetas, coeffs: FourierCoefficients) -> np.ndarray:
-    """One row per angle: its ``harmonics`` times sqrt([g0, g1, g1, ..., gN, gN]), g = gamma.
+    """One row per angle: its ``harmonics`` times ``coeffs.feature_scale``.
 
     The squared row norm equals sum(gamma), independent of theta.
     """
     t = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     if not np.all(np.isfinite(t)):
         raise ContractError("angles must be finite")
-    out = harmonics(wrap_angle(t), coeffs.n_freq)
-    out *= np.repeat(np.sqrt(coeffs.gamma), 2)[1:]
-    return out
+    return wrapped_angle_features(wrap_angle(t), coeffs)
 
 
 def angle_feature(theta: float, coeffs: FourierCoefficients) -> np.ndarray:

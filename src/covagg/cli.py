@@ -44,8 +44,9 @@ DESCRIPTOR_SUFFIX = ".cvd"
 
 # Bytes of aggregated float64 rows that ``encode`` post-processes as one
 # matrix. ``scripts/encode_sweep.py`` shows RN near its best from about 24
-# rows of 1344 on, and ``encode``'s peak memory grows by about five times
-# the block, so a larger one buys little and costs memory.
+# rows of 1344 on: 48 rows saved 0.01 ms an image and the plain power law
+# nothing. ``encode``'s peak memory grows by about twice the block, so a
+# larger one buys little and costs memory.
 ROWS_BYTES = 1 << 18
 
 
@@ -55,10 +56,13 @@ def _collect_descriptor_paths(inputs) -> list:
     for item in inputs:
         p = Path(item)
         if p.is_dir():
-            found = sorted(q for q in p.iterdir() if q.is_file())
-            if not found:
+            # directory entries know their type, so no file is stat'ed; sorting
+            # the names of one directory sorts its paths
+            with os.scandir(p) as entries:
+                names = sorted(entry.name for entry in entries if entry.is_file())
+            if not names:
                 raise ContractError(f"directory {p} contains no descriptor files")
-            paths.extend(found)
+            paths.extend(p / name for name in names)
         elif p.is_file():
             paths.append(p)
         else:
@@ -284,7 +288,7 @@ def cmd_encode(args) -> int:
 
         reads = dsets()
         try:
-            vectors[start:stop] = pipeline.encode_block(reads)
+            vectors[start:stop] = pipeline.encode_block(reads, stop - start)
         except (ContractError, DegenerateDataError) as exc:
             # the generator still waits inside the _naming of the set that
             # failed to encode, so the error comes back naming its file

@@ -13,8 +13,9 @@ vector table is read ``READ_CHUNK`` bytes at a time through one reused
 buffer into the float64 array it fills, so a vector file's payload is
 never held whole as bytes or as float32 next to its float64 matrix; the
 writer stores a float32 matrix as it is, without a copy. A descriptor
-table is read whole as float32, and ``DescriptorSet`` widens, checks
-and wraps it once.
+file takes two reads, its header in one and its whole float32 table in
+the other. ``DescriptorSet`` widens, checks and wraps the table once;
+nothing downstream checks or wraps it again.
 
 Layouts:
 
@@ -123,16 +124,6 @@ class _Reader:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
-    def array(self, count: int, dtype: str, what: str) -> np.ndarray:
-        """The next ``count`` values of ``dtype`` as they are stored, unchecked."""
-        self.need(count * np.dtype(dtype).itemsize, what)
-        out = np.empty(count, dtype=dtype)
-        got = self.handle.readinto(out)
-        if got != out.nbytes:
-            raise self._truncated(out.nbytes, what, self.offset + got)
-        self.offset += got
-        return out
-
     def reals(self, count: int, dtype: str, what: str) -> np.ndarray:
         """``count`` reals of the little-endian ``dtype`` as a new float64 array.
 
@@ -189,30 +180,58 @@ def write_descriptor_file(dset: DescriptorSet, path):
     atomic_write_bytes(path, header, payload)
 
 
+# A descriptor file's header: magic, then the fields its parse errors name.
+_DESCRIPTOR_HEADER = struct.Struct("<8s3I")
+_DESCRIPTOR_FIELDS = (("magic", 8), ("descriptor dim", 4), ("record count", 4), ("flags", 4))
+
+
+def _stem(path) -> str:
+    """``Path(path).stem`` of a path that names a file, by string operations."""
+    name = os.path.basename(os.fspath(path))
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
+
+
 def read_descriptor_file(path, image_id: str | None = None) -> DescriptorSet:
     """Parse a descriptor file; the image id defaults to the file stem.
 
-    ``DescriptorSet`` widens the float32 records, checks them and wraps
-    the angles; a non-finite record is then a format error at its byte.
+    The header takes one read and the table one more, into a float32
+    array, once its declared size matches the file's. ``DescriptorSet``
+    widens the float32 records, checks them and wraps the angles; a
+    non-finite record is then a format error at its byte.
     """
-    with _open_checked(path, DESCRIPTOR_MAGIC) as reader:
-        dim = reader.u32("descriptor dim")
-        count = reader.u32("record count")
-        flags = reader.u32("flags")
+    with open(path, "rb") as handle:
+        reader = _Reader(handle, path)
+        head = handle.read(_DESCRIPTOR_HEADER.size)
+        magic = head[: len(DESCRIPTOR_MAGIC)]
+        if len(magic) == len(DESCRIPTOR_MAGIC) and magic != DESCRIPTOR_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r} at byte 0, expected {DESCRIPTOR_MAGIC!r}")
+        if len(head) < _DESCRIPTOR_HEADER.size:  # name the first field the file cuts
+            for what, width in _DESCRIPTOR_FIELDS:
+                if reader.offset + width > len(head):
+                    raise reader._truncated(width, what, len(head))
+                reader.offset += width
+        _, dim, count, flags = _DESCRIPTOR_HEADER.unpack(head)
+        reader.offset = _DESCRIPTOR_HEADER.size
         if dim < 1:
             raise FormatError(f"{path}: descriptor dim must be positive, got {dim}")
-        start = reader.offset
-        table = reader.array(count * (dim + 1), "<f4", "record").reshape(count, dim + 1)
+        nbytes = count * (dim + 1) * 4
+        reader.need(nbytes, "record")
+        table = np.empty((count, dim + 1), dtype="<f4")
+        got = handle.readinto(table)
+        if got != nbytes:
+            raise reader._truncated(nbytes, "record", reader.offset + got)
+        reader.offset += nbytes
         reader.expect_end()
     try:
         return DescriptorSet(
             descriptors=table[:, :dim],
             angles=table[:, dim],
-            image_id=image_id if image_id is not None else Path(path).stem,
+            image_id=image_id if image_id is not None else _stem(path),
             raw=bool(flags & DESC_FLAG_RAW),
         )
     except ContractError:  # the shapes fit, so a value is not finite
-        offset = start + int(np.argmin(np.isfinite(table).ravel())) * table.itemsize
+        offset = _DESCRIPTOR_HEADER.size + int(np.argmin(np.isfinite(table).ravel())) * table.itemsize
         raise FormatError(f"{path}: non-finite record value at byte {offset}") from None
 
 

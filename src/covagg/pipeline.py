@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregate import ModulatedVector, aggregate, rotated_rows
+from .aggregate import ModulatedVector, aggregate_into, rotated_rows
 from .angle_map import (
     COSINE_POWER,
     VON_MISES,
@@ -39,7 +39,7 @@ from .monomial import MonomialConfig
 from .postprocess import (
     RnModel,
     _check_exponent,
-    adapted_power_law,
+    adapted_power_law_rows,
     power_law,
     rn_apply,
     truncate_l2,
@@ -104,14 +104,16 @@ class Pipeline:
             return self.truncate_dim, 0
         return self.base_dim, self.n_freq
 
-    def prepare(self, dset: DescriptorSet) -> DescriptorSet:
-        """Square-root normalize raw descriptors and apply PCA if configured."""
-        if not dset.raw and self.pca is None:
-            return dset
+    def prepare(self, dset: DescriptorSet) -> np.ndarray:
+        """The rows the embedding takes: the descriptors after RootSIFT (if raw) and PCA.
+
+        They are not wrapped in a second ``DescriptorSet``: the set is
+        checked already, and both steps keep finite rows finite.
+        """
         X = rootsift_batch(dset.descriptors) if dset.raw else dset.descriptors
         if self.pca is not None:
             X = preprocess_batch(X, self.pca)
-        return DescriptorSet(X, dset.angles, image_id=dset.image_id)
+        return X
 
     def commuting_turns(self, n_rot: int) -> int:
         """g: the turns by 2 pi k / g, of a grid of n_rot, that commute with post-processing.
@@ -128,33 +130,51 @@ class Pipeline:
             return n_rot
         return 4 if n_rot % 4 == 0 else 1
 
+    def _modulated_rows(self, dsets: Iterable[DescriptorSet], count: int) -> np.ndarray:
+        """(count, modulated_dim) matrix: row i is ``modulated`` of the i-th set.
+
+        Each set is aggregated straight into its row, one at a time and in
+        order, so ``dsets`` may read each set only when it is reached; it
+        must yield exactly ``count`` sets.
+        """
+        rows = np.empty((count, self.modulated_dim))
+        for row, dset in zip(rows, dsets, strict=True):
+            aggregate_into(row, dset.angles, self.prepare(dset), self.embedding, self.coeffs)
+        if self.adapted:
+            adapted_power_law_rows(rows, self.n_freq, self.power_exponent)
+        return rows
+
     def modulated(self, dset: DescriptorSet) -> ModulatedVector:
         """Aggregate and apply the adapted power law: the stages that commute with rotation."""
-        vec = aggregate(self.prepare(dset), self.embedding, self.coeffs)
-        if self.adapted:
-            vec = adapted_power_law(vec, self.power_exponent)
-        return vec
+        values = self._modulated_rows([dset], 1)[0]
+        return ModulatedVector(values=values, base_dim=self.base_dim, n_freq=self.n_freq)
 
     def _postprocess_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Plain power law, RN and truncation, applied to each row."""
+        """Plain power law, RN and truncation of each row of a matrix the caller owns.
+
+        The power law overwrites ``rows``; RN and truncation return new rows.
+        """
         if self.power_exponent is not None and not self.adapted:
-            rows = power_law(rows, self.power_exponent)
+            rows = power_law(rows, self.power_exponent, out=rows)
         if self.rn is not None:
             rows = rn_apply(rows, self.rn)
         if self.truncate_dim is not None:
             rows = truncate_l2(rows, self.truncate_dim)
         return rows
 
-    def encode_block(self, dsets: Iterable[DescriptorSet]) -> np.ndarray:
+    def encode_block(self, dsets: Iterable[DescriptorSet], count: Optional[int] = None) -> np.ndarray:
         """Full pipeline: row i is the database-ready vector of the i-th set.
 
-        The sets are aggregated one at a time, in order, and their rows
-        stacked into one float64 matrix; the plain power law, RN and
-        truncation then run once on that matrix, so RN reads its rotation
-        once per block rather than once per image.
+        Each set is aggregated into its row of one float64 block
+        (``_modulated_rows``); the plain power law then runs in place on
+        the block, and RN and truncation once on it, so RN reads its
+        rotation once per block rather than once per image. ``count`` is
+        the number of sets; without it ``dsets`` is read whole first.
         """
-        values = [self.modulated(dset).values for dset in dsets]
-        return self._postprocess_rows(np.array(values).reshape(len(values), self.modulated_dim))
+        if count is None:
+            dsets = list(dsets)
+            count = len(dsets)
+        return self._postprocess_rows(self._modulated_rows(dsets, count))
 
     def encode(self, dset: DescriptorSet) -> np.ndarray:
         """Full pipeline: database-ready vector for one image."""

@@ -142,8 +142,8 @@ def max_score(poly: ScorePolynomial, samples: int = 64):
 def _database(db_vectors, dim: int) -> np.ndarray:
     """The database as a 2-D array of width ``dim``; float32 and float64 stay as they are.
 
-    The tiled products widen a float32 store one tile at a time, so it is
-    never copied whole (``_rotated_row_scores``'s single product excepted).
+    The scoring products widen a float32 store one tile at a time, so it
+    is never copied whole.
     """
     db = np.asarray(db_vectors)
     if db.dtype not in (np.float32, np.float64):
@@ -222,6 +222,7 @@ def score_coefficients(X: ModulatedVector, db_vectors) -> np.ndarray:
 _TILE_COLS = 2048  # components per column block
 _TILE_MADDS = 500_000  # multiply-adds per tile product
 _TILE_MAX_ROTATIONS = 8  # more rotations, or one, take a single product
+_WIDEN_BYTES = 1 << 21  # float64 bytes of a float32 store that the single product widens at once
 
 
 def _rotated_row_scores(rows: np.ndarray, db: np.ndarray) -> np.ndarray:
@@ -235,14 +236,21 @@ def _rotated_row_scores(rows: np.ndarray, db: np.ndarray) -> np.ndarray:
     likely packs the store for larger products. The column block keeps
     the rotated rows' share of a tile in cache. At one rotation the
     product is a matrix-vector pass, and beyond eight the single product
-    is as fast or faster, so both run as one tile over the whole database;
-    that single product widens a float32 store whole, the tiles a tile at
-    a time.
+    is as fast or faster, so both run as one product over the whole float64
+    database. A float32 store is widened a tile at a time in every case:
+    the single product then takes row tiles of ``_WIDEN_BYTES``.
     """
     n_db, dim = db.shape
     n_rot = rows.shape[0]
     if n_rot == 1 or n_rot > _TILE_MAX_ROTATIONS:
-        return (rows @ db.T).T  # in this order: db @ rows.T took up to 1.5x as long
+        if db.dtype == np.float64:
+            return (rows @ db.T).T  # in this order: db @ rows.T took up to 1.5x as long
+        out = np.empty((n_db, n_rot))
+        # whole multiples of 8 rows gave the float64 store's R = 1 scores bit for bit
+        step = max(8, _WIDEN_BYTES // (64 * dim) * 8)
+        for lo in range(0, n_db, step):
+            out[lo : lo + step] = (rows @ db[lo : lo + step].astype(np.float64).T).T
+        return out
     out = np.empty((n_db, n_rot))
     rows_t = rows.T
     cols = min(dim, _TILE_COLS)

@@ -19,6 +19,7 @@ from covagg import (
     vm_kernel,
     wrap_angle,
 )
+from covagg.angle_map import cosines, wrapped_angle_features
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 
@@ -35,6 +36,26 @@ class TestWrapAngle:
         w = wrap_angle(theta)
         assert -np.pi < w <= np.pi + 1e-12
         assert math.cos(w) == pytest.approx(math.cos(theta), abs=1e-6)
+
+    def test_wrapping_twice_changes_no_bit(self):
+        # aggregation takes a DescriptorSet's wrapped angles without wrapping them again
+        rng = np.random.default_rng(0)
+        edges = [np.pi, -np.pi, np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0), 0.0, -0.0,
+                 5e-324, -5e-324, 1e-300, 1e300, -1e300, 2.0 * np.pi, -2.0 * np.pi]
+        draws = [np.array(edges)]
+        for magnitude in 10.0 ** np.arange(-30, 3):  # float32 angles, as files store them
+            draws.append((rng.uniform(-1.0, 1.0, 20000) * magnitude).astype(np.float32))
+        lo, hi = np.array([3.0, np.pi], dtype=np.float32).view(np.uint32)
+        draws.append(np.arange(lo, hi + 1, dtype=np.uint32).view(np.float32))  # all of [3, pi]
+        once = wrap_angle(np.concatenate(draws).astype(np.float64))
+        assert wrap_angle(once).tobytes() == once.tobytes()
+        assert np.all((once > -np.pi) & (once <= np.pi))
+
+    def test_the_float_just_above_pi_wraps_to_pi(self):
+        # the remainder rounds up to 2 pi there; -pi would be outside (-pi, pi]
+        above = np.nextafter(np.pi, 4.0)
+        assert wrap_angle(above) == np.pi
+        assert wrap_angle(np.array([above, -np.pi]))[0] == np.pi
 
 
 class TestBessel:
@@ -227,6 +248,31 @@ class TestAngleFeature:
     def test_rejects_non_finite(self):
         with pytest.raises(ContractError):
             angle_feature(np.nan, K8_N3)
+
+    def test_wrapped_angles_take_the_same_kernel_unchecked(self, rng):
+        thetas = rng.uniform(-20.0, 20.0, 300)
+        wrapped = wrap_angle(thetas)
+        expected = angle_feature_batch(thetas, K8_N3)
+        assert wrapped_angle_features(wrapped, K8_N3).tobytes() == expected.tobytes()
+        assert np.array_equal(K8_N3.feature_scale, np.repeat(np.sqrt(K8_N3.gamma), 2)[1:])
+
+
+class TestCosines:
+    @pytest.mark.parametrize("shape", [(), (7,), (40, 30)])
+    def test_are_the_cosines_of_harmonics_bit_for_bit(self, rng, shape):
+        thetas = rng.uniform(-20.0, 20.0, shape)
+        for n_freq in (0, 1, 3, 8):
+            assert cosines(thetas, n_freq).tobytes() == harmonics(thetas, n_freq)[..., 1::2].tobytes()
+
+    def test_truncated_kernel_is_the_series_of_harmonics_bit_for_bit(self, rng):
+        deltas = np.concatenate([rng.uniform(-9.0, 9.0, 999), [0.0, np.pi, -np.pi]])
+        for coeffs in (K8_N3, fourier_coeffs(AngleMapConfig(family="cosine_power", power=8))):
+            basis = harmonics(wrap_angle(deltas), coeffs.n_freq)
+            expected = np.full(deltas.shape, coeffs.gamma[0])
+            for n in range(1, coeffs.n_freq + 1):
+                expected += coeffs.gamma[n] * basis[:, 2 * n - 1]
+            assert truncated_kernel(deltas, coeffs).tobytes() == expected.tobytes()
+            assert truncated_kernel(float(deltas[5]), coeffs) == expected[5]
 
 
 def test_convergence_to_target_kernel():

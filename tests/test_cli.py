@@ -825,6 +825,39 @@ class TestExitCodes:
         assert code == 3
         assert f"{query}: cannot encode an empty descriptor set" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault, code, message", [
+        ("nan", 2, "non-finite record value at byte {offset}"),
+        ("not-unit", 3, "descriptors must be finite unit vectors within 1e-06; worst deviation 1"),
+        ("wrong-dim", 3, "descriptor dim 16 does not match configured dim 32"),
+    ])
+    def test_a_fault_in_the_middle_of_a_block_names_its_file(self, tmp_path, capsys, fault, code,
+                                                              message):
+        # phi2 at d = 32, N = 3: 3696-wide rows, so one block holds 8 images
+        block_rows = cli.ROWS_BYTES // (8 * 3696)
+        assert block_rows >= 3
+        rng = np.random.default_rng(0)
+        database = tmp_path / "database"
+        database.mkdir()
+        for i in range(block_rows):
+            write_descriptor_file(random_set(rng, 16, 32), database / f"img{i}.cvd")
+        bad = database / "img2.cvd"
+        offset = 20 + 4 * (5 * 33 + 7)  # record 5, component 7
+        if fault == "nan":
+            data = bytearray(bad.read_bytes())
+            data[offset : offset + 4] = struct.pack("<f", np.nan)
+            bad.write_bytes(bytes(data))
+        elif fault == "not-unit":
+            from covagg import DescriptorSet
+            dset = random_set(rng, 16, 32)
+            write_descriptor_file(DescriptorSet(2.0 * dset.descriptors, dset.angles), bad)
+        else:
+            write_descriptor_file(random_set(rng, 16, 16), bad)
+        out = tmp_path / "o.cvv"
+        assert main(["encode", str(database), "--out", str(out), "--family", "phi2",
+                     "--input-dim", "32"]) == code
+        assert f"{bad}: {message.format(offset=offset)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_query_without_ground_truth_is_3_and_named(self, corpus_dir, tmp_path, capsys):
         db = tmp_path / "db.cvv"
         assert main(encode_args(corpus_dir, db)) == 0

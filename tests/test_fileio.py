@@ -2,9 +2,11 @@ import json
 import re
 import struct
 
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_set, unit_rows
@@ -75,6 +77,55 @@ class TestDescriptorFile:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 12)
         with pytest.raises(FormatError, match="bad magic"):
             read_descriptor_file(path)
+
+    @pytest.mark.parametrize("size", range(20))
+    def test_cut_header_names_its_field_and_bytes(self, rng, tmp_path, size):
+        path = tmp_path / "cut.cvd"
+        write_descriptor_file(random_set(rng, 3, 4), path)
+        path.write_bytes(path.read_bytes()[:size])
+        fields = [("magic", 0, 8), ("descriptor dim", 8, 12), ("record count", 12, 16),
+                  ("flags", 16, 20)]
+        what, start, end = next(field for field in fields if field[2] > size)
+        message = (f"{path}: truncated while reading {what} at byte {start}: expected {end} "
+                   f"bytes total, file has {size} ({end - size} missing)")
+        with pytest.raises(FormatError) as caught:
+            read_descriptor_file(path)
+        assert str(caught.value) == message
+
+    def test_bad_magic_comes_before_a_cut_header(self, tmp_path):
+        path = tmp_path / "bad.cvd"
+        path.write_bytes(b"NOTMAGIC\x01\x00")
+        with pytest.raises(FormatError) as caught:
+            read_descriptor_file(path)
+        assert str(caught.value) == f"{path}: bad magic b'NOTMAGIC' at byte 0, expected {DESCRIPTOR_MAGIC!r}"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data[:-7], "truncated while reading record at byte 20: expected 80 bytes total, "
+                                 "file has 73 (7 missing)"),
+        (lambda data: data + b"xx", "2 unexpected trailing bytes at byte 80"),
+        (lambda data: data[:8] + struct.pack("<I", 0) + data[12:],
+         "descriptor dim must be positive, got 0"),
+        (lambda data: data[:12] + struct.pack("<I", 2**32 - 1) + data[16:],
+         "truncated while reading record at byte 20: expected 85899345920 bytes total, "
+         "file has 80 (85899345840 missing)"),
+    ], ids=["cut-table", "trailing", "zero-dim", "huge-count"])
+    def test_table_errors_keep_their_messages(self, rng, tmp_path, edit, message):
+        path = tmp_path / "bad.cvd"
+        write_descriptor_file(random_set(rng, 3, 4), path)  # 20 header bytes, 3 x 5 float32
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(FormatError) as caught:
+            read_descriptor_file(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "b", ".", " ", "é", "cvd"]), min_size=1, max_size=6),
+           st.sampled_from(["", "dir/", "/abs/dir/", "./", "a.b/"]))
+    def test_image_id_is_the_path_stem(self, parts, folder):
+        name = "".join(parts)
+        assume(name not in (".", ".."))
+        path = folder + name
+        assert fileio_module._stem(path) == Path(path).stem
+        assert fileio_module._stem(Path(path)) == Path(path).stem
 
     # record 0's first component, record 1's angle (after 4 components)
     @pytest.mark.parametrize("value_index, bad", [(0, np.nan), (9, np.inf)])

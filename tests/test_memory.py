@@ -147,3 +147,24 @@ def test_float32_store_is_widened_a_tile_at_a_time(truncate):
     # a float64 copy of the store would add 56 MiB
     budget = 8 * MIB
     assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"
+
+
+@pytest.mark.parametrize("truncate, n_rot", [(None, 1), (3696, 12)], ids=["one-rotation", "twelve"])
+def test_float32_store_is_widened_a_tile_at_a_time_by_the_single_product(truncate, n_rot):
+    # the rotated-row scores take one product at R = 1 on every store, and at R > 8
+    # where g = 1; over 2000 x 3696 float32 (28 MiB) they used to widen the store whole
+    config = PipelineConfig(family="phi2", input_dim=32, power_law=0.2, truncate=truncate)
+    pipeline = config.build()
+    assert pipeline.commuting_turns(n_rot) == 1
+    rng = np.random.default_rng(0)
+    db = rng.standard_normal((2000, pipeline.output_dim))
+    db = (db / np.linalg.norm(db, axis=1)[:, None]).astype(np.float32)  # unit rows, as stored
+    query = random_set(rng, 64, 32, "q")
+    query_multi_rotation(query, pipeline, db, n_rot)  # warm the angle tables outside the trace
+    peak, (scores, thetas) = traced_peak(query_multi_rotation, query, pipeline, db, n_rot)
+    wide_scores, wide_thetas = query_multi_rotation(query, pipeline, db.astype(np.float64), n_rot)
+    assert np.max(np.abs(scores - wide_scores)) <= 1e-15
+    assert np.array_equal(thetas, wide_thetas)
+    # 2 MiB widened tiles; a float64 copy of the store would add 56 MiB
+    budget = 8 * MIB
+    assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"

@@ -8,6 +8,7 @@ from conftest import random_set, unit_rows
 from covagg import (
     AngleMapConfig,
     ContractError,
+    DescriptorSet,
     GmmModel,
     MonomialConfig,
     Pipeline,
@@ -143,6 +144,26 @@ def test_encode_block_rows_match_encode(rng, models, stages, n_sets):
     assert block.shape == (n_sets, pipe.output_dim)
     for row, dset in zip(block, dsets):
         assert np.max(np.abs(row - pipe.encode(dset))) < 1e-12
+
+
+def test_encode_block_reads_each_set_only_when_it_is_reached(rng):
+    pipe = PipelineConfig(family="phi1", input_dim=8, power_law=0.2).build()
+    dsets = [random_set(rng, 6, 8, f"img{i}") for i in range(4)]
+    reached = []
+
+    def sets(bad_at=None):
+        for i, dset in enumerate(dsets):
+            reached.append(i)
+            yield DescriptorSet(np.empty((0, 8)), np.empty(0)) if i == bad_at else dset
+
+    block = pipe.encode_block(sets(), len(dsets))
+    assert block.tobytes() == pipe.encode_block(dsets).tobytes()
+    reached.clear()
+    with pytest.raises(ContractError, match="empty descriptor set"):
+        pipe.encode_block(sets(bad_at=2), len(dsets))
+    assert reached == [0, 1, 2]
+    with pytest.raises(ValueError):
+        pipe.encode_block(sets(), len(dsets) + 1)
 
 
 class TestRnRowSlice:

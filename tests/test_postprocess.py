@@ -21,11 +21,33 @@ from covagg import (
     truncate_l2,
 )
 from covagg.aggregate import aggregate, rotated_rows
+from covagg.postprocess import adapted_power_law_rows
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 
 
 class TestPowerLaw:
+    def test_both_zeros_come_out_plus_zero(self):
+        # np.sign(-0.0) * 0.0 is +0.0, where np.copysign(0.0, -0.0) is -0.0; a store
+        # keeps the product's bits
+        v = np.array([[0.0, -0.0, 0.25, -0.5], [-0.0, 1.0, -0.0, 0.0]])
+        product = np.sign(v) * np.abs(v) ** 0.4
+        for out in (None, v.copy()):
+            got = power_law(v, 0.4, out=out)
+            assert not np.signbit(got[v == 0.0]).any()
+            assert np.array_equal(np.signbit(got), np.signbit(product))
+            assert got == pytest.approx(product / np.linalg.norm(product, axis=1)[:, None], abs=1e-15)
+
+    @pytest.mark.parametrize("exponent", [0.2, 0.5, 1.0])
+    def test_in_place_is_bit_identical(self, rng, exponent):
+        v = rng.standard_normal((6, 50))
+        v[0, :5] = 0.0
+        expected = power_law(v, exponent)
+        rows = v.copy()
+        assert power_law(rows, exponent, out=rows) is rows
+        assert rows.tobytes() == expected.tobytes()
+        assert power_law(v[2], exponent).tobytes() == expected[2].tobytes()
+
     def test_identity_exponent_just_normalizes(self, rng):
         v = rng.standard_normal(40)
         assert power_law(v, 1.0) == pytest.approx(v / np.linalg.norm(v), abs=1e-12)
@@ -130,6 +152,17 @@ class TestAdaptedPowerLaw:
         lhs = adapted_power_law(aggregate(rotate_set(dset, shift), emb, K8_N3), 0.4)
         rhs = rotated_rows(adapted_power_law(aggregate(dset, emb, K8_N3), 0.4), shift)[0]
         assert np.max(np.abs(lhs.values - rhs)) < 1e-9
+
+    def test_rows_in_place_match_each_row_alone_bit_for_bit(self, rng):
+        base_dim, n_freq = 5, 3
+        rows = rng.standard_normal((6, base_dim * (2 * n_freq + 1)))
+        rows[1] = 0.0
+        rows[2, base_dim : 3 * base_dim] = 0.0  # a zero-modulus frequency
+        rows[3] *= 1e-200
+        expected = [adapted_power_law(ModulatedVector(row, base_dim, n_freq), 0.3).values
+                    for row in rows]
+        assert adapted_power_law_rows(rows, n_freq, 0.3) is rows
+        assert rows.tobytes() == np.array(expected).tobytes()
 
 
 class TestRn:

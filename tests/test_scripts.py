@@ -86,3 +86,16 @@ def test_encode_sweep(tmp_path):
         for block in entry["blocks"]:
             assert block["best_ms"] >= 0.0 and block["spread_ms"] >= 0.0
             assert block["max_diff"] < 1e-12
+
+
+def test_encode_sweep_per_image(tmp_path):
+    result = run_script("encode_sweep.py", ["--per-image", "--images", "9", "--repeats", "2"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert set(report["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert (report["images"], report["descriptors"], report["dim"]) == (9, 64, 32)
+    assert report["rows_per_block"] == max(1, report["rows_bytes"] // (8 * 3696))
+    assert list(report["stages"]) == ["read", "aggregate", "postprocess", "encode"]
+    for stage in report["stages"].values():
+        assert 0.0 < stage["best_us"] <= stage["median_us"]
+    assert list(tmp_path.iterdir()) == []  # the corpus lives in a temporary directory
