@@ -6,18 +6,12 @@ weighs descriptor similarity by orientation consistency, plus the
 rotation-invariant scoring and retrieval evaluation built on top.
 """
 
-from .aggregate import (
-    ModulatedVector,
-    aggregate_raw_sum,
-    aggregate_rotations,
-    modulate,
-)
+from .aggregate import ModulatedVector
 from .angle_map import (
     COSINE_POWER,
     VON_MISES,
     AngleMapConfig,
     FourierCoefficients,
-    angle_feature,
     angle_feature_batch,
     bessel_i,
     fourier_coeffs,
@@ -31,12 +25,10 @@ from .codebooks import (
     CodebookModel,
     GmmModel,
     PcaModel,
-    gmm_log_likelihood,
     gmm_posteriors,
     gmm_train,
     kmeans_train,
     pca_train,
-    quantization_error,
 )
 from .descriptors import (
     DescriptorSet,
@@ -46,7 +38,6 @@ from .descriptors import (
     embed_batch,
     preprocess_batch,
     rootsift_batch,
-    rotate_set,
 )
 from .errors import ContractError, CovaggError, DegenerateDataError, FormatError
 from .fileio import (

@@ -56,16 +56,6 @@ class ModulatedVector:
         """Read-only (2N+1, base_dim) view: const, then cos n and sin n at rows 2n-1, 2n."""
         return self.values.reshape(2 * self.n_freq + 1, self.base_dim)
 
-    def block_cos(self, n: int) -> np.ndarray:
-        if not 1 <= n <= self.n_freq:
-            raise ContractError(f"frequency {n} outside 1..{self.n_freq}")
-        return self.blocks[2 * n - 1]
-
-    def block_sin(self, n: int) -> np.ndarray:
-        if not 1 <= n <= self.n_freq:
-            raise ContractError(f"frequency {n} outside 1..{self.n_freq}")
-        return self.blocks[2 * n]
-
 
 def rotated_rows(X: ModulatedVector, thetas) -> np.ndarray:
     """(R, dim) matrix whose row r is the vector of the set rotated by thetas[r].
@@ -84,15 +74,6 @@ def rotated_rows(X: ModulatedVector, thetas) -> np.ndarray:
     out[:, 1::2] = c * cn + s * sn
     out[:, 2::2] = s * cn - c * sn
     return out.reshape(thetas.size, X.dim)
-
-
-def modulate(v, a) -> np.ndarray:
-    """Modulated descriptor kron(a, v): one base-dim block per angle feature component."""
-    v = np.asarray(v, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    if v.ndim != 1 or a.ndim != 1 or a.size % 2 == 0:
-        raise ContractError("modulate expects a 1-D vector and an odd-length angle feature")
-    return np.multiply.outer(a, v).ravel()
 
 
 def _raw_sum(angles, X, embedding: EmbeddingConfig, coeffs: FourierCoefficients) -> np.ndarray:
@@ -114,13 +95,6 @@ def _raw_sum(angles, X, embedding: EmbeddingConfig, coeffs: FourierCoefficients)
         part = embed_weighted_sum(feats, X[start:stop], embedding)
         total = part if total is None else total + part
     return total.ravel()
-
-
-def aggregate_raw_sum(
-    dset: DescriptorSet, embedding: EmbeddingConfig, coeffs: FourierCoefficients
-) -> np.ndarray:
-    """Unnormalized sum of modulated embeddings, flattened."""
-    return _raw_sum(dset.angles, dset.descriptors, embedding, coeffs)
 
 
 def aggregate_into(out: np.ndarray, angles, X, embedding: EmbeddingConfig,

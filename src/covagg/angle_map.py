@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_integer
 
 VON_MISES = "von_mises"
 COSINE_POWER = "cosine_power"
@@ -74,15 +74,14 @@ def bessel_i(order: int, x: float) -> float:
     (order <= 64, 0 <= x <= 100) the result is accurate to better than
     1e-12 relative error.
     """
-    if int(order) != order or order < 0 or order > BESSEL_MAX_ORDER:
-        raise ContractError(
-            f"bessel order must be an integer in [0, {BESSEL_MAX_ORDER}], got {order!r}"
-        )
+    n = check_integer(
+        order, f"bessel order must be an integer in [0, {BESSEL_MAX_ORDER}], got {order!r}",
+        0, BESSEL_MAX_ORDER,
+    )
     if not (np.isfinite(x) and 0.0 <= x <= BESSEL_MAX_ARG):
         raise ContractError(
             f"bessel argument must lie in [0, {BESSEL_MAX_ARG}], got {x!r}"
         )
-    n = int(order)
     half = 0.5 * float(x)
     term = half**n / math.factorial(n)
     total = term
@@ -131,20 +130,18 @@ class AngleMapConfig:
         if self.family == VON_MISES:
             if not (np.isfinite(self.kappa) and self.kappa > 0.0):
                 raise ContractError(f"kappa must be positive, got {self.kappa!r}")
-            if int(self.n_freq) != self.n_freq or self.n_freq < 0:
-                raise ContractError(
-                    f"n_freq must be a non-negative integer, got {self.n_freq!r}"
-                )
-            object.__setattr__(self, "n_freq", int(self.n_freq))
+            n_freq = check_integer(
+                self.n_freq, f"n_freq must be a non-negative integer, got {self.n_freq!r}", 0
+            )
+            object.__setattr__(self, "n_freq", n_freq)
             object.__setattr__(self, "power", None)
         elif self.family == COSINE_POWER:
-            p = self.power
-            if p is None or int(p) != p or p < 2 or p % 2 != 0:
-                raise ContractError(
-                    f"cosine-power family needs an even power >= 2, got {p!r}"
-                )
-            object.__setattr__(self, "power", int(p))
-            object.__setattr__(self, "n_freq", int(p) // 2)
+            message = f"cosine-power family needs an even power >= 2, got {self.power!r}"
+            p = check_integer(self.power, message, 2)
+            if p % 2 != 0:
+                raise ContractError(message)
+            object.__setattr__(self, "power", p)
+            object.__setattr__(self, "n_freq", p // 2)
         else:
             raise ContractError(f"unknown angle kernel family {self.family!r}")
 
@@ -253,11 +250,6 @@ def angle_feature_batch(thetas, coeffs: FourierCoefficients) -> np.ndarray:
     return wrapped_angle_features(wrap_angle(t), coeffs)
 
 
-def angle_feature(theta: float, coeffs: FourierCoefficients) -> np.ndarray:
-    """Feature vector of a single angle; see ``angle_feature_batch``."""
-    return angle_feature_batch(np.asarray([theta]), coeffs)[0]
-
-
 SIM_HIST_HEADER = (
     "angle_bin", "delta_lo", "delta_hi", "sim_lo", "sim_hi", "count_raw", "count_modulated",
 )
@@ -273,10 +265,10 @@ def similarity_histogram(set_a, set_b, bins: int, coeffs: FourierCoefficients,
     by the angle kernel are histogrammed over [-1, 1] with ``value_bins``
     cells. Returns a list of rows matching ``SIM_HIST_HEADER``.
     """
-    if int(bins) != bins or bins < 1:
-        raise ContractError(f"bins must be a positive integer, got {bins!r}")
-    if int(value_bins) != value_bins or value_bins < 1:
-        raise ContractError(f"value_bins must be a positive integer, got {value_bins!r}")
+    bins = check_integer(bins, f"bins must be a positive integer, got {bins!r}", 1)
+    value_bins = check_integer(
+        value_bins, f"value_bins must be a positive integer, got {value_bins!r}", 1
+    )
     if len(set_a) != len(set_b):
         raise ContractError(
             f"paired sets must have equal record counts, got {len(set_a)} and {len(set_b)}"

@@ -205,27 +205,30 @@ def _add_manifest_flag(parser: argparse.ArgumentParser):
     )
 
 
-def cmd_train_pca(args) -> int:
+# per training command: the model it trains on the matrix, and how its report names it
+_TRAINERS = {
+    "train-pca": (
+        lambda data, args: pca_train(data, args.out_dim),
+        lambda model: f"pca {model.out_dim}x{model.input_dim}",
+    ),
+    "train-kmeans": (
+        lambda data, args: kmeans_train(data, args.k, max_iter=args.iters, seed=args.seed),
+        lambda model: f"k-means k={model.k} d={model.dim}",
+    ),
+    "train-gmm": (
+        lambda data, args: gmm_train(data, args.k, max_iter=args.iters, seed=args.seed),
+        lambda model: f"gmm k={model.k} d={model.dim}",
+    ),
+}
+
+
+def cmd_train(args) -> int:
+    """Load the training matrix, train the command's model, save it, report it."""
+    train, describe = _TRAINERS[args.command]
     data = _load_training_matrix(args)
-    model = pca_train(data, args.out_dim)
+    model = train(data, args)
     fileio.save_model(args.out, model)
-    print(f"trained pca {model.out_dim}x{model.input_dim} from {data.shape[0]} descriptors -> {args.out}")
-    return 0
-
-
-def cmd_train_kmeans(args) -> int:
-    data = _load_training_matrix(args)
-    model = kmeans_train(data, args.k, max_iter=args.iters, seed=args.seed)
-    fileio.save_model(args.out, model)
-    print(f"trained k-means k={model.k} d={model.dim} from {data.shape[0]} descriptors -> {args.out}")
-    return 0
-
-
-def cmd_train_gmm(args) -> int:
-    data = _load_training_matrix(args)
-    model = gmm_train(data, args.k, max_iter=args.iters, seed=args.seed)
-    fileio.save_model(args.out, model)
-    print(f"trained gmm k={model.k} d={model.dim} from {data.shape[0]} descriptors -> {args.out}")
+    print(f"trained {describe(model)} from {data.shape[0]} descriptors -> {args.out}")
     return 0
 
 
@@ -342,6 +345,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _write_csv(path, header, rows):
+    """``header`` and then ``rows`` as CSV lines, into the file at ``path`` or else to stdout."""
+    out = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+    try:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if path:
+            out.close()
+
+
 def cmd_angle_kernel_dump(args) -> int:
     config = _angle_map_config(args)
     coeffs = fourier_coeffs(config)
@@ -353,15 +368,8 @@ def cmd_angle_kernel_dump(args) -> int:
     else:
         target = np.cos(deltas / 2.0) ** config.power
     approx = truncated_kernel(deltas, coeffs)
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("delta", "k_vm", "k_bar"))
-        for d, t, a in zip(deltas, target, approx):
-            writer.writerow((f"{d:.10f}", f"{t:.12f}", f"{a:.12f}"))
-    finally:
-        if args.out:
-            out.close()
+    rows = ((f"{d:.10f}", f"{t:.12f}", f"{a:.12f}") for d, t, a in zip(deltas, target, approx))
+    _write_csv(args.out, ("delta", "k_vm", "k_bar"), rows)
     return 0
 
 
@@ -373,15 +381,7 @@ def cmd_sim_hist(args) -> int:
         fourier_coeffs(_angle_map_config(args)),
         value_bins=args.value_bins,
     )
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(SIM_HIST_HEADER)
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if args.out:
-            out.close()
+    _write_csv(args.out, SIM_HIST_HEADER, rows)
     return 0
 
 
@@ -483,23 +483,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sample", type=int, default=None,
                        help="subsample this many descriptors before training")
         _add_manifest_flag(p)
+        p.set_defaults(func=cmd_train)
         return p
 
     p = training_parser("train-pca", "train a PCA model on descriptors")
     p.add_argument("--out-dim", type=int, required=True)
-    p.set_defaults(func=cmd_train_pca)
 
     p = training_parser("train-kmeans", "train a k-means codebook")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--iters", type=int, default=25)
     p.add_argument("--pca", default=None, metavar="MODEL")
-    p.set_defaults(func=cmd_train_kmeans)
 
     p = training_parser("train-gmm", "train a diagonal GMM")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--pca", default=None, metavar="MODEL")
-    p.set_defaults(func=cmd_train_gmm)
 
     p = sub.add_parser("train-rn", help="learn the rotation + renormalization model")
     p.add_argument("--vectors", required=True, help="encoded vectors from a held-out corpus")

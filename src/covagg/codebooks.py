@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateDataError
+from .errors import ContractError, DegenerateDataError, check_integer
 
 ORTHO_TOL = 1e-8
 _RANK_REL_TOL = 1e-10
@@ -87,8 +87,9 @@ def pca_train(data, out_dim: int) -> PcaModel:
     """
     data = _as_matrix(data, "training data")
     n, d = data.shape
-    if int(out_dim) != out_dim or out_dim < 1 or out_dim > d:
-        raise ContractError(f"out_dim must be an integer in [1, {d}], got {out_dim!r}")
+    out_dim = check_integer(
+        out_dim, f"out_dim must be an integer in [1, {d}], got {out_dim!r}", 1, d
+    )
     if n <= out_dim:
         raise ContractError(f"need more than {out_dim} samples, got {n}")
     mean = data.mean(axis=0)
@@ -103,10 +104,10 @@ def pca_train(data, out_dim: int) -> PcaModel:
         rank = int(np.count_nonzero(evals > evals[0] * _RANK_REL_TOL))
     if rank < out_dim:
         raise DegenerateDataError(
-            f"requested {int(out_dim)} components but the data only supports rank {rank}"
+            f"requested {out_dim} components but the data only supports rank {rank}"
         )
-    basis = _canonical_signs(evecs[:, : int(out_dim)].T)
-    return PcaModel(mean=mean, basis=basis, eigenvalues=evals[: int(out_dim)])
+    basis = _canonical_signs(evecs[:, :out_dim].T)
+    return PcaModel(mean=mean, basis=basis, eigenvalues=evals[:out_dim])
 
 
 @dataclass(frozen=True)
@@ -144,13 +145,6 @@ def _pairwise_sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     )
     np.maximum(d2, 0.0, out=d2)
     return d2
-
-
-def quantization_error(data, centroids) -> float:
-    """Sum of squared distances to the nearest centroid."""
-    data = _as_matrix(data, "data")
-    d2 = _pairwise_sq_dists(data, np.asarray(centroids, dtype=np.float64))
-    return float(np.sum(np.min(d2, axis=1)))
 
 
 def _plusplus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,21 +188,21 @@ def _lloyd(data: np.ndarray, centroids: np.ndarray, max_iter: int) -> np.ndarray
     return cents
 
 
-def _check_iterations(max_iter: int):
-    if int(max_iter) != max_iter or max_iter < 0:
-        raise ContractError(f"iteration count must be a non-negative integer, got {max_iter!r}")
+def _check_iterations(max_iter: int) -> int:
+    return check_integer(
+        max_iter, f"iteration count must be a non-negative integer, got {max_iter!r}", 0
+    )
 
 
 def kmeans_train(data, k: int, max_iter: int = 25, seed: int = 0) -> CodebookModel:
     """Lloyd iterations from a seeded k-means++ initialization."""
     data = _as_matrix(data, "training data")
-    if int(k) != k or k < 1:
-        raise ContractError(f"k must be a positive integer, got {k!r}")
+    k = check_integer(k, f"k must be a positive integer, got {k!r}", 1)
     if data.shape[0] < k:
         raise ContractError(f"need at least k={k} samples, got {data.shape[0]}")
-    _check_iterations(max_iter)
+    max_iter = _check_iterations(max_iter)
     rng = np.random.default_rng(seed)
-    cents = _plusplus_init(data, int(k), rng)
+    cents = _plusplus_init(data, k, rng)
     cents = _lloyd(data, cents, max_iter)
     return CodebookModel(centroids=cents)
 
@@ -269,12 +263,6 @@ def gmm_posteriors(X, model: GmmModel) -> np.ndarray:
     return np.exp(lp - _logsumexp_rows(lp))
 
 
-def gmm_log_likelihood(data, model: GmmModel) -> float:
-    """Mean per-point log density under the mixture."""
-    data = _as_matrix(data, "data")
-    return float(np.mean(_logsumexp_rows(_log_density(data, model))))
-
-
 def gmm_train(data, k: int, max_iter: int = 100, seed: int = 0) -> GmmModel:
     """EM on a diagonal mixture, initialized from the k-means codebook.
 
@@ -283,12 +271,10 @@ def gmm_train(data, k: int, max_iter: int = 100, seed: int = 0) -> GmmModel:
     """
     data = _as_matrix(data, "training data")
     n, _ = data.shape
-    if int(k) != k or k < 1:
-        raise ContractError(f"k must be a positive integer, got {k!r}")
+    k = check_integer(k, f"k must be a positive integer, got {k!r}", 1)
     if n < 10 * k:
-        raise ContractError(f"need at least 10*k={10 * int(k)} samples, got {n}")
-    _check_iterations(max_iter)
-    k = int(k)
+        raise ContractError(f"need at least 10*k={10 * k} samples, got {n}")
+    max_iter = _check_iterations(max_iter)
 
     floor = np.maximum(VARIANCE_FLOOR_FRACTION * data.var(axis=0), 1e-12)
     codebook = kmeans_train(data, k, seed=seed)

@@ -69,16 +69,6 @@ class DescriptorSet:
         return self.descriptors.shape[1]
 
 
-def rotate_set(dset: DescriptorSet, theta: float) -> DescriptorSet:
-    """The same image as seen after a global rotation by ``theta``."""
-    return DescriptorSet(
-        dset.descriptors,
-        np.asarray(wrap_angle(dset.angles - theta)),
-        image_id=dset.image_id,
-        raw=dset.raw,
-    )
-
-
 def rootsift_batch(raw) -> np.ndarray:
     """l1-normalize then take component-wise square roots, row by row."""
     X = np.asarray(raw, dtype=np.float64)

@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its integer-argument check.
 
 Each class carries the process exit code the CLI maps it to.
 """
+
+import math
+import numbers
 
 
 class CovaggError(Exception):
@@ -26,3 +29,18 @@ class DegenerateDataError(CovaggError):
     """Input data is numerically degenerate for the requested operation."""
 
     exit_code = 4
+
+
+def check_integer(value, message: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int if it is a whole real in [low, high]; else ContractError(message).
+
+    NaN, infinities, None and non-numbers are refused like any fraction,
+    never raised as the ValueError, OverflowError or TypeError of ``int()``.
+    """
+    if isinstance(value, numbers.Integral):
+        whole = True
+    else:
+        whole = isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
+    if not whole or value < low or (high is not None and value > high):
+        raise ContractError(message)
+    return int(value)

@@ -192,8 +192,8 @@ def _stem(path) -> str:
     return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
-def read_descriptor_file(path, image_id: str | None = None) -> DescriptorSet:
-    """Parse a descriptor file; the image id defaults to the file stem.
+def read_descriptor_file(path) -> DescriptorSet:
+    """Parse a descriptor file; the image id is the file stem.
 
     The header takes one read and the table one more, into a float32
     array, once its declared size matches the file's. ``DescriptorSet``
@@ -227,7 +227,7 @@ def read_descriptor_file(path, image_id: str | None = None) -> DescriptorSet:
         return DescriptorSet(
             descriptors=table[:, :dim],
             angles=table[:, dim],
-            image_id=image_id if image_id is not None else _stem(path),
+            image_id=_stem(path),
             raw=bool(flags & DESC_FLAG_RAW),
         )
     except ContractError:  # the shapes fit, so a value is not finite
@@ -351,9 +351,12 @@ def load_model(path, kind):
     """The model of class ``kind`` stored at ``path``.
 
     ``kind`` is ``PcaModel``, ``CodebookModel``, ``GmmModel`` or
-    ``RnModel``. A file of another kind is a ContractError; a file whose
-    arrays fail the model's own checks is a FormatError naming the path.
+    ``RnModel``. Any other ``kind``, or a file of another kind, is a
+    ContractError; a file whose arrays fail the model's own checks is a
+    FormatError naming the path.
     """
+    if kind not in _MODEL_FORMATS:
+        raise ContractError(f"cannot load a model of kind {kind!r}")
     name, own_tag, _, layout = _MODEL_FORMATS[kind]
     with _open_checked(path, MODEL_MAGIC) as reader:
         tag = reader.take(4, "model kind")

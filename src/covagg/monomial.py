@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_integer
 
 UNIT_NORM_TOL = 1e-6
 
@@ -49,8 +49,10 @@ class MonomialConfig:
     def __post_init__(self):
         if self.degree not in (1, 2, 3):
             raise ContractError(f"monomial degree must be 1, 2 or 3, got {self.degree!r}")
-        if int(self.input_dim) != self.input_dim or self.input_dim < 1:
-            raise ContractError(f"input_dim must be a positive integer, got {self.input_dim!r}")
+        input_dim = check_integer(
+            self.input_dim, f"input_dim must be a positive integer, got {self.input_dim!r}", 1
+        )
+        object.__setattr__(self, "input_dim", input_dim)
 
     @property
     def output_dim(self) -> int:

@@ -1,17 +1,53 @@
-"""Slow reference kernels computed as explicit double sums.
+"""Reference forms that the test suite compares the package against.
 
-Accuracy baselines for the test suite. Quadratic in the set sizes and
-deliberately naive: 64-bit scalars accumulated in plain loops. Not part
-of the supported public surface.
+The double-sum kernels are quadratic in the set sizes and deliberately
+naive: 64-bit scalars accumulated in plain loops. The rest are the
+explicit definitions that the runtime never needs in this form: the
+Kronecker modulation of one descriptor, a set seen after a global
+rotation, and the objectives that k-means and EM training must not
+worsen. Not part of the supported public surface.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .angle_map import FourierCoefficients, truncated_kernel
+from .angle_map import FourierCoefficients, truncated_kernel, wrap_angle
+from .codebooks import GmmModel, _as_matrix, _log_density, _logsumexp_rows, _pairwise_sq_dists
 from .descriptors import DescriptorSet, EmbeddingConfig, embed_batch
-from .errors import DegenerateDataError
+from .errors import ContractError, DegenerateDataError
+
+
+def modulate(v, a) -> np.ndarray:
+    """Modulated descriptor kron(a, v): one base-dim block per angle feature component."""
+    v = np.asarray(v, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    if v.ndim != 1 or a.ndim != 1 or a.size % 2 == 0:
+        raise ContractError("modulate expects a 1-D vector and an odd-length angle feature")
+    return np.multiply.outer(a, v).ravel()
+
+
+def rotate_set(dset: DescriptorSet, theta: float) -> DescriptorSet:
+    """The same image as seen after a global rotation by ``theta``."""
+    return DescriptorSet(
+        dset.descriptors,
+        np.asarray(wrap_angle(dset.angles - theta)),
+        image_id=dset.image_id,
+        raw=dset.raw,
+    )
+
+
+def quantization_error(data, centroids) -> float:
+    """Sum of squared distances to the nearest centroid: the k-means objective."""
+    data = _as_matrix(data, "data")
+    d2 = _pairwise_sq_dists(data, np.asarray(centroids, dtype=np.float64))
+    return float(np.sum(np.min(d2, axis=1)))
+
+
+def gmm_log_likelihood(data, model: GmmModel) -> float:
+    """Mean per-point log density under the mixture: the EM objective."""
+    data = _as_matrix(data, "data")
+    return float(np.mean(_logsumexp_rows(_log_density(data, model))))
 
 
 def _raw_modulated_sum(

@@ -34,7 +34,7 @@ from .descriptors import (
     preprocess_batch,
     rootsift_batch,
 )
-from .errors import ContractError
+from .errors import ContractError, check_integer
 from .monomial import MonomialConfig
 from .postprocess import (
     RnModel,
@@ -91,7 +91,7 @@ class Pipeline:
 
     @property
     def modulated_dim(self) -> int:
-        """Length of a ``modulated`` vector, the row that post-processing takes."""
+        """Length of an aggregated row, the row that post-processing takes."""
         return self.base_dim * (2 * self.n_freq + 1)
 
     def stored_layout(self) -> tuple[int, int]:
@@ -131,11 +131,13 @@ class Pipeline:
         return 4 if n_rot % 4 == 0 else 1
 
     def _modulated_rows(self, dsets: Iterable[DescriptorSet], count: int) -> np.ndarray:
-        """(count, modulated_dim) matrix: row i is ``modulated`` of the i-th set.
+        """(count, modulated_dim) matrix: row i is the aggregate of the i-th set.
 
-        Each set is aggregated straight into its row, one at a time and in
-        order, so ``dsets`` may read each set only when it is reached; it
-        must yield exactly ``count`` sets.
+        The rows take the adapted power law, if configured, and nothing else:
+        these are the stages that commute with rotation. Each set is
+        aggregated straight into its row, one at a time and in order, so
+        ``dsets`` may read each set only when it is reached; it must yield
+        exactly ``count`` sets.
         """
         rows = np.empty((count, self.modulated_dim))
         for row, dset in zip(rows, dsets, strict=True):
@@ -143,11 +145,6 @@ class Pipeline:
         if self.adapted:
             adapted_power_law_rows(rows, self.n_freq, self.power_exponent)
         return rows
-
-    def modulated(self, dset: DescriptorSet) -> ModulatedVector:
-        """Aggregate and apply the adapted power law: the stages that commute with rotation."""
-        values = self._modulated_rows([dset], 1)[0]
-        return ModulatedVector(values=values, base_dim=self.base_dim, n_freq=self.n_freq)
 
     def _postprocess_rows(self, rows: np.ndarray) -> np.ndarray:
         """Plain power law, RN and truncation of each row of a matrix the caller owns.
@@ -190,7 +187,9 @@ class Pipeline:
         thetas = np.atleast_1d(thetas)
         if thetas.size == 0:
             raise ContractError("encode_rotations needs at least one rotation")
-        return self._postprocess_rows(rotated_rows(self.modulated(dset), thetas))
+        values = self._modulated_rows([dset], 1)[0]
+        base = ModulatedVector(values=values, base_dim=self.base_dim, n_freq=self.n_freq)
+        return self._postprocess_rows(rotated_rows(base, thetas))
 
 
 def _has_type(value, hint) -> bool:
@@ -258,10 +257,11 @@ class PipelineConfig:
             _check_exponent(self.power_law)
         elif self.adapted_power_law:
             raise ContractError("the adapted power law needs an exponent")
-        if self.input_dim is not None and self.input_dim < 1:
-            raise ContractError(f"input_dim must be at least 1, got {self.input_dim}")
-        if self.truncate is not None and self.truncate < 1:
-            raise ContractError(f"truncate must be at least 1, got {self.truncate}")
+        for name in ("input_dim", "truncate"):
+            value = getattr(self, name)
+            if value is not None:
+                value = check_integer(value, f"{name} must be at least 1, got {value}", 1)
+                object.__setattr__(self, name, value)
 
     def angle_map(self) -> AngleMapConfig:
         """The angle kernel this config names; constructing it validates the fields."""
@@ -294,7 +294,7 @@ class PipelineConfig:
         if self.family in MONOMIAL_DEGREES:
             embedding: EmbeddingConfig = MonomialConfig(
                 degree=MONOMIAL_DEGREES[self.family],
-                input_dim=pca.out_dim if pca is not None else int(self.input_dim),
+                input_dim=pca.out_dim if pca is not None else self.input_dim,
             )
         elif self.family == "vlad":
             embedding = VladEmbedding(codebook=load_model(self.codebook_path, CodebookModel))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregate import ModulatedVector
 from .codebooks import ORTHO_TOL, _canonical_signs
-from .errors import ContractError
+from .errors import ContractError, check_integer
 
 _ORTHO_PROBE_DIM = 1024
 
@@ -239,8 +239,7 @@ def rn_apply(v, model: RnModel) -> np.ndarray:
 def truncate_l2(v, d_out: int) -> np.ndarray:
     """Keep the first ``d_out`` components of each row and re-normalize."""
     v = _as_rows(v)
-    if not (isinstance(d_out, numbers.Real) and float(d_out).is_integer() and d_out > 0):
-        raise ContractError(f"d_out must be a positive integer, got {d_out!r}")
+    d_out = check_integer(d_out, f"d_out must be a positive integer, got {d_out!r}", 1)
     if d_out > v.shape[-1]:
         raise ContractError(f"d_out={d_out} exceeds vector length {v.shape[-1]}")
-    return _unit(v[..., : int(d_out)])
+    return _unit(v[..., :d_out])

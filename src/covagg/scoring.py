@@ -30,7 +30,7 @@ import numpy as np
 from .aggregate import ModulatedVector
 from .angle_map import harmonics, wrap_angle
 from .descriptors import DescriptorSet
-from .errors import ContractError
+from .errors import ContractError, check_integer
 
 _block_dot_counter = ContextVar("block_dot_counter", default=None)
 
@@ -124,9 +124,10 @@ def max_score(poly: ScorePolynomial, samples: int = 64):
     ill-conditioned the roots are.
     """
     min_samples = 2 * poly.n_freq + 1
-    if int(samples) != samples or samples < min_samples:
-        raise ContractError(f"need at least {min_samples} samples, got {samples!r}")
-    grid = np.linspace(-np.pi, np.pi, int(samples), endpoint=False)
+    samples = check_integer(
+        samples, f"need at least {min_samples} samples, got {samples!r}", min_samples
+    )
+    grid = np.linspace(-np.pi, np.pi, samples, endpoint=False)
     upper = np.arange(1, poly.n_freq + 1) * (poly.b + 1j * poly.a) / 2.0
     # Terms below rounding are zeroed, since np.roots divides by the
     # leading term and a subnormal one overflows. np.roots drops zero
@@ -296,9 +297,9 @@ def query_multi_rotation(query: DescriptorSet, pipeline, db_vectors, n_rot: int 
     Returns (scores, thetas): the per-database maximum and the rotation
     hypothesis that achieved it (the first one, on a tie).
     """
-    if int(n_rot) != n_rot or not 1 <= n_rot <= MAX_ROTATIONS:
-        raise ContractError(f"n_rot must be an integer in [1, {MAX_ROTATIONS}], got {n_rot!r}")
-    n_rot = int(n_rot)
+    n_rot = check_integer(
+        n_rot, f"n_rot must be an integer in [1, {MAX_ROTATIONS}], got {n_rot!r}", 1, MAX_ROTATIONS
+    )
     db = _database(db_vectors, pipeline.output_dim)
     thetas = 2.0 * np.pi * np.arange(n_rot) / float(n_rot)
     g = pipeline.commuting_turns(n_rot)

@@ -47,10 +47,6 @@ class SynthConfig:
         if self.noise_sigma < 0.0 or self.angle_jitter < 0.0:
             raise ContractError("noise parameters must be non-negative")
 
-    @property
-    def n_database(self) -> int:
-        return self.n_queries * self.matches_per_query + self.n_distractors
-
 
 def _random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     rows = rng.standard_normal((n, dim))

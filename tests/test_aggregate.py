@@ -19,20 +19,16 @@ from covagg import (
     Pipeline,
     RnModel,
     VladEmbedding,
-    aggregate_raw_sum,
-    aggregate_rotations,
-    angle_feature,
     angle_feature_batch,
     fourier_coeffs,
-    modulate,
-    rotate_set,
     score_cosine,
     truncated_kernel,
 )
 import covagg.aggregate as aggregate_module
 from covagg import oracle
-from covagg.aggregate import aggregate, rotated_rows
+from covagg.aggregate import _raw_sum, aggregate, aggregate_rotations, rotated_rows
 from covagg.monomial import phi_monomial_batch
+from covagg.oracle import modulate, rotate_set
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 
@@ -41,7 +37,7 @@ class TestModulate:
     def test_axis_vector_at_zero_angle(self):
         v = np.zeros(5)
         v[0] = 1.0
-        out = modulate(v, angle_feature(0.0, K8_N3))
+        out = modulate(v, angle_feature_batch(np.array([0.0]), K8_N3)[0])
         root = np.sqrt(K8_N3.gamma)
         assert out[0] == pytest.approx(root[0])
         # sine blocks (indices 2 and 4 of the block sequence) vanish
@@ -54,8 +50,7 @@ class TestModulate:
         for _ in range(20):
             v, w = rng.standard_normal((2, 6))
             t1, t2 = rng.uniform(-np.pi, np.pi, 2)
-            a1 = angle_feature(t1, K8_N3)
-            a2 = angle_feature(t2, K8_N3)
+            a1, a2 = angle_feature_batch(np.array([t1, t2]), K8_N3)
             lhs = float(np.dot(modulate(v, a1), modulate(w, a2)))
             rhs = float(np.dot(np.kron(v, a1), np.kron(w, a2)))
             assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -67,8 +62,8 @@ class TestModulate:
         coeffs = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=n_freq))
         v, w = rng.standard_normal((2, dim))
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
-        lhs = float(np.dot(modulate(v, angle_feature(t1, coeffs)),
-                           modulate(w, angle_feature(t2, coeffs))))
+        a1, a2 = angle_feature_batch(np.array([t1, t2]), coeffs)
+        lhs = float(np.dot(modulate(v, a1), modulate(w, a2)))
         rhs = float(np.dot(v, w)) * truncated_kernel(t1 - t2, coeffs)
         assert abs(lhs - rhs) < 1e-10
 
@@ -76,11 +71,11 @@ class TestModulate:
     def test_is_the_kronecker_product(self, rng, n_freq):
         coeffs = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=n_freq))
         v = rng.standard_normal(6)
-        a = angle_feature(0.8, coeffs)
+        a = angle_feature_batch(np.array([0.8]), coeffs)[0]
         assert np.array_equal(modulate(v, a), np.kron(a, v))
 
     def test_dim_80_n3_gives_560(self, rng):
-        out = modulate(rng.standard_normal(80), angle_feature(0.4, K8_N3))
+        out = modulate(rng.standard_normal(80), angle_feature_batch(np.array([0.4]), K8_N3)[0])
         assert out.shape == (560,)
 
 
@@ -90,11 +85,10 @@ class TestModulatedVector:
         values /= np.linalg.norm(values)
         mv = ModulatedVector(values, base_dim=3, n_freq=2)
         assert np.array_equal(mv.blocks[0], values[:3])
-        assert np.array_equal(mv.block_cos(1), values[3:6])
-        assert np.array_equal(mv.block_sin(1), values[6:9])
-        assert np.array_equal(mv.block_cos(2), values[9:12])
-        with pytest.raises(ContractError):
-            mv.block_cos(3)
+        assert np.array_equal(mv.blocks[1], values[3:6])  # cos 1
+        assert np.array_equal(mv.blocks[2], values[6:9])  # sin 1
+        assert np.array_equal(mv.blocks[3], values[9:12])  # cos 2
+        assert mv.blocks.shape == (5, 3)
 
     def test_length_validation(self):
         with pytest.raises(ContractError):
@@ -106,7 +100,7 @@ class TestAggregate:
         emb = MonomialConfig(1, 8)
         dset = random_set(rng, 1, 8)
         vec = aggregate(dset, emb, K8_N3)
-        direct = modulate(dset.descriptors[0], angle_feature(float(dset.angles[0]), K8_N3))
+        direct = modulate(dset.descriptors[0], angle_feature_batch(dset.angles, K8_N3)[0])
         assert vec.values == pytest.approx(direct / np.linalg.norm(direct), abs=1e-12)
         assert np.linalg.norm(vec.values) == pytest.approx(1.0, abs=1e-10)
 
@@ -150,7 +144,8 @@ class TestAggregate:
         dset = random_set(rng, 600, 8)
         feats = angle_feature_batch(dset.angles, K8_N3)
         dense = feats.T @ phi_monomial_batch(dset.descriptors, emb)
-        assert np.max(np.abs(aggregate_raw_sum(dset, emb, K8_N3) - dense.ravel())) < 1e-12
+        raw = _raw_sum(dset.angles, dset.descriptors, emb, K8_N3)
+        assert np.max(np.abs(raw - dense.ravel())) < 1e-12
 
     @pytest.mark.parametrize("degree", [2, 3])
     @pytest.mark.parametrize("bad", ["non-unit", "wrong-dim"])
@@ -186,8 +181,9 @@ class TestAggregate:
         for _ in range(5):
             dset = random_set(rng, 20, 8)
             shift = rng.uniform(-np.pi, np.pi)
-            n0 = np.linalg.norm(aggregate_raw_sum(dset, emb, K8_N3))
-            n1 = np.linalg.norm(aggregate_raw_sum(rotate_set(dset, shift), emb, K8_N3))
+            moved = rotate_set(dset, shift)
+            n0 = np.linalg.norm(_raw_sum(dset.angles, dset.descriptors, emb, K8_N3))
+            n1 = np.linalg.norm(_raw_sum(moved.angles, moved.descriptors, emb, K8_N3))
             assert abs(n0 - n1) < 1e-10
 
     def test_rotations_match_rotated_sets(self, rng):

@@ -10,7 +10,6 @@ from covagg import (
     AngleMapConfig,
     ContractError,
     FourierCoefficients,
-    angle_feature,
     angle_feature_batch,
     bessel_i,
     fourier_coeffs,
@@ -217,7 +216,7 @@ class TestAngleFeature:
         assert np.array_equal(angle_feature_batch(thetas, coeffs), expected)
 
     def test_layout_at_zero(self):
-        feat = angle_feature(0.0, K8_N3)
+        feat = angle_feature_batch(np.array([0.0]), K8_N3)[0]
         root = np.sqrt(K8_N3.gamma)
         assert feat[0] == pytest.approx(root[0])
         assert feat[1::2] == pytest.approx(root[1:])
@@ -225,17 +224,19 @@ class TestAngleFeature:
 
     @given(st.floats(-10.0, 10.0))
     def test_constant_squared_norm(self, theta):
-        feat = angle_feature(theta, K8_N3)
+        feat = angle_feature_batch(np.array([theta]), K8_N3)[0]
         assert float(feat @ feat) == pytest.approx(float(K8_N3.gamma.sum()), abs=1e-12)
 
     def test_inner_product_matches_kernel(self):
-        lhs = float(angle_feature(0.3, K8_N3) @ angle_feature(-1.1, K8_N3))
+        a1, a2 = angle_feature_batch(np.array([0.3, -1.1]), K8_N3)
+        lhs = float(a1 @ a2)
         assert abs(lhs - truncated_kernel(1.4, K8_N3)) < 1e-12
 
     @settings(max_examples=60)
     @given(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
     def test_inner_product_identity_everywhere(self, t1, t2):
-        lhs = float(angle_feature(t1, K8_N3) @ angle_feature(t2, K8_N3))
+        a1, a2 = angle_feature_batch(np.array([t1, t2]), K8_N3)
+        lhs = float(a1 @ a2)
         assert abs(lhs - truncated_kernel(t1 - t2, K8_N3)) < 1e-12
 
     def test_exactness_on_grid(self):
@@ -247,7 +248,7 @@ class TestAngleFeature:
 
     def test_rejects_non_finite(self):
         with pytest.raises(ContractError):
-            angle_feature(np.nan, K8_N3)
+            angle_feature_batch(np.array([np.nan]), K8_N3)
 
     def test_wrapped_angles_take_the_same_kernel_unchecked(self, rng):
         thetas = rng.uniform(-20.0, 20.0, 300)

@@ -1,6 +1,7 @@
 import json
 import struct
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -352,6 +353,44 @@ def test_encode_parallel_matches_serial(corpus_dir, tmp_path):
     for row, path in enumerate(paths):
         expected = pipeline.encode(read_descriptor_file(path)).astype(np.float32)
         assert np.array_equal(store.vectors[row], expected)
+
+
+@pytest.mark.parametrize(
+    "flags, turns",
+    [(["--power-law", "0.2"], 4), (["--power-law", "0.2", "--truncate", "40"], 1)],
+    ids=["quarter-turn-coefficients", "truncated-rotated-rows"],
+)
+def test_evaluate_prints_the_same_on_any_jobs(corpus_dir, tmp_path, capsys, monkeypatch, flags,
+                                              turns):
+    db = tmp_path / "db.cvv"
+    assert main(["encode", str(corpus_dir / "database"), "--out", str(db), "--family", "phi1",
+                 "--input-dim", "8", *flags]) == 0
+    assert read_vector_file(db).config.build().commuting_turns(8) == turns
+    started = []
+    thread_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        thread_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    printed = {}
+    try:
+        for jobs in (1, 2, 4):
+            started.clear()
+            capsys.readouterr()
+            assert main(["evaluate", "--db", str(db), "--queries", str(corpus_dir / "queries"),
+                         "--gt", str(corpus_dir / "groundtruth.txt"), "--rotations", "8",
+                         "--jobs", str(jobs)]) == 0
+            printed[jobs] = capsys.readouterr().out
+            # --jobs 1 runs on the caller's thread; more start at most --jobs threads
+            assert (len(started) > 0) == (jobs > 1) and len(started) <= jobs
+    finally:
+        sys.setswitchinterval(interval)
+    assert printed[1].count("\n") == 5  # four queries and the mAP line
+    assert printed[2] == printed[1] and printed[4] == printed[1]
 
 
 def test_rn_store_encodes_the_same_in_blocks_on_any_jobs(corpus_dir, tmp_path, monkeypatch):

@@ -22,11 +22,11 @@ from covagg import (
     pca_train,
     preprocess_batch,
     rootsift_batch,
-    rotate_set,
 )
-from covagg.aggregate import AGGREGATE_CHUNK, aggregate_raw_sum
+from covagg.aggregate import AGGREGATE_CHUNK, _raw_sum
 from covagg.codebooks import VARIANCE_FLOOR_FRACTION
 from covagg.descriptors import embed_weighted_sum
+from covagg.oracle import rotate_set
 
 
 class TestDescriptorSet:
@@ -244,5 +244,5 @@ class TestCodebookWeightedSum:
         feats = angle_feature_batch(dset.angles, coeffs)
         for emb in codebook_families(unit_rows(rng, 4, 6), np.full((4, 6), 0.1)):
             ref = (feats.T @ embed_batch(dset.descriptors, emb)).ravel()
-            out = aggregate_raw_sum(dset, emb, coeffs)
+            out = _raw_sum(dset.angles, dset.descriptors, emb, coeffs)
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -426,6 +426,13 @@ class TestModelFiles:
         with pytest.raises(FormatError, match="unknown model kind"):
             load_model(path, PcaModel)
 
+    @pytest.mark.parametrize("kind", [str, "pca", None])
+    def test_unknown_requested_kind_is_a_contract_error(self, rng, tmp_path, kind):
+        path = tmp_path / "pca.cvm"
+        save_model(path, _small_model("pca", rng))
+        with pytest.raises(ContractError, match="cannot load a model of kind"):
+            load_model(path, kind)
+
     @pytest.mark.parametrize("stored, kind", [("codebook", PcaModel), ("pca", GmmModel),
                                               ("gmm", RnModel), ("rn", CodebookModel)])
     def test_other_kind_is_refused(self, rng, tmp_path, stored, kind):

@@ -17,10 +17,10 @@ from covagg import (
     power_law,
     rn_apply,
     rn_train,
-    rotate_set,
     truncate_l2,
 )
 from covagg.aggregate import aggregate, rotated_rows
+from covagg.oracle import rotate_set
 from covagg.postprocess import adapted_power_law_rows
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
@@ -90,8 +90,8 @@ class TestAdaptedPowerLaw:
         vec = aggregate(random_set(rng, 10, 6), MonomialConfig(1, 6), K8_N3)
         out = adapted_power_law(vec, 0.3)
         for n in range(1, 4):
-            before = np.arctan2(vec.block_sin(n), vec.block_cos(n))
-            after = np.arctan2(out.block_sin(n), out.block_cos(n))
+            before = np.arctan2(vec.blocks[2 * n], vec.blocks[2 * n - 1])
+            after = np.arctan2(out.blocks[2 * n], out.blocks[2 * n - 1])
             assert np.max(np.abs(before - after)) < 1e-10
 
     def test_zero_modulus_pairs_stay_zero(self):
