@@ -63,7 +63,7 @@ def pipelines(rng):
 
     def make(width, **post):
         embedding = MonomialConfig(degree=1, input_dim=width // (2 * N_FREQ + 1))
-        return Pipeline(family="phi1", embedding=embedding, coeffs=coeffs, **post)
+        return Pipeline(embedding=embedding, coeffs=coeffs, **post)
 
     rotation, _ = np.linalg.qr(rng.standard_normal((1344, 1344)))
     rn = RnModel(rotation=rotation, exponent=0.5).leading_rows(512)

@@ -67,7 +67,7 @@ def main():
     n_blocks = 2 * args.nfreq + 1
     # the turn rule reads the stages, not the widths, so one plain-power-law pipeline serves
     coeffs = fourier_coeffs(AngleMapConfig(n_freq=args.nfreq))
-    plain = Pipeline("phi1", MonomialConfig(1, 1), coeffs, power_exponent=0.5)
+    plain = Pipeline(MonomialConfig(1, 1), coeffs, power_exponent=0.5)
     results = []
     for n_db, dim in args.shapes:
         db = rng.standard_normal((n_db, dim)) / math.sqrt(dim)

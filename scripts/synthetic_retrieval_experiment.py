@@ -28,7 +28,6 @@ from covagg import (
 def corpus_map(queries, database, ground_truth, dim, n_freq, n_rot, kappa, exponent):
     coeffs = fourier_coeffs(AngleMapConfig(kappa=kappa, n_freq=n_freq))
     pipe = Pipeline(
-        family="phi1",
         embedding=MonomialConfig(1, dim),
         coeffs=coeffs,
         power_exponent=exponent,

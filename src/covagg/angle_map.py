@@ -119,6 +119,7 @@ class AngleMapConfig:
     For the ``cosine_power`` family the expansion terminates at
     ``power // 2`` frequencies, so ``n_freq`` is forced to that value.
     The von Mises family has no power, so ``power`` is dropped to None.
+    Either family runs at most ``BESSEL_MAX_ORDER`` frequencies.
     """
 
     kappa: float = 8.0
@@ -131,13 +132,16 @@ class AngleMapConfig:
             if not (np.isfinite(self.kappa) and self.kappa > 0.0):
                 raise ContractError(f"kappa must be positive, got {self.kappa!r}")
             n_freq = check_integer(
-                self.n_freq, f"n_freq must be a non-negative integer, got {self.n_freq!r}", 0
+                self.n_freq,
+                f"n_freq must be an integer in [0, {BESSEL_MAX_ORDER}], got {self.n_freq!r}",
+                0, BESSEL_MAX_ORDER,
             )
             object.__setattr__(self, "n_freq", n_freq)
             object.__setattr__(self, "power", None)
         elif self.family == COSINE_POWER:
-            message = f"cosine-power family needs an even power >= 2, got {self.power!r}"
-            p = check_integer(self.power, message, 2)
+            top = 2 * BESSEL_MAX_ORDER
+            message = f"cosine-power family needs an even power in [2, {top}], got {self.power!r}"
+            p = check_integer(self.power, message, 2, top)
             if p % 2 != 0:
                 raise ContractError(message)
             object.__setattr__(self, "power", p)

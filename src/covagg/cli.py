@@ -374,11 +374,12 @@ def cmd_angle_kernel_dump(args) -> int:
 
 
 def cmd_sim_hist(args) -> int:
+    coeffs = fourier_coeffs(_angle_map_config(args))
     rows = similarity_histogram(
         fileio.read_descriptor_file(args.a),
         fileio.read_descriptor_file(args.b),
         args.bins,
-        fourier_coeffs(_angle_map_config(args)),
+        coeffs,
         value_bins=args.value_bins,
     )
     _write_csv(args.out, SIM_HIST_HEADER, rows)
@@ -583,7 +584,7 @@ def main(argv=None) -> int:
     except CovaggError as exc:
         print(f"covagg: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # an unreadable path, or a size too large to allocate
         print(f"covagg: error: {exc}", file=sys.stderr)
         return ContractError.exit_code
 

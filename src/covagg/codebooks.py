@@ -35,12 +35,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _canonical_signs(rows: np.ndarray) -> np.ndarray:
-    """Flip each row so its largest-magnitude entry is positive."""
-    idx = np.argmax(np.abs(rows), axis=1)
-    signs = np.sign(rows[np.arange(rows.shape[0]), idx])
+def _principal_axes(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, descending and clipped at 0, and the eigenvectors as rows.
+
+    They decompose the sample covariance of the rows of ``centered``,
+    which must have more than one row and a zero column mean. Each row
+    is flipped so that its largest-magnitude entry is positive.
+    """
+    cov = centered.T @ centered / (centered.shape[0] - 1)
+    evals, evecs = np.linalg.eigh(cov)
+    rows = evecs[:, ::-1].T
+    signs = np.sign(rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)])
     signs[signs == 0] = 1.0
-    return rows * signs[:, None]
+    return np.clip(evals[::-1], 0.0, None), rows * signs[:, None]
 
 
 @dataclass(frozen=True)
@@ -93,11 +100,7 @@ def pca_train(data, out_dim: int) -> PcaModel:
     if n <= out_dim:
         raise ContractError(f"need more than {out_dim} samples, got {n}")
     mean = data.mean(axis=0)
-    centered = data - mean
-    cov = centered.T @ centered / (n - 1)
-    evals, evecs = np.linalg.eigh(cov)
-    evals = np.clip(evals[::-1], 0.0, None)
-    evecs = evecs[:, ::-1]
+    evals, axes = _principal_axes(data - mean)
     if evals[0] <= 0.0:
         rank = 0
     else:
@@ -106,8 +109,7 @@ def pca_train(data, out_dim: int) -> PcaModel:
         raise DegenerateDataError(
             f"requested {out_dim} components but the data only supports rank {rank}"
         )
-    basis = _canonical_signs(evecs[:, :out_dim].T)
-    return PcaModel(mean=mean, basis=basis, eigenvalues=evals[:out_dim])
+    return PcaModel(mean=mean, basis=axes[:out_dim], eigenvalues=evals[:out_dim])
 
 
 @dataclass(frozen=True)

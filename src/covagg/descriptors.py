@@ -25,7 +25,7 @@ from .codebooks import (
     _pairwise_sq_dists,
     gmm_posteriors,
 )
-from .errors import ContractError, DegenerateDataError
+from .errors import ContractError, DegenerateDataError, _descriptor_matrix
 from .monomial import MonomialConfig, phi_monomial_batch, phi_monomial_weighted_sum
 
 
@@ -90,13 +90,7 @@ def preprocess_batch(X, pca: PcaModel) -> np.ndarray:
     The output keeps the model's ``out_dim`` leading components; a model
     with ``out_dim == input_dim`` makes the transform a pure rotation.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ContractError("expected a 2-D array of descriptors")
-    if X.shape[1] != pca.input_dim:
-        raise ContractError(
-            f"descriptor dim {X.shape[1]} does not match pca input dim {pca.input_dim}"
-        )
+    X = _descriptor_matrix(X, pca.input_dim, "pca input")
     Y = (X - pca.mean) @ pca.basis.T
     norms = np.linalg.norm(Y, axis=1)
     if np.any(norms == 0.0):
@@ -188,26 +182,16 @@ def _fisher_weighted_sum(W: np.ndarray, X: np.ndarray, gmm: GmmModel) -> np.ndar
     return (moments / np.sqrt(gmm.variances)).reshape(K, -1)
 
 
-def _codebook_input(X, config) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ContractError("expected a 2-D array of descriptors")
-    if X.shape[1] != config.input_dim:
-        raise ContractError(
-            f"descriptor dim {X.shape[1]} does not match model dim {config.input_dim}"
-        )
-    return X
-
-
 def embed_batch(X, config: EmbeddingConfig) -> np.ndarray:
     """Embed the rows of X under the configured coding family."""
     if isinstance(config, MonomialConfig):
         return phi_monomial_batch(X, config)
+    if not isinstance(config, (VladEmbedding, FisherEmbedding)):
+        raise ContractError(f"unknown embedding config {type(config).__name__}")
+    X = _descriptor_matrix(X, config.input_dim, "model")
     if isinstance(config, VladEmbedding):
-        return _vlad_batch(_codebook_input(X, config), config.codebook)
-    if isinstance(config, FisherEmbedding):
-        return _fisher_batch(_codebook_input(X, config), config.gmm)
-    raise ContractError(f"unknown embedding config {type(config).__name__}")
+        return _vlad_batch(X, config.codebook)
+    return _fisher_batch(X, config.gmm)
 
 
 def embed_weighted_sum(W, X, config: EmbeddingConfig) -> np.ndarray:
@@ -222,8 +206,9 @@ def embed_weighted_sum(W, X, config: EmbeddingConfig) -> np.ndarray:
     if isinstance(config, MonomialConfig):
         return phi_monomial_weighted_sum(W, X, config)
     W = np.asarray(W, dtype=np.float64)
+    if not isinstance(config, (VladEmbedding, FisherEmbedding)):
+        raise ContractError(f"unknown embedding config {type(config).__name__}")
+    X = _descriptor_matrix(X, config.input_dim, "model")
     if isinstance(config, VladEmbedding):
-        return _vlad_weighted_sum(W, _codebook_input(X, config), config.codebook)
-    if isinstance(config, FisherEmbedding):
-        return _fisher_weighted_sum(W, _codebook_input(X, config), config.gmm)
-    raise ContractError(f"unknown embedding config {type(config).__name__}")
+        return _vlad_weighted_sum(W, X, config.codebook)
+    return _fisher_weighted_sum(W, X, config.gmm)

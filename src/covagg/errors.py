@@ -1,10 +1,12 @@
-"""Exception hierarchy shared across the package, and its integer-argument check.
+"""Exception hierarchy shared across the package, and its integer and descriptor checks.
 
 Each class carries the process exit code the CLI maps it to.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class CovaggError(Exception):
@@ -44,3 +46,13 @@ def check_integer(value, message: str, low: int, high: int | None = None) -> int
     if not whole or value < low or (high is not None and value > high):
         raise ContractError(message)
     return int(value)
+
+
+def _descriptor_matrix(X, dim: int, owner: str) -> np.ndarray:
+    """X as a float64 matrix of ``dim``-wide rows; ``owner`` names whose dim it must match."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ContractError("expected a 2-D array of descriptors")
+    if X.shape[1] != dim:
+        raise ContractError(f"descriptor dim {X.shape[1]} does not match {owner} dim {dim}")
+    return X

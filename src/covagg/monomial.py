@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractError, check_integer
+from .errors import ContractError, _descriptor_matrix, check_integer
 
 UNIT_NORM_TOL = 1e-6
 
@@ -47,12 +47,11 @@ class MonomialConfig:
     input_dim: int
 
     def __post_init__(self):
-        if self.degree not in (1, 2, 3):
-            raise ContractError(f"monomial degree must be 1, 2 or 3, got {self.degree!r}")
         input_dim = check_integer(
             self.input_dim, f"input_dim must be a positive integer, got {self.input_dim!r}", 1
         )
         object.__setattr__(self, "input_dim", input_dim)
+        monomial_output_dim(self.degree, input_dim)  # refuses a degree other than 1, 2 or 3
 
     @property
     def output_dim(self) -> int:
@@ -88,13 +87,7 @@ def _triple_indices(d: int):
 
 def _unit_rows(X, config: MonomialConfig) -> np.ndarray:
     """X as a float64 matrix of finite unit rows (within 1e-6) of the configured dim."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ContractError("expected a 2-D array of descriptors")
-    if X.shape[1] != config.input_dim:
-        raise ContractError(
-            f"descriptor dim {X.shape[1]} does not match configured dim {config.input_dim}"
-        )
+    X = _descriptor_matrix(X, config.input_dim, "configured")
     # the row norms as np.linalg.norm takes them, without its argument handling
     deviation = np.abs(np.sqrt(np.add.reduce(X * X, axis=1)) - 1.0)
     # NaN fails every comparison, so test for rows within the tolerance

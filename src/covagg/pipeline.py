@@ -63,7 +63,6 @@ def default_power_exponent(family: str) -> float:
 class Pipeline:
     """Resolved encoding pipeline with loaded models."""
 
-    family: str
     embedding: EmbeddingConfig
     coeffs: FourierCoefficients
     pca: Optional[PcaModel] = None
@@ -159,23 +158,19 @@ class Pipeline:
             rows = truncate_l2(rows, self.truncate_dim)
         return rows
 
-    def encode_block(self, dsets: Iterable[DescriptorSet], count: Optional[int] = None) -> np.ndarray:
-        """Full pipeline: row i is the database-ready vector of the i-th set.
+    def encode_block(self, dsets: Iterable[DescriptorSet], count: int) -> np.ndarray:
+        """Full pipeline: row i is the database-ready vector of the i-th of ``count`` sets.
 
         Each set is aggregated into its row of one float64 block
         (``_modulated_rows``); the plain power law then runs in place on
         the block, and RN and truncation once on it, so RN reads its
-        rotation once per block rather than once per image. ``count`` is
-        the number of sets; without it ``dsets`` is read whole first.
+        rotation once per block rather than once per image.
         """
-        if count is None:
-            dsets = list(dsets)
-            count = len(dsets)
         return self._postprocess_rows(self._modulated_rows(dsets, count))
 
     def encode(self, dset: DescriptorSet) -> np.ndarray:
         """Full pipeline: database-ready vector for one image."""
-        return self.encode_block([dset])[0]
+        return self.encode_block([dset], 1)[0]
 
     def encode_rotations(self, dset: DescriptorSet, thetas) -> np.ndarray:
         """Row i is ``encode`` of the set rotated by ``thetas[i]``.
@@ -323,7 +318,6 @@ class PipelineConfig:
             rn = rn.leading_rows(self.truncate)  # truncation keeps only these rows
 
         return Pipeline(
-            family=self.family,
             embedding=embedding,
             coeffs=coeffs,
             pca=pca,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import ModulatedVector
-from .codebooks import ORTHO_TOL, _canonical_signs
+from .codebooks import ORTHO_TOL, _principal_axes
 from .errors import ContractError, check_integer
 
 _ORTHO_PROBE_DIM = 1024
@@ -190,10 +190,7 @@ def rn_train(vectors, exponent: float = 0.5, whiten: bool = False) -> RnModel:
     n, dim = V.shape
     centered = V - V.mean(axis=0)
     if n > dim:
-        cov = centered.T @ centered / (n - 1)
-        evals, evecs = np.linalg.eigh(cov)
-        evals = np.clip(evals[::-1], 0.0, None)
-        rotation = _canonical_signs(evecs[:, ::-1].T)
+        evals, rotation = _principal_axes(centered)
         return RnModel(rotation=rotation, exponent=exponent, whiten=whiten, eigenvalues=evals)
 
     warnings.warn(

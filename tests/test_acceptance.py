@@ -249,9 +249,7 @@ def _independent_ap(ranked, relevant, junk):
 
 def _evaluate_corpus(queries, database, ground_truth, dim, n_freq, n_rot):
     coeffs = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=n_freq))
-    pipe = Pipeline(
-        family="phi1", embedding=MonomialConfig(1, dim), coeffs=coeffs, power_exponent=0.2
-    )
+    pipe = Pipeline(embedding=MonomialConfig(1, dim), coeffs=coeffs, power_exponent=0.2)
     db = np.stack([pipe.encode(dset) for dset in database])
     ids = [dset.image_id for dset in database]
     aps = []

@@ -158,7 +158,7 @@ class TestAggregate:
         with pytest.raises(ContractError):
             aggregate(dset, emb, K8_N3)
         with pytest.raises(ContractError):
-            Pipeline(f"phi{degree}", emb, K8_N3, power_exponent=0.2).encode(dset)
+            Pipeline(emb, K8_N3, power_exponent=0.2).encode(dset)
 
     def test_monomial_aggregation_never_builds_the_embedding(self, rng, monkeypatch):
         def refuse(*args, **kwargs):
@@ -173,7 +173,7 @@ class TestAggregate:
             emb = MonomialConfig(degree, 8)
             dset = random_set(rng, 20, 8)
             aggregate(dset, emb, K8_N3)
-            pipe = Pipeline(f"phi{degree}", emb, K8_N3, power_exponent=0.2, adapted=adapted)
+            pipe = Pipeline(emb, K8_N3, power_exponent=0.2, adapted=adapted)
             assert pipe.encode_rotations(dset, thetas).shape == (2, pipe.output_dim)
 
     def test_global_rotation_preserves_sum_norm(self, rng):
@@ -229,25 +229,25 @@ class TestAggregate:
             ))
 
         if family == "phi2":
-            pipe = Pipeline("phi2", MonomialConfig(2, 8), K8_N3, power_exponent=0.5, adapted=True)
+            pipe = Pipeline(MonomialConfig(2, 8), K8_N3, power_exponent=0.5, adapted=True)
         elif family == "phi3-adapted":
-            pipe = Pipeline("phi3", MonomialConfig(3, 8), K8_N3, power_exponent=0.2, adapted=True)
+            pipe = Pipeline(MonomialConfig(3, 8), K8_N3, power_exponent=0.2, adapted=True)
         elif family == "phi2-none":
-            pipe = Pipeline("phi2", MonomialConfig(2, 8), K8_N3)
+            pipe = Pipeline(MonomialConfig(2, 8), K8_N3)
         elif family == "vlad":
             emb = VladEmbedding(CodebookModel(rng.standard_normal((4, 8))))
-            pipe = Pipeline("vlad", emb, K8_N3, power_exponent=0.4)
+            pipe = Pipeline(emb, K8_N3, power_exponent=0.4)
         elif family == "fisher":
             emb = fisher()
-            pipe = Pipeline("fisher", emb, K8_N3, power_exponent=0.4, rn=rn(emb), truncate_dim=40)
+            pipe = Pipeline(emb, K8_N3, power_exponent=0.4, rn=rn(emb), truncate_dim=40)
         elif family == "phi2-adapted-rn-truncate":
             emb = MonomialConfig(2, 8)
             pipe = Pipeline(
-                "phi2", emb, K8_N3, power_exponent=0.3, adapted=True, rn=rn(emb), truncate_dim=50
+                emb, K8_N3, power_exponent=0.3, adapted=True, rn=rn(emb), truncate_dim=50
             )
         else:
             emb = fisher()
-            pipe = Pipeline("fisher", emb, K8_N3, power_exponent=0.4, rn=rn(emb, whiten=True))
+            pipe = Pipeline(emb, K8_N3, power_exponent=0.4, rn=rn(emb, whiten=True))
         query = random_set(rng, 30, 8)
         thetas = np.array([0.0, 0.7, 2.5, -1.3])
         rows = pipe.encode_rotations(query, thetas)

@@ -18,7 +18,7 @@ from covagg import (
     vm_kernel,
     wrap_angle,
 )
-from covagg.angle_map import cosines, wrapped_angle_features
+from covagg.angle_map import BESSEL_MAX_ORDER, cosines, wrapped_angle_features
 
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 
@@ -152,6 +152,17 @@ class TestFourierCoeffs:
             AngleMapConfig(family="cosine_power", power=None)
         with pytest.raises(ContractError):
             AngleMapConfig(family="mystery")
+        assert AngleMapConfig(n_freq=BESSEL_MAX_ORDER).n_freq == BESSEL_MAX_ORDER
+        config = AngleMapConfig(family="cosine_power", power=2 * BESSEL_MAX_ORDER)
+        assert config.n_freq == BESSEL_MAX_ORDER
+        with pytest.raises(ContractError, match=r"n_freq must be an integer in \[0, 64\]"):
+            AngleMapConfig(n_freq=BESSEL_MAX_ORDER + 1)
+        with pytest.raises(ContractError, match=r"even power in \[2, 128\]"):
+            AngleMapConfig(family="cosine_power", power=2 * BESSEL_MAX_ORDER + 2)
+        with pytest.raises(ContractError):
+            AngleMapConfig(n_freq=10**13)
+        with pytest.raises(ContractError):
+            AngleMapConfig(family="cosine_power", power=2 * 10**13)
         with pytest.raises(ContractError):
             FourierCoefficients(np.array([0.5, -0.1]))
 

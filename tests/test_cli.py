@@ -235,6 +235,45 @@ def test_von_mises_flag_with_cosine_power_is_3(corpus_dir, tmp_path, capsys, com
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [(["--nfreq", str(10**13)], f"n_freq must be an integer in [0, 64], got {10**13}"),
+     (["--angle-family", "cosine-power", "--cosine-power", str(2 * 10**13)],
+      f"cosine-power family needs an even power in [2, 128], got {2 * 10**13}")],
+    ids=["nfreq", "cosine-power"],
+)
+@pytest.mark.parametrize("command", ["encode", "angle-kernel-dump", "sim-hist"])
+def test_frequency_count_above_the_bound_is_3(corpus_dir, tmp_path, capsys, command, flags,
+                                              message):
+    out = tmp_path / "out"
+    argv = angle_command(corpus_dir, command)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out), *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["angle-kernel-dump", "--grid", str(10**13)],
+     ["sim-hist", "--bins", str(10**7), "--value-bins", str(10**7)],
+     ["synth", "--descriptors", str(10**13)]],
+    ids=["grid", "sim-hist-bins", "synth-descriptors"],
+)
+def test_size_too_large_to_allocate_is_one_error_line(corpus_dir, tmp_path, capsys, command):
+    # each size fails numpy's first allocation at once, before any work is done
+    query = str(sorted((corpus_dir / "queries").iterdir())[0])
+    inputs = {"angle-kernel-dump": [], "sim-hist": ["--a", query, "--b", query],
+              "synth": ["--out-dir", str(tmp_path / "synth")]}[command[0]]
+    capsys.readouterr()
+    assert main([*command, *inputs]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("covagg: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--no-power-law", "--power-law", "0.3"],

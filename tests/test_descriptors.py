@@ -180,6 +180,37 @@ def test_embed_dim_mismatch(rng):
         embed_weighted_sum(np.ones((5, 3)), rng.standard_normal((5, 7)), VladEmbedding(codebook))
 
 
+def descriptor_checks():
+    """(name, owner word, call) of each function that checks a 4-wide descriptor matrix."""
+    rng = np.random.default_rng(0)
+    pca = pca_train(rng.standard_normal((40, 4)), 4)
+    gmm = GmmModel(np.full(2, 0.5), rng.standard_normal((2, 4)), np.ones((2, 4)))
+    families = {
+        "vlad": (VladEmbedding(CodebookModel(rng.standard_normal((3, 4)))), "model"),
+        "fisher": (FisherEmbedding(gmm), "model"),
+        **{f"phi{p}": (MonomialConfig(p, 4), "configured") for p in (1, 2, 3)},
+    }
+    checks = [("preprocess_batch", "pca input", lambda X: preprocess_batch(X, pca))]
+    for name, (emb, owner) in families.items():
+        checks.append((f"embed_batch-{name}", owner, lambda X, emb=emb: embed_batch(X, emb)))
+        checks.append((f"embed_weighted_sum-{name}", owner,
+                       lambda X, emb=emb: embed_weighted_sum(np.ones((len(X), 2)), X, emb)))
+    return checks
+
+
+@pytest.mark.parametrize("name, owner, call", descriptor_checks(),
+                         ids=[name for name, _, _ in descriptor_checks()])
+@pytest.mark.parametrize("bad", ["one-d", "wrong-width"])
+def test_descriptor_matrix_errors_name_the_owner(name, owner, call, bad):
+    X, message = {
+        "one-d": (np.ones(4), "expected a 2-D array of descriptors"),
+        "wrong-width": (np.ones((3, 5)), f"descriptor dim 5 does not match {owner} dim 4"),
+    }[bad]
+    with pytest.raises(ContractError) as exc:
+        call(X)
+    assert str(exc.value) == message
+
+
 def assert_matches_dense(W, X, emb):
     """embed_weighted_sum equals W.T @ embed_batch within 1e-12 of the sums' scale."""
     ref = W.T @ embed_batch(X, emb)

@@ -337,6 +337,7 @@ class TestVectorFile:
             json.dumps({**CONFIG.to_dict(), "truncate": -3}).encode(),
             json.dumps({**CONFIG.to_dict(), "kappa": -1.0}).encode(),
             json.dumps({**CONFIG.to_dict(), "n_freq": -2}).encode(),
+            json.dumps({**CONFIG.to_dict(), "n_freq": 10**13}).encode(),
             json.dumps({**CONFIG.to_dict(), "angle_family": "bogus"}).encode(),
             json.dumps({**CONFIG.to_dict(), "angle_family": "cosine_power"}).encode(),
             json.dumps({**CONFIG.to_dict(), "power_law": 7.0}).encode(),
@@ -346,8 +347,8 @@ class TestVectorFile:
              "str-for-float", "float-for-int", "int-for-bool", "int-for-path", "bad-family",
              "pca-reduce-key", "skip-power-law-key", "adapted-without-exponent",
              "zero-truncate", "negative-truncate", "negative-kappa", "negative-n-freq",
-             "bad-angle-family", "cosine-power-without-power", "power-law-above-one",
-             "zero-power-law"],
+             "huge-n-freq", "bad-angle-family", "cosine-power-without-power",
+             "power-law-above-one", "zero-power-law"],
     )
     def test_bad_config_rejected(self, tmp_path, config_json):
         path = tmp_path / "vecs.cvv"

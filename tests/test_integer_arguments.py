@@ -32,7 +32,7 @@ from covagg import (
 K8_N3 = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=3))
 DATA = unit_rows(np.random.default_rng(0), 40, 4)
 SET = random_set(np.random.default_rng(1), 6, 4)
-PIPELINE = Pipeline("phi1", MonomialConfig(1, 4), K8_N3, power_exponent=0.5)
+PIPELINE = Pipeline(MonomialConfig(1, 4), K8_N3, power_exponent=0.5)
 POLY = ScorePolynomial(c0=0.1, a=np.array([0.2]), b=np.array([0.3]))
 
 ENTRY_POINTS = {

@@ -87,11 +87,11 @@ def test_config_accepts_the_fields_its_family_reads(fields):
 
 def test_pipeline_refuses_adapted_power_law_without_exponent():
     with pytest.raises(ContractError, match="exponent"):
-        Pipeline("phi1", MonomialConfig(1, 8), K8_N3, adapted=True)
+        Pipeline(MonomialConfig(1, 8), K8_N3, adapted=True)
 
 
 def test_encode_rotations_needs_a_rotation(rng):
-    pipe = Pipeline("phi1", MonomialConfig(1, 8), K8_N3, power_exponent=0.2)
+    pipe = Pipeline(MonomialConfig(1, 8), K8_N3, power_exponent=0.2)
     with pytest.raises(ContractError, match="rotation"):
         pipe.encode_rotations(random_set(rng, 10, 8), [])
 
@@ -140,7 +140,7 @@ def test_encode_block_rows_match_encode(rng, models, stages, n_sets):
         stages = {**stages, "rn_path": str(rn_paths[stages["rn_path"]])}
     pipe = PipelineConfig(family="fisher", gmm_path=str(gmm_path), **stages).build()
     dsets = [random_set(rng, 30, 4, f"img{i}") for i in range(n_sets)]
-    block = pipe.encode_block(dsets)
+    block = pipe.encode_block(dsets, n_sets)
     assert block.shape == (n_sets, pipe.output_dim)
     for row, dset in zip(block, dsets):
         assert np.max(np.abs(row - pipe.encode(dset))) < 1e-12
@@ -157,7 +157,7 @@ def test_encode_block_reads_each_set_only_when_it_is_reached(rng):
             yield DescriptorSet(np.empty((0, 8)), np.empty(0)) if i == bad_at else dset
 
     block = pipe.encode_block(sets(), len(dsets))
-    assert block.tobytes() == pipe.encode_block(dsets).tobytes()
+    assert block.tobytes() == pipe.encode_block(dsets, len(dsets)).tobytes()
     reached.clear()
     with pytest.raises(ContractError, match="empty descriptor set"):
         pipe.encode_block(sets(bad_at=2), len(dsets))

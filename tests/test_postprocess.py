@@ -14,6 +14,7 @@ from covagg import (
     RnModel,
     adapted_power_law,
     fourier_coeffs,
+    pca_train,
     power_law,
     rn_apply,
     rn_train,
@@ -189,6 +190,12 @@ class TestRn:
         assert np.all(np.diff(model.eigenvalues) <= 1e-12)
         gram = model.rotation @ model.rotation.T
         assert np.max(np.abs(gram - np.eye(5))) < 1e-8
+
+    def test_full_rank_train_is_pca_train_bit_for_bit(self, rng):
+        data = rng.standard_normal((300, 40))
+        model, pca = rn_train(data), pca_train(data, 40)
+        assert model.rotation.tobytes() == pca.basis.tobytes()
+        assert model.eigenvalues.tobytes() == pca.eigenvalues.tobytes()
 
     def test_few_samples_warns_and_stays_orthonormal(self, rng):
         data = rng.standard_normal((4, 10))

@@ -38,7 +38,6 @@ EMB8 = MonomialConfig(1, 8)
 def make_pipeline(n_freq=3, exponent=None, dim=8, adapted=False):
     coeffs = fourier_coeffs(AngleMapConfig(kappa=8.0, n_freq=n_freq))
     return Pipeline(
-        family="phi1",
         embedding=MonomialConfig(1, dim),
         coeffs=coeffs,
         power_exponent=exponent,
@@ -48,7 +47,7 @@ def make_pipeline(n_freq=3, exponent=None, dim=8, adapted=False):
 
 def truncated_pipeline(truncate_dim=50):
     """A plain-power-law phi1 pipeline (d = 8, N = 3) truncated to ``truncate_dim`` components."""
-    return Pipeline("phi1", EMB8, K8_N3, power_exponent=0.3, truncate_dim=truncate_dim)
+    return Pipeline(EMB8, K8_N3, power_exponent=0.3, truncate_dim=truncate_dim)
 
 
 def quarter_turn(rows, base_dim, n_freq, k):
@@ -73,7 +72,7 @@ def covariant_pipeline(rng, family, adapted):
         ))
     else:
         embedding = MonomialConfig(int(family[-1]), 8)
-    return Pipeline(family, embedding, K8_N3, power_exponent=0.3 if adapted else None,
+    return Pipeline(embedding, K8_N3, power_exponent=0.3 if adapted else None,
                     adapted=adapted)
 
 
@@ -196,7 +195,7 @@ class TestCountBlockDots:
 
     def test_rows_path_counts_nothing(self, rng):
         rn = RnModel(rotation=np.eye(56), eigenvalues=np.ones(56))
-        for pipe in (Pipeline("phi1", EMB8, K8_N3, power_exponent=0.3, rn=rn),
+        for pipe in (Pipeline(EMB8, K8_N3, power_exponent=0.3, rn=rn),
                      truncated_pipeline()):
             assert pipe.commuting_turns(8) == 1
             db = np.stack([pipe.encode(random_set(rng, 12, 8, f"d{i}")) for i in range(5)])
@@ -586,9 +585,9 @@ class TestCommutingTurns:
             (make_pipeline(), every),
             (make_pipeline(exponent=0.3, adapted=True), every),
             (make_pipeline(exponent=0.3), [1, 1, 1, 4, 1, 4, 4]),
-            (Pipeline("phi1", EMB8, K8_N3, rn=rn), none),
-            (Pipeline("phi1", EMB8, K8_N3, truncate_dim=20), none),
-            (Pipeline("phi1", EMB8, K8_N3, power_exponent=0.3, rn=rn), none),
+            (Pipeline(EMB8, K8_N3, rn=rn), none),
+            (Pipeline(EMB8, K8_N3, truncate_dim=20), none),
+            (Pipeline(EMB8, K8_N3, power_exponent=0.3, rn=rn), none),
             (truncated_pipeline(), none),
         ]
         for pipe, turns in table:
