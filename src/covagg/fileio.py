@@ -8,14 +8,16 @@ non-finite real. Every write goes to a temporary file in the destination
 directory followed by an atomic rename.
 
 Readers stream from the open file. Every length a header declares is
-checked against the file size before anything is allocated. A model or
-vector table is read ``READ_CHUNK`` bytes at a time through one reused
-buffer into the float64 array it fills, so a vector file's payload is
-never held whole as bytes or as float32 next to its float64 matrix; the
-writer stores a float32 matrix as it is, without a copy. A descriptor
-file takes two reads, its header in one and its whole float32 table in
-the other. ``DescriptorSet`` widens, checks and wraps the table once;
-nothing downstream checks or wraps it again.
+checked against the file size before anything is allocated. A model's
+float64 arrays are read ``READ_CHUNK`` bytes at a time straight into
+the arrays they fill. A vector file's id table is one read, parsed in
+memory, and its float32 matrix is read ``READ_CHUNK`` bytes at a time
+through one reused buffer and widened into the float64 matrix, so the
+payload is never held whole as bytes or as float32 next to that matrix;
+the writer stores a float32 matrix as it is, without a copy. A
+descriptor file takes two reads, its header in one and its whole
+float32 table in the other. ``DescriptorSet`` widens, checks and wraps
+the table once; nothing downstream checks or wraps it again.
 
 Layouts:
 
@@ -127,27 +129,32 @@ class _Reader:
     def reals(self, count: int, dtype: str, what: str) -> np.ndarray:
         """``count`` reals of the little-endian ``dtype`` as a new float64 array.
 
-        They are read ``READ_CHUNK`` bytes at a time into one reused
-        buffer and checked for non-finite values before they are widened,
-        so the file's bytes are never held whole.
+        A float64 payload (every model array) is read ``READ_CHUNK`` bytes
+        at a time straight into the array, and each slice is checked for
+        non-finite values where it lies. A float32 payload (a vector
+        file's matrix) goes through one reused ``READ_CHUNK`` buffer and is
+        checked before it is widened. Either way the file's bytes are never
+        held whole next to the result.
         """
         size = np.dtype(dtype).itemsize
         start = self.offset
         self.need(count * size, what)
         out = np.empty(count, dtype=np.float64)
         step = max(1, READ_CHUNK // size)
-        buffer = np.empty(min(step, count), dtype=dtype)
+        direct = np.dtype(dtype) == out.dtype
+        buffer = None if direct else np.empty(min(step, count), dtype=dtype)
         for lo in range(0, count, step):
-            chunk = buffer[: min(step, count - lo)]
+            hi = min(lo + step, count)
+            chunk = out[lo:hi] if direct else buffer[: hi - lo]
             got = self.handle.readinto(chunk)
             if got != chunk.nbytes:
                 raise self._truncated(chunk.nbytes, what, self.offset + got)
             self.offset += got
-            finite = np.isfinite(chunk)
-            if not finite.all():
-                offset = start + (lo + int(np.argmin(finite))) * size
+            if not np.isfinite(chunk).all():
+                offset = start + (lo + int(np.argmin(np.isfinite(chunk)))) * size
                 raise FormatError(f"{self.path}: non-finite {what} value at byte {offset}")
-            out[lo : lo + chunk.size] = chunk
+            if not direct:
+                out[lo:hi] = chunk
         return out
 
     def expect_end(self):
@@ -277,6 +284,50 @@ def write_vector_file(path, image_ids, vectors, base_dim: int, n_freq: int,
     atomic_write_bytes(path, header, config_json, id_table, vectors)
 
 
+# A u32 length as the id table stores it.
+_ID_LENGTH = struct.Struct("<I")
+# Bytes per id that the one read of a vector file's id table takes at most:
+# a length and an id as long as a file name, so that the bytes past a
+# damaged table are not read whole. A longer id, or a table that is cut or
+# runs into the payload, is read one id at a time.
+_ID_TABLE_BYTES_PER_ID = 4 + 255
+
+
+def _image_id(reader: _Reader, raw_id: bytes, at: int) -> str:
+    try:
+        return raw_id.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{reader.path}: invalid UTF-8 image id at byte {at}") from exc
+
+
+def _read_image_ids(reader: _Reader, count: int, payload_bytes: int) -> list:
+    """The ``count`` image ids of a vector file whose payload has ``payload_bytes``.
+
+    The bytes between the cursor and the payload are one read, parsed in
+    memory. From the first id that would run past them on, the ids are
+    read one at a time from its offset, so a cut or overrunning table
+    fails with the message and at the byte that reading id by id gives.
+    """
+    start = reader.offset
+    region = reader.size - start - payload_bytes
+    table = reader.take(max(0, min(region, count * _ID_TABLE_BYTES_PER_ID)), "image id")
+    ids = []
+    pos = 0
+    while len(ids) < count and pos + 4 <= len(table):
+        end = pos + 4 + _ID_LENGTH.unpack_from(table, pos)[0]
+        if end > len(table):
+            break
+        ids.append(_image_id(reader, table[pos + 4 : end], start + pos + 4))
+        pos = end
+    if pos != len(table):
+        reader.offset = start + pos
+        reader.handle.seek(reader.offset)
+    for _ in range(count - len(ids)):
+        raw_id = reader.take(reader.u32("image id length"), "image id")
+        ids.append(_image_id(reader, raw_id, reader.offset - len(raw_id)))
+    return ids
+
+
 def read_vector_file(path) -> VectorStore:
     with _open_checked(path, VECTOR_MAGIC) as reader:
         count = reader.u32("record count")
@@ -298,16 +349,7 @@ def read_vector_file(path) -> VectorStore:
             config = PipelineConfig.from_dict(json.loads(config_json.decode("utf-8")))
         except (ValueError, RecursionError, ContractError) as exc:
             raise FormatError(f"{path}: bad pipeline config at byte {config_start}: {exc}") from exc
-        ids = []
-        for _ in range(count):
-            id_len = reader.u32("image id length")
-            raw_id = reader.take(id_len, "image id")
-            try:
-                ids.append(raw_id.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise FormatError(
-                    f"{path}: invalid UTF-8 image id at byte {reader.offset - id_len}"
-                ) from exc
+        ids = _read_image_ids(reader, count, count * dim * 4)
         repeated = [i for i, n in Counter(ids).items() if n > 1]
         if repeated:
             raise FormatError(f"{path}: image id {repeated[0]!r} occurs more than once")

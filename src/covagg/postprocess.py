@@ -21,6 +21,7 @@ from .codebooks import ORTHO_TOL, _principal_axes
 from .errors import ContractError, check_integer
 
 _ORTHO_PROBE_DIM = 1024
+_ORTHO_PROBE_TILE = 128  # rotation rows per product of the norm probe
 
 
 def _check_exponent(a: float):
@@ -139,7 +140,13 @@ class RnModel:
             # full Gram check is cubic; probe with a few random vectors
             rng = np.random.default_rng(0)
             probes = rng.standard_normal((4, dim))
-            images = probes @ rot.T
+            # in tiles of rotation rows: for one (4 x dim) @ (dim x dim)
+            # product OpenBLAS packs the whole rotation (14 MiB at dim
+            # 1344), which took twice as long as tiles that fit in cache
+            images = np.empty((4, dim))
+            for lo in range(0, dim, _ORTHO_PROBE_TILE):
+                hi = lo + _ORTHO_PROBE_TILE
+                images[:, lo:hi] = probes @ rot[lo:hi].T
             if np.max(
                 np.abs(np.linalg.norm(images, axis=1) - np.linalg.norm(probes, axis=1))
             ) > ORTHO_TOL * np.sqrt(dim):
@@ -213,8 +220,11 @@ def rn_train(vectors, exponent: float = 0.5, whiten: bool = False) -> RnModel:
         )
     eigenvalues[:rank] = gvals[:rank]
     span = centered.T @ gvecs[:, :rank] / np.sqrt(gvals[:rank] * max(n - 1, 1))
-    full, _ = np.linalg.qr(span, mode="complete")
-    full[:, :rank] = span  # qr may flip signs; the complement stays orthogonal
+    # span's columns are orthonormal only up to rounding, which the
+    # division by small eigenvalues amplifies; qr's are orthonormal, and
+    # a column times the sign of its R diagonal points along span's
+    full, upper = np.linalg.qr(span, mode="complete")
+    full[:, :rank] *= np.where(np.diag(upper) < 0.0, -1.0, 1.0)
     return RnModel(rotation=full.T, exponent=exponent, whiten=whiten, eigenvalues=eigenvalues)
 
 

@@ -65,8 +65,10 @@ def mean_ap(aps) -> float:
 def rank_rows(image_ids, scores) -> np.ndarray:
     """Row indices by descending score; ties broken by lexicographic id.
 
-    One stable sort by score over the rows in id order, so equal scores,
-    -0.0 and +0.0 among them, keep their id order.
+    Distinct scores have one order, so the rows are first sorted by score
+    alone. Only if two scores are equal, -0.0 and +0.0 among them, is the
+    ranking one stable sort by score over the rows in id order, so that
+    equal scores keep their id order.
     """
     ids = list(image_ids)
     scores = np.asarray(scores, dtype=np.float64)
@@ -74,6 +76,10 @@ def rank_rows(image_ids, scores) -> np.ndarray:
         raise ContractError("need exactly one score per image id")
     if not np.isfinite(scores).all():
         raise ContractError("scores must be finite to be ranked")
+    order = np.argsort(-scores)
+    ranked = scores[order]
+    if not (ranked[1:] == ranked[:-1]).any():
+        return order
     by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
     return by_id[np.argsort(-scores[by_id], kind="stable")]
 

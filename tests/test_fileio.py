@@ -293,6 +293,48 @@ class TestVectorFile:
         with pytest.raises(FormatError, match=f"invalid UTF-8 image id at byte {id_at}"):
             read_vector_file(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # 2 bytes into the length of "bc" (ids at t: 4 + 1, 4 + 2, 4 + 3 bytes)
+            (lambda data, t: data[: t + 7],
+             "truncated while reading image id length at byte {t5}: expected {t9} bytes "
+             "total, file has {t7} (2 missing)"),
+            (lambda data, t: data[: t + 10],
+             "truncated while reading image id at byte {t9}: expected {t11} bytes total, "
+             "file has {t10} (1 missing)"),
+            (lambda data, t: data[:-1],
+             "truncated while reading vector at byte {t18}: expected {t102} bytes total, "
+             "file has {t101} (1 missing)"),
+            # "def" declares 8 more bytes, so it ends 8 bytes into the (zero) payload
+            (lambda data, t: data[: t + 11] + struct.pack("<I", 11) + data[t + 15 :],
+             "truncated while reading vector at byte {t26}: expected {t110} bytes total, "
+             "file has {t102} (8 missing)"),
+            # "def" declares more bytes than the file has left
+            (lambda data, t: data[: t + 11] + struct.pack("<I", 200) + data[t + 15 :],
+             "truncated while reading image id at byte {t15}: expected {t215} bytes total, "
+             "file has {t102} (113 missing)"),
+            (lambda data, t: data[: t + 17] + b"\xff" + data[t + 18 :],
+             "invalid UTF-8 image id at byte {t15}"),
+        ],
+        ids=["cut-in-id-length", "cut-in-id-bytes", "payload-one-byte-short",
+             "id-runs-into-payload", "id-runs-past-the-end", "invalid-utf8-in-last-id"],
+    )
+    def test_damaged_id_table_names_its_byte(self, tmp_path, edit, message):
+        # a config longer than the declared records keeps every cut past the size check
+        path = tmp_path / "vecs.cvv"
+        write_vector_file(path, ["a", "bc", "def"], np.zeros((3, 7)),
+                          base_dim=1, n_freq=3, config=CONFIG)
+        data = path.read_bytes()
+        t = VECTOR_HEADER + struct.unpack_from("<I", data, VECTOR_HEADER - 4)[0]
+        assert data[t:] == (struct.pack("<I", 1) + b"a" + struct.pack("<I", 2) + b"bc"
+                            + struct.pack("<I", 3) + b"def" + bytes(84))
+        path.write_bytes(edit(data, t))
+        offsets = {f"t{k}": t + k for k in (5, 7, 9, 10, 11, 15, 18, 26, 101, 102, 110, 215)}
+        with pytest.raises(FormatError) as exc:
+            read_vector_file(path)
+        assert str(exc.value) == f"{path}: " + message.format(**offsets)
+
     def test_repeated_id_refused_before_writing(self, tmp_path):
         path = tmp_path / "vecs.cvv"
         with pytest.raises(ContractError, match="image id 'b' occurs more than once"):
@@ -546,6 +588,36 @@ def _mutations(size):
     return st.one_of(cut, writes)
 
 
+def _id_table_edits(data, count, payload):
+    """The id-table edits of a vector file with ``count`` ids and ``payload`` bytes of vectors.
+
+    A cut inside an id length or inside id bytes, a payload one byte short,
+    an id length that runs into the payload or past it, or invalid UTF-8
+    in the last id, in the mutation form ``_mutate`` applies.
+    """
+    lengths = []  # (offset of the u32 length, the id's length)
+    at = VECTOR_HEADER + struct.unpack_from("<I", data, VECTOR_HEADER - 4)[0]
+    for _ in range(count):
+        lengths.append((at, struct.unpack_from("<I", data, at)[0]))
+        at += 4 + lengths[-1][1]
+    ids = st.sampled_from(lengths)
+
+    def overrun(entry):
+        at = entry[0]
+        left = len(data) - payload - at - 4  # the bytes from this id to the payload
+        return st.integers(left + 1, left + payload + 8).map(
+            lambda n: ("set", list(zip(range(at, at + 4), struct.pack("<I", n)))))
+
+    last_at, last_len = lengths[-1]
+    return st.one_of(
+        ids.flatmap(lambda e: st.integers(e[0] + 1, e[0] + 3)).map(lambda n: ("cut", n)),
+        ids.flatmap(lambda e: st.integers(e[0] + 4, e[0] + 3 + e[1])).map(lambda n: ("cut", n)),
+        st.just(("cut", len(data) - 1)),
+        ids.flatmap(overrun),
+        st.integers(0x80, 0xFF).map(lambda b: ("set", [(last_at + 3 + last_len, b)])),
+    )
+
+
 def _mutate(data, mutation):
     how, arg = mutation
     if how == "cut":
@@ -590,7 +662,23 @@ class TestParsersNeverCrash:
     @FUZZ
     @given(data=st.data())
     def test_vector_file(self, tmp_path, data):
+        # the id table, read in one piece, gives what reading it id by id gives
         path = tmp_path / "fuzz.cvv"
         vectors = np.random.default_rng(0).standard_normal((2, 7))
-        write_vector_file(path, ["a", "b"], vectors, base_dim=1, n_freq=3, config=CONFIG)
-        self.check(path, path.read_bytes(), read_vector_file, data)
+        write_vector_file(path, ["a", "bc"], vectors, base_dim=1, n_freq=3, config=CONFIG)
+        original = path.read_bytes()
+        mutation = data.draw(st.one_of(_mutations(len(original)),
+                                       _id_table_edits(original, 2, vectors.size * 4)))
+        path.write_bytes(_mutate(original, mutation))
+
+        def outcome():
+            try:
+                store = read_vector_file(path)
+            except CovaggError as exc:
+                return type(exc), str(exc)
+            return store.image_ids, store.vectors.tobytes()
+
+        one_read = outcome()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio_module, "_ID_TABLE_BYTES_PER_ID", 0)
+            assert outcome() == one_read

@@ -16,9 +16,12 @@ from covagg import (
     GmmModel,
     MonomialConfig,
     PipelineConfig,
+    RnModel,
     VladEmbedding,
+    load_model,
     query_multi_rotation,
     read_vector_file,
+    save_model,
     write_vector_file,
 )
 from covagg.cli import main
@@ -53,6 +56,18 @@ def test_read_holds_the_matrix_and_one_chunk(tmp_path):
     assert store.vectors.nbytes == matrix
     # holding the file's bytes or a float32 copy next to the matrix adds 28 MiB
     assert peak < matrix + 8 * MIB, f"peak {peak / MIB:.1f} MiB over a {matrix / MIB:.1f} MiB matrix"
+
+
+def test_model_load_holds_its_arrays_and_no_chunk(tmp_path):
+    dim = 1100  # above the size whose Gram matrix is checked, so the norm probe runs
+    rotation = np.eye(dim)[np.random.default_rng(0).permutation(dim)]
+    path = tmp_path / "rn.cvm"
+    save_model(path, RnModel(rotation=rotation, eigenvalues=np.ones(dim)))
+    del rotation
+    peak, model = traced_peak(load_model, path, RnModel)
+    arrays = model.rotation.nbytes + model.eigenvalues.nbytes
+    # reading through a 4 MiB buffer would add it to the 9.2 MiB of arrays
+    assert peak < arrays + MIB, f"peak {peak / MIB:.2f} MiB over {arrays / MIB:.2f} MiB of arrays"
 
 
 @pytest.fixture

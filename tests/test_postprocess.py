@@ -206,6 +206,34 @@ class TestRn:
         # spanned directions come first
         assert np.count_nonzero(model.eigenvalues > 0) == 3
 
+    @pytest.mark.parametrize("noise", [1e-4, 1e-5, 3e-6])
+    def test_nearly_degenerate_samples_train_an_orthonormal_rotation(self, noise):
+        # rank 2 plus noise: the noise directions count as spanned, with
+        # Gram eigenvalues far below the top one
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            data = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 30))
+            data += noise * rng.standard_normal((6, 30))
+            with pytest.warns(UserWarning, match="sample span"):
+                model = rn_train(data)
+            gram = model.rotation @ model.rotation.T
+            assert np.max(np.abs(gram - np.eye(30))) < 1e-12
+            # the spanned rows still decorrelate the samples
+            rank = np.count_nonzero(model.eigenvalues > 0)
+            images = (data - data.mean(axis=0)) @ model.rotation[:rank].T
+            covariance = images.T @ images / 5
+            assert np.max(np.abs(covariance - np.diag(model.eigenvalues[:rank]))) < (
+                1e-12 * model.eigenvalues[0])
+
+    def test_few_samples_rows_point_along_the_span(self, rng):
+        data = rng.standard_normal((4, 10))
+        with pytest.warns(UserWarning, match="sample span"):
+            model = rn_train(data)
+        centered = data - data.mean(axis=0)
+        gvals, gvecs = np.linalg.eigh(centered @ centered.T / 3)
+        span = centered.T @ gvecs[:, ::-1][:, :3] / np.sqrt(gvals[::-1][:3] * 3)
+        assert np.max(np.abs(model.rotation[:3] - span.T)) < 1e-12
+
     def test_whiten_path(self, rng):
         data = rng.standard_normal((200, 5)) * np.array([3.0, 2.0, 1.0, 0.5, 0.1])
         model = rn_train(data, whiten=True)

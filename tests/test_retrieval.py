@@ -15,6 +15,7 @@ from covagg import (
     read_ground_truth,
     write_ground_truth,
 )
+from covagg.retrieval import rank_rows
 
 
 class TestAveragePrecision:
@@ -139,6 +140,24 @@ class TestRanking:
         expected = sorted(range(600), key=lambda i: (-scores[i], ids[i]))
         assert rank_by_score(ids, scores) == [ids[i] for i in expected]
         assert rank_by_score(ids, list(scores)) == [ids[i] for i in expected]
+
+    @pytest.mark.parametrize("ties", ["none", "equal", "signed-zeros"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_match_the_id_ordered_sort(self, seed, ties):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400)) + (ties != "none")
+        ids = [f"img{v}" for v in rng.permutation(n)]
+        scores = rng.standard_normal(n)
+        i, j = rng.choice(n, 2, replace=False) if ties != "none" else (0, 0)
+        if ties == "equal":
+            scores[j] = scores[i]
+        elif ties == "signed-zeros":
+            scores[i], scores[j] = 0.0, -0.0
+        by_id = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
+        expected = by_id[np.argsort(-scores[by_id], kind="stable")]
+        rows = rank_rows(ids, scores)
+        assert rows.dtype == np.intp
+        assert rows.tolist() == expected.tolist()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, bad):
