@@ -49,6 +49,15 @@ DESCRIPTOR_SUFFIX = ".cvd"
 # larger one buys little and costs memory.
 ROWS_BYTES = 1 << 18
 
+# Rows that each ``preprocess_batch`` call of the training loader takes at
+# least, unless the whole corpus has fewer. OpenBLAS runs small products
+# through another kernel, which rounds its sums differently: in a probe,
+# projecting blocks of 1-32 rows changed the bits of every block, while
+# blocks of 63 rows or more matched the whole-matrix product. Projecting
+# file by file changed ``train-gmm --pca``'s model on a corpus of 3000
+# files of 1-19 descriptors; calls of this many rows keep it byte-identical.
+TRAIN_CHUNK = 4096
+
 
 def _collect_descriptor_paths(inputs) -> list:
     """Expand files and directories into a sorted list of descriptor files."""
@@ -72,23 +81,89 @@ def _collect_descriptor_paths(inputs) -> list:
     return paths
 
 
-def _load_training_matrix(args) -> np.ndarray:
-    """Stack descriptors from the training files, preprocessed as requested."""
-    if args.sample is not None:
-        _require_positive("--sample", args.sample)
-    paths = _collect_descriptor_paths(args.train_descriptors)
-    blocks = []
+def _training_blocks(paths):
+    """Each training file's descriptors, in file order, RootSIFT-normalized if raw.
+
+    Files without descriptors yield nothing. A file whose dim differs
+    from the files before it ends the blocks, but only once every file
+    has been read, so that a fault in a later file is reported first.
+    """
+    dim = mismatch = None
     for path in paths:
         dset = fileio.read_descriptor_file(path)
         if len(dset) == 0:
             continue
         X = rootsift_batch(dset.descriptors) if dset.raw else dset.descriptors
-        blocks.append(np.asarray(X))
-    if not blocks:
+        dim = X.shape[1] if dim is None else dim
+        if X.shape[1] != dim and mismatch is None:
+            mismatch = ContractError(
+                f"{path}: descriptor dim {X.shape[1]} differs from the {dim} of earlier files"
+            )
+        if mismatch is None:
+            yield X
+    if mismatch is not None:
+        raise mismatch
+
+
+def _projected(blocks, pca_path) -> list:
+    """``preprocess_batch`` of the stacked ``blocks`` in row order, as a list of pieces.
+
+    Rows are staged and projected whenever ``2 * TRAIN_CHUNK`` of them
+    wait, all but the last ``TRAIN_CHUNK``; the rest go in one last call.
+    So no call takes fewer than ``TRAIN_CHUNK`` rows unless all the
+    blocks do, and only the staged rows are ever held unprojected. The
+    model at ``pca_path`` is loaded for the first call. An error in
+    loading or projecting is raised once every block has been read, so
+    a fault in a later file is still reported first.
+    """
+    pca = failure = None
+    pieces, staged, n_staged = [], [], 0
+
+    def project(rows):
+        nonlocal pca, failure
+        try:
+            if pca is None:
+                pca = fileio.load_model(pca_path, PcaModel)
+            pieces.append(preprocess_batch(rows, pca))
+        except (CovaggError, OSError) as exc:
+            failure = exc
+
+    for X in blocks:
+        if failure is not None:
+            continue
+        staged.append(X)
+        n_staged += X.shape[0]
+        if n_staged >= 2 * TRAIN_CHUNK:
+            rows, staged = np.vstack(staged), None
+            project(rows[:-TRAIN_CHUNK])
+            # a copy, so that the stack is freed before the next one is made
+            staged, n_staged = [rows[-TRAIN_CHUNK:].copy()], TRAIN_CHUNK
+            del rows
+    if staged and failure is None:
+        rows, staged = np.vstack(staged), None
+        project(rows)
+    if failure is not None:
+        raise failure
+    return pieces
+
+
+def _load_training_matrix(args) -> np.ndarray:
+    """The training files' descriptors as one matrix, prepared as the command asks.
+
+    Files are read once, in order. Without ``--pca`` each file's rows are
+    kept as they are read; with it they are projected in staged pieces
+    (``_projected``), so the loader never holds the raw corpus next to
+    the projected one. The pieces are stacked once, and ``--sample`` then
+    picks rows.
+    """
+    if args.sample is not None:
+        _require_positive("--sample", args.sample)
+    blocks = _training_blocks(_collect_descriptor_paths(args.train_descriptors))
+    pieces = _projected(blocks, args.pca) if getattr(args, "pca", None) else list(blocks)
+    if not pieces:
         raise ContractError("training files contain no descriptors")
-    data = np.vstack(blocks)
-    if getattr(args, "pca", None):
-        data = preprocess_batch(data, fileio.load_model(args.pca, PcaModel))
+    data = np.vstack(pieces)
+    del pieces
     if args.sample is not None and args.sample < data.shape[0]:
         rng = np.random.default_rng(args.seed)
         keep = rng.choice(data.shape[0], size=args.sample, replace=False)

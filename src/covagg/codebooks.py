@@ -41,13 +41,24 @@ def _principal_axes(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     They decompose the sample covariance of the rows of ``centered``,
     which must have more than one row and a zero column mean. Each row
     is flipped so that its largest-magnitude entry is positive.
+
+    At most two dim x dim matrices are held at a time: the covariance
+    is divided in place, and the eigenvector rows are made C-contiguous
+    once and flipped in place, so ``RnModel`` takes them without a copy.
+    ``centered`` is dropped before ``eigh``, so that a temporary argument
+    is freed before LAPACK allocates its workspace.
     """
-    cov = centered.T @ centered / (centered.shape[0] - 1)
+    cov = centered.T @ centered
+    cov /= centered.shape[0] - 1
+    del centered
     evals, evecs = np.linalg.eigh(cov)
-    rows = evecs[:, ::-1].T
+    del cov
+    rows = np.ascontiguousarray(evecs[:, ::-1].T)
+    del evecs
     signs = np.sign(rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)])
     signs[signs == 0] = 1.0
-    return np.clip(evals[::-1], 0.0, None), rows * signs[:, None]
+    rows *= signs[:, None]
+    return np.clip(evals[::-1], 0.0, None), rows
 
 
 @dataclass(frozen=True)
@@ -69,10 +80,13 @@ class PcaModel:
         if basis.shape[0] > basis.shape[1]:
             raise ContractError("pca basis cannot have more rows than input dims")
         gram = basis @ basis.T
-        if np.max(np.abs(gram - np.eye(basis.shape[0]))) > ORTHO_TOL:
+        # NaN fails each test below, since it compares False
+        if not np.max(np.abs(gram - np.eye(basis.shape[0]))) <= ORTHO_TOL:
             raise ContractError("pca basis rows are not orthonormal")
-        if np.any(eig < 0) or np.any(np.diff(eig) > 1e-12):
+        if not (np.all(eig >= 0) and np.all(np.diff(eig) <= 1e-12)):
             raise ContractError("pca eigenvalues must be non-negative and descending")
+        if not np.all(np.isfinite(mean)):
+            raise ContractError("pca mean must be finite")
         object.__setattr__(self, "mean", _freeze(mean))
         object.__setattr__(self, "basis", _freeze(basis))
         object.__setattr__(self, "eigenvalues", _freeze(eig))
@@ -223,10 +237,13 @@ class GmmModel:
         v = np.asarray(self.variances, dtype=np.float64)
         if w.ndim != 1 or m.ndim != 2 or v.shape != m.shape or w.size != m.shape[0]:
             raise ContractError("bad gmm model shapes")
-        if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > 1e-10:
+        # NaN fails each test below, since it compares False
+        if not (np.all(w > 0) and abs(float(w.sum()) - 1.0) <= 1e-10):
             raise ContractError("gmm weights must be positive and sum to 1")
-        if np.any(v <= 0):
+        if not np.all(v > 0):
             raise ContractError("gmm variances must be positive")
+        if not np.all(np.isfinite(m)):
+            raise ContractError("gmm means must be finite")
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "means", _freeze(m))
         object.__setattr__(self, "variances", _freeze(v))

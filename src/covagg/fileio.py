@@ -385,8 +385,12 @@ def save_model(path, model):
         np.zeros(shape) if getattr(model, name) is None else getattr(model, name)
         for name, shape in layout(*dims).items()
     ]
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
-    atomic_write_bytes(path, MODEL_MAGIC + tag + struct.pack("<3I", 2, *dims) + payload)
+    # each array is written as it lies, so the payload is never copied into bytes
+    atomic_write_bytes(
+        path,
+        MODEL_MAGIC + tag + struct.pack("<3I", 2, *dims),
+        *(np.ascontiguousarray(a, dtype="<f8") for a in arrays),
+    )
 
 
 def load_model(path, kind):

@@ -133,8 +133,10 @@ class RnModel:
         _check_exponent(self.exponent)
         dim = rot.shape[0]
         if dim <= _ORTHO_PROBE_DIM:
+            # |R R^T - I| in place, so the check holds one dim x dim matrix
             gram = rot @ rot.T
-            if np.max(np.abs(gram - np.eye(dim))) > ORTHO_TOL:
+            gram.flat[:: dim + 1] -= 1.0
+            if not np.max(np.abs(gram, out=gram)) <= ORTHO_TOL:  # NaN fails too
                 raise ContractError("rotation rows are not orthonormal")
         else:
             # full Gram check is cubic; probe with a few random vectors
@@ -147,16 +149,16 @@ class RnModel:
             for lo in range(0, dim, _ORTHO_PROBE_TILE):
                 hi = lo + _ORTHO_PROBE_TILE
                 images[:, lo:hi] = probes @ rot[lo:hi].T
-            if np.max(
+            if not np.max(
                 np.abs(np.linalg.norm(images, axis=1) - np.linalg.norm(probes, axis=1))
-            ) > ORTHO_TOL * np.sqrt(dim):
+            ) <= ORTHO_TOL * np.sqrt(dim):
                 raise ContractError("rotation does not preserve norms")
         rot.setflags(write=False)
         object.__setattr__(self, "rotation", rot)
         eig = self.eigenvalues
         if eig is not None:
             eig = np.ascontiguousarray(np.asarray(eig, dtype=np.float64))
-            if eig.shape != (dim,) or np.any(eig < 0):
+            if eig.shape != (dim,) or not np.all(eig >= 0):  # NaN fails too
                 raise ContractError("eigenvalues must be non-negative, one per dim")
             eig.setflags(write=False)
             object.__setattr__(self, "eigenvalues", eig)
@@ -188,16 +190,17 @@ def rn_train(vectors, exponent: float = 0.5, whiten: bool = False) -> RnModel:
     When there are fewer samples than dimensions the covariance is
     rank-deficient; the returned rotation is informative on the sample
     span and an arbitrary (deterministic) orthonormal completion on the
-    rest, and a warning is emitted.
+    rest, and a warning is emitted. Non-finite vectors are refused.
     """
     _check_exponent(exponent)
-    V = np.asarray(list(vectors), dtype=np.float64)
+    V = np.asarray(vectors if isinstance(vectors, np.ndarray) else list(vectors), dtype=np.float64)
     if V.ndim != 2 or V.shape[0] < 1:
         raise ContractError("need a non-empty 2-D collection of vectors")
+    if not np.isfinite(V).all():
+        raise ContractError("vectors must be finite")
     n, dim = V.shape
-    centered = V - V.mean(axis=0)
     if n > dim:
-        evals, rotation = _principal_axes(centered)
+        evals, rotation = _principal_axes(V - V.mean(axis=0))
         return RnModel(rotation=rotation, exponent=exponent, whiten=whiten, eigenvalues=evals)
 
     warnings.warn(
@@ -205,6 +208,7 @@ def rn_train(vectors, exponent: float = 0.5, whiten: bool = False) -> RnModel:
         "the sample span are an arbitrary orthonormal completion",
         stacklevel=2,
     )
+    centered = V - V.mean(axis=0)
     gram = centered @ centered.T / max(n - 1, 1)
     gvals, gvecs = np.linalg.eigh(gram)
     gvals = np.clip(gvals[::-1], 0.0, None)

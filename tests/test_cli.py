@@ -8,12 +8,17 @@ import pytest
 
 from conftest import random_set
 from covagg import (
+    DescriptorSet,
     GmmModel,
+    PcaModel,
     PipelineConfig,
+    load_model,
     pca_train,
+    preprocess_batch,
     query_multi_rotation,
     read_descriptor_file,
     read_vector_file,
+    rootsift_batch,
     save_model,
     wrap_angle,
     write_descriptor_file,
@@ -604,6 +609,113 @@ def test_sim_hist_command(tmp_path, capsys, rng):
     assert len(lines) == 1 + 8 * 5
     counts = sum(int(line.split(",")[5]) for line in lines[1:])
     assert counts == 20
+
+
+@pytest.fixture(scope="module")
+def staged_corpus(tmp_path_factory):
+    """Raw files of 1, 3 and 17 descriptors (and one empty one), more than
+    3 * TRAIN_CHUNK rows in all, their RootSIFT blocks as read, and a PCA model."""
+    root = tmp_path_factory.mktemp("staged")
+    corpus = root / "corpus"
+    corpus.mkdir()
+    rng = np.random.default_rng(7)
+    sizes = [1, 3, 17] * (3 * cli.TRAIN_CHUNK // 21 + 20) + [0]
+    blocks = []
+    for i, n in enumerate(sizes):
+        raw = rng.gamma(0.5, 1.0, (n, 16)) + 1e-3
+        path = corpus / f"f{i:05d}.cvd"
+        write_descriptor_file(DescriptorSet(raw, rng.uniform(-3, 3, n), image_id=f"f{i}", raw=True), path)
+        if n:
+            blocks.append(rootsift_batch(read_descriptor_file(path).descriptors))
+    pca = root / "pca.cvm"
+    save_model(pca, pca_train(np.vstack(blocks), 6))
+    return corpus, pca, blocks
+
+
+@pytest.mark.parametrize("sample", [None, 5000], ids=["all", "sample"])
+@pytest.mark.parametrize("with_pca", [False, True], ids=["rootsift", "pca"])
+def test_training_matrix_is_the_stacked_formula_bit_for_bit(staged_corpus, monkeypatch,
+                                                            with_pca, sample):
+    corpus, pca, blocks = staged_corpus
+    argv = ["train-gmm", "--train-descriptors", str(corpus), "--k", "2", "--out", "gmm.cvm",
+            "--seed", "4"]
+    argv += ["--pca", str(pca)] if with_pca else []
+    argv += ["--sample", str(sample)] if sample else []
+    calls = []
+
+    def counted(X, model):
+        calls.append(X.shape[0])
+        return preprocess_batch(X, model)
+
+    monkeypatch.setattr(cli, "preprocess_batch", counted)
+    data = cli._load_training_matrix(cli.build_parser().parse_args(argv))
+
+    # the whole corpus stacked, projected in one call, then sampled
+    expected = np.vstack(blocks)
+    if with_pca:
+        expected = preprocess_batch(expected, load_model(pca, PcaModel))
+    if sample:
+        keep = np.random.default_rng(4).choice(expected.shape[0], size=sample, replace=False)
+        expected = expected[np.sort(keep)]
+    assert data.shape == expected.shape
+    assert data.tobytes() == expected.tobytes()
+    if with_pca:
+        assert len(calls) > 2 and min(calls) >= cli.TRAIN_CHUNK
+        assert sum(calls) == sum(block.shape[0] for block in blocks)
+    else:
+        assert calls == []
+
+
+def test_corpus_smaller_than_a_chunk_is_projected_in_one_call(staged_corpus, tmp_path, monkeypatch):
+    corpus, pca, _ = staged_corpus
+    calls = []
+
+    def counted(X, model):
+        calls.append(X.shape[0])
+        return preprocess_batch(X, model)
+
+    monkeypatch.setattr(cli, "preprocess_batch", counted)
+    files = sorted(corpus.iterdir())[:30]  # 210 descriptors
+    args = cli.build_parser().parse_args(["train-gmm", "--train-descriptors", *map(str, files),
+                                          "--k", "2", "--pca", str(pca), "--out", "gmm.cvm"])
+    assert cli._load_training_matrix(args).shape == (210, 6)
+    assert calls == [210]
+
+
+@pytest.mark.parametrize("pca", ["missing.cvm", "corpus"], ids=["missing-pca", "not-a-model"])
+def test_later_file_fault_is_reported_before_a_pca_fault(staged_corpus, tmp_path, capsys, pca):
+    # the model is first needed after 2 * TRAIN_CHUNK rows, long before the cut last file
+    corpus, _, _ = staged_corpus
+    cut = tmp_path / "cut.cvd"
+    cut.write_bytes(sorted(corpus.iterdir())[0].read_bytes()[:-3])
+    pca_path = tmp_path / pca
+    if pca == "corpus":
+        pca_path.write_bytes(b"not a model")
+    code = main(["train-gmm", "--train-descriptors", str(corpus), str(cut), "--k", "2",
+                 "--pca", str(pca_path), "--out", str(tmp_path / "gmm.cvm")])
+    assert code == 2
+    assert f"{cut}: truncated while reading record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_pca", [False, True], ids=["rootsift", "pca"])
+def test_training_files_of_another_dim_are_3_after_every_file_is_read(staged_corpus, tmp_path,
+                                                                      capsys, with_pca):
+    corpus, pca, _ = staged_corpus
+    other = tmp_path / "other.cvd"
+    write_descriptor_file(DescriptorSet(np.ones((2, 8)), np.zeros(2), image_id="o", raw=True), other)
+    cut = tmp_path / "cut.cvd"
+    cut.write_bytes(other.read_bytes()[:-3])
+
+    def train(*paths):
+        return main(["train-gmm", "--k", "2", "--out", str(tmp_path / "gmm.cvm"),
+                     *(["--pca", str(pca)] if with_pca else []),
+                     "--train-descriptors", *map(str, paths)])
+
+    assert train(other, corpus) == 3
+    assert f"{corpus}/f00000.cvd: descriptor dim 16 differs from the 8 of earlier files" in (
+        capsys.readouterr().err)
+    assert train(other, corpus, cut) == 2
+    assert f"{cut}: truncated while reading record" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -6,6 +6,7 @@ from covagg import (
     ContractError,
     DegenerateDataError,
     GmmModel,
+    PcaModel,
     gmm_posteriors,
     gmm_train,
     kmeans_train,
@@ -25,6 +26,18 @@ class TestPca:
         projected = (data - model.mean) @ model.basis.T
         recon = projected @ model.basis + model.mean
         assert np.max(np.abs(recon - data)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("mean", "mean must be finite"), ("basis", "not orthonormal"),
+         ("eigenvalues", "non-negative and descending")],
+    )
+    def test_model_refuses_a_nan(self, field, message):
+        # NaN compares False, so a check written as "bad > tol" lets it through
+        arrays = {"mean": np.zeros(3), "basis": np.eye(2, 3), "eigenvalues": np.array([2.0, 1.0])}
+        arrays[field].flat[1] = np.nan
+        with pytest.raises(ContractError, match=message):
+            PcaModel(**arrays)
 
     def test_full_dim_preserves_variance(self, rng):
         data = rng.standard_normal((300, 6)) * rng.uniform(0.5, 2.0, 6)
@@ -191,6 +204,18 @@ class TestGmm:
     def test_requires_ten_points_per_component(self, rng):
         with pytest.raises(ContractError):
             gmm_train(rng.standard_normal((19, 2)), 2)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("weights", "sum to 1"), ("means", "means must be finite"),
+         ("variances", "variances must be positive")],
+    )
+    def test_model_refuses_a_nan(self, field, message):
+        arrays = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 2)),
+                  "variances": np.ones((2, 2))}
+        arrays[field].flat[1] = np.nan
+        with pytest.raises(ContractError, match=message):
+            GmmModel(**arrays)
 
     def test_model_validation(self):
         with pytest.raises(ContractError):

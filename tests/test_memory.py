@@ -1,4 +1,4 @@
-"""Memory budgets of the vector store, the weighted sums and scoring, measured with tracemalloc.
+"""Memory budgets of the vector store, the weighted sums, scoring and training, measured with tracemalloc.
 
 tracemalloc sees numpy's array buffers, so a peak bounds every matrix a
 call holds at once, not just Python objects.
@@ -14,17 +14,21 @@ from covagg import (
     CodebookModel,
     FisherEmbedding,
     GmmModel,
+    DescriptorSet,
     MonomialConfig,
     PipelineConfig,
     RnModel,
     VladEmbedding,
     load_model,
+    pca_train,
     query_multi_rotation,
     read_vector_file,
+    rn_train,
     save_model,
+    write_descriptor_file,
     write_vector_file,
 )
-from covagg.cli import main
+from covagg.cli import TRAIN_CHUNK, _load_training_matrix, build_parser, main
 from covagg.descriptors import embed_weighted_sum
 from covagg.monomial import phi_monomial_weighted_sum
 
@@ -182,4 +186,53 @@ def test_float32_store_is_widened_a_tile_at_a_time_by_the_single_product(truncat
     assert np.array_equal(thetas, wide_thetas)
     # 2 MiB widened tiles; a float64 copy of the store would add 56 MiB
     budget = 8 * MIB
+    assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"
+
+
+def test_staged_training_loader_never_holds_the_raw_corpus(tmp_path):
+    # 120 raw files of 250 descriptors of dim 64: a 14.6 MiB RootSIFT corpus
+    # projected to 16 dims, a 3.7 MiB prepared matrix
+    n_files, per_file, dim, out_dim = 120, 250, 64, 16
+    rng = np.random.default_rng(0)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i in range(n_files):
+        raw = rng.gamma(0.5, 1.0, (per_file, dim)) + 1e-3
+        write_descriptor_file(DescriptorSet(raw, np.zeros(per_file), image_id=f"t{i}", raw=True),
+                              corpus / f"t{i:04d}.cvd")
+    pca = tmp_path / "pca.cvm"
+    save_model(pca, pca_train(rng.standard_normal((200, dim)), out_dim))
+    args = build_parser().parse_args(["train-gmm", "--train-descriptors", str(corpus), "--k", "2",
+                                      "--pca", str(pca), "--out", str(tmp_path / "gmm.cvm")])
+    peak, data = traced_peak(_load_training_matrix, args)
+    assert data.shape == (n_files * per_file, out_dim)
+    staging = (2 * TRAIN_CHUNK + per_file) * dim * 8
+    # staged, it peaks near 10.9 MiB; the raw corpus, its stack and its centered
+    # copy held at once peaked near 48 MiB
+    budget = 2 * data.nbytes + staging + MIB
+    assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"
+
+
+def test_model_save_copies_no_array(tmp_path):
+    dim = 1100
+    model = RnModel(rotation=np.eye(dim)[np.random.default_rng(0).permutation(dim)],
+                    eigenvalues=np.ones(dim))
+    path = tmp_path / "rn.cvm"
+    peak, _ = traced_peak(save_model, path, model)
+    # tobytes() and a joined payload held two more 9.2 MiB copies of the rotation,
+    # an 18.5 MiB peak
+    assert peak < MIB, f"peak {peak / MIB:.2f} MiB"
+    assert load_model(path, RnModel).rotation.tobytes() == model.rotation.tobytes()
+
+
+def test_rn_training_holds_one_centered_matrix_and_two_square_ones():
+    n, dim = 600, 400
+    vectors = np.random.default_rng(0).standard_normal((n, dim))
+    peak, model = traced_peak(rn_train, vectors)
+    assert model.dim == dim
+    # it peaks near 3.1 MiB, the centered vectors and their covariance; LAPACK's
+    # workspace is allocated outside numpy and is not traced. A copy of the
+    # vectors, a second covariance and an F-ordered eigenvector copy peaked
+    # near 9.8 MiB
+    budget = n * dim * 8 + 2 * dim * dim * 8 + MIB // 2
     assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"

@@ -85,6 +85,26 @@ def test_config_accepts_the_fields_its_family_reads(fields):
     assert PipelineConfig.from_dict(PipelineConfig(**fields).to_dict()) == PipelineConfig(**fields)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("kappa", "8"), ("input_dim", 8.0), ("adapted_power_law", 1), ("truncate", True),
+     ("pca_path", 3)],
+    ids=["str-for-float", "float-for-int", "int-for-bool", "bool-for-int", "int-for-path"],
+)
+def test_config_from_dict_refuses_a_wrong_typed_field(field, value):
+    data = PipelineConfig(family="phi1", input_dim=8).to_dict()
+    # twice: the second read takes the field types that the first one resolved
+    for _ in range(2):
+        with pytest.raises(ContractError) as exc:
+            PipelineConfig.from_dict({**data, field: value})
+        assert str(exc.value) == f"pipeline config {field!r} has a wrong type: {value!r}"
+
+
+def test_config_from_dict_takes_an_int_for_a_float():
+    data = {**PipelineConfig(family="phi1", input_dim=8).to_dict(), "kappa": 8}
+    assert PipelineConfig.from_dict(data) == PipelineConfig(family="phi1", input_dim=8)
+
+
 def test_pipeline_refuses_adapted_power_law_without_exponent():
     with pytest.raises(ContractError, match="exponent"):
         Pipeline(MonomialConfig(1, 8), K8_N3, adapted=True)

@@ -256,6 +256,32 @@ class TestRn:
         signed_permutation = np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], dim)
         assert RnModel(rotation=signed_permutation).dim == dim
 
+    @pytest.mark.parametrize("dim", [3, 1100], ids=["gram-check", "norm-probe"])
+    def test_rejects_a_non_finite_rotation(self, dim):
+        # NaN compares False against the tolerance, so both checks must fail on it
+        rotation = np.eye(dim)
+        rotation[1, 2] = np.nan
+        message = "not orthonormal" if dim == 3 else "does not preserve norms"
+        with pytest.raises(ContractError, match=message):
+            RnModel(rotation=rotation)
+
+    def test_rejects_non_finite_eigenvalues(self):
+        with pytest.raises(ContractError, match="eigenvalues must be non-negative"):
+            RnModel(rotation=np.eye(3), eigenvalues=np.array([1.0, np.nan, 0.5]))
+
+    @pytest.mark.parametrize("shape", [(20, 8), (5, 8)], ids=["full-rank", "rank-deficient"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_train_refuses_non_finite_vectors(self, rng, shape, bad):
+        data = rng.standard_normal(shape)
+        data[2, 3] = bad
+        with pytest.raises(ContractError, match="vectors must be finite"):
+            rn_train(data)
+
+    def test_train_takes_any_sequence_of_rows(self, rng):
+        data = rng.standard_normal((30, 6))
+        model = rn_train(list(data))
+        assert model.rotation.tobytes() == rn_train(data).rotation.tobytes()
+
     def test_identical_vectors_train_the_identity_and_warn(self, rng):
         data = np.tile(rng.standard_normal(6), (4, 1))
         with pytest.warns(UserWarning, match="sample span"):

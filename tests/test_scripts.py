@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under ``scripts/`` with tiny arguments."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -99,3 +100,21 @@ def test_encode_sweep_per_image(tmp_path):
     for stage in report["stages"].values():
         assert 0.0 < stage["best_us"] <= stage["median_us"]
     assert list(tmp_path.iterdir()) == []  # the corpus lives in a temporary directory
+
+
+def test_train_memory(tmp_path):
+    work = tmp_path / "work"
+    result = run_script(
+        "train_memory.py",
+        ["--images", "24", "--descriptors", "8", "--dim", "8", "--pca-dim", "4", "--k", "2",
+         "--iters", "2", "--work", str(work)],
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert set(report["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert [e["command"] for e in report["results"]] == ["train-pca", "train-gmm", "encode", "train-rn"]
+    for entry, output in zip(report["results"], ["pca.cvm", "gmm.cvm", "heldout.cvv", "rn.cvm"]):
+        assert entry["peak_rss_mb"] > 0.0 and entry["seconds"] > 0.0
+        assert entry["sha256"] == hashlib.sha256((work / output).read_bytes()).hexdigest()
+    assert len(list((work / "heldout").iterdir())) == 24
