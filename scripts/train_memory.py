@@ -18,8 +18,10 @@ with, each as ``covagg.cli.main`` in its own child process:
 Prints one JSON object: per command its peak RSS in MB (the child's
 ``ru_maxrss``), its wall time and the sha256 of its output, so that runs
 of two source trees can be compared (with the same ``--work``, since a
-vector file records the absolute paths of its models); and the BLAS
-thread variables of the environment. Set them (for example ``OPENBLAS_NUM_THREADS=1``) when you
+vector file records the absolute paths of its models); under
+``baseline_rss_mb`` the peak RSS of a child that only imports
+``covagg.cli``, which each command's peak includes; and the BLAS thread
+variables of the environment. Set them (for example ``OPENBLAS_NUM_THREADS=1``) when you
 run it:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/train_memory.py
@@ -55,6 +57,12 @@ CHILD = (
     "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     "sys.exit(code)\n"
 )
+# Imports what CHILD imports, runs nothing and prints its peak RSS.
+BASELINE = (
+    "import resource\n"
+    "import covagg.cli\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+)
 
 
 def write_corpus(out_dir: Path, images: int, descriptors: int, dim: int, seed: int):
@@ -85,13 +93,14 @@ def commands(args, corpus: Path, work: Path) -> list:
     ]
 
 
-def run(argv: list) -> tuple:
-    """Peak RSS in MB and wall time in s of ``covagg.cli.main(argv)`` in a fresh process."""
+def run(code: str, argv: list) -> tuple:
+    """Peak RSS in MB and wall time in s of the program ``code`` with ``argv`` in a fresh process."""
     start = time.perf_counter()
-    result = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
     seconds = time.perf_counter() - start
     if result.returncode != 0:
-        raise SystemExit(f"{argv[0]} failed with exit code {result.returncode}:\n{result.stderr}")
+        name = argv[0] if argv else "the baseline"
+        raise SystemExit(f"{name} failed with exit code {result.returncode}:\n{result.stderr}")
     return int(result.stdout.split()[-1]) / 1024.0, seconds
 
 
@@ -100,7 +109,7 @@ def measure(args, work: Path) -> list:
     write_corpus(corpus, args.images, args.descriptors, args.dim, args.seed)
     results = []
     for name, argv, output in commands(args, corpus, work):
-        peak_mb, seconds = run(argv)
+        peak_mb, seconds = run(CHILD, argv)
         results.append({
             "command": name,
             "peak_rss_mb": round(peak_mb, 1),
@@ -123,12 +132,14 @@ def main():
                         help="keep the corpus and the outputs here (default: a temporary directory)")
     args = parser.parse_args()
     threads = {name: os.environ.get(name) for name in THREAD_VARIABLES}
+    baseline_mb, _ = run(BASELINE, [])
     if args.work is None:
         with tempfile.TemporaryDirectory(prefix="train-memory-") as work:
             results = measure(args, Path(work))
     else:
         results = measure(args, Path(args.work))
-    print(json.dumps({"threads": threads, "results": results}, indent=1))
+    print(json.dumps({"threads": threads, "baseline_rss_mb": round(baseline_mb, 1),
+                      "results": results}, indent=1))
 
 
 if __name__ == "__main__":

@@ -32,7 +32,14 @@ from .angle_map import (
     truncated_kernel,
     vm_kernel,
 )
-from .codebooks import PcaModel, gmm_train, kmeans_train, pca_train
+from .codebooks import (
+    CenteredMoments,
+    PcaModel,
+    gmm_train,
+    kmeans_train,
+    pca_from_moments,
+    pca_train,
+)
 from .descriptors import preprocess_batch, rootsift_batch
 from .errors import ContractError, CovaggError, DegenerateDataError, FormatError
 from .pipeline import FAMILIES, PipelineConfig, default_power_exponent
@@ -49,13 +56,15 @@ DESCRIPTOR_SUFFIX = ".cvd"
 # larger one buys little and costs memory.
 ROWS_BYTES = 1 << 18
 
-# Rows that each ``preprocess_batch`` call of the training loader takes at
-# least, unless the whole corpus has fewer. OpenBLAS runs small products
-# through another kernel, which rounds its sums differently: in a probe,
-# projecting blocks of 1-32 rows changed the bits of every block, while
-# blocks of 63 rows or more matched the whole-matrix product. Projecting
-# file by file changed ``train-gmm --pca``'s model on a corpus of 3000
-# files of 1-19 descriptors; calls of this many rows keep it byte-identical.
+# Rows that each ``_staged`` piece of the training loader holds at least,
+# unless the whole corpus has fewer: ``train-pca`` merges each piece's
+# moments, and ``--pca`` projects each in one ``preprocess_batch`` call.
+# OpenBLAS runs small products through another kernel, which rounds its
+# sums differently: in a probe, projecting blocks of 1-32 rows changed the
+# bits of every block, while blocks of 63 rows or more matched the
+# whole-matrix product. Projecting file by file changed ``train-gmm
+# --pca``'s model on a corpus of 3000 files of 1-19 descriptors; calls of
+# this many rows keep it byte-identical.
 TRAIN_CHUNK = 4096
 
 
@@ -85,8 +94,9 @@ def _training_blocks(paths):
     """Each training file's descriptors, in file order, RootSIFT-normalized if raw.
 
     Files without descriptors yield nothing. A file whose dim differs
-    from the files before it ends the blocks, but only once every file
-    has been read, so that a fault in a later file is reported first.
+    from the files before it ends the blocks, and so does a corpus
+    without descriptors, but only once every file has been read, so
+    that a fault in a later file is reported first.
     """
     dim = mismatch = None
     for path in paths:
@@ -103,46 +113,56 @@ def _training_blocks(paths):
             yield X
     if mismatch is not None:
         raise mismatch
+    if dim is None:
+        raise ContractError("training files contain no descriptors")
+
+
+def _staged(blocks):
+    """The stacked ``blocks`` in row order, as pieces of at least ``TRAIN_CHUNK`` rows.
+
+    Rows are staged, and whenever ``2 * TRAIN_CHUNK`` of them wait all
+    but the last ``TRAIN_CHUNK`` are yielded; the rest come as one last
+    piece. So no piece has fewer than ``TRAIN_CHUNK`` rows unless all
+    the blocks do, and only the staged rows are ever held, provided the
+    caller drops each piece before it asks for the next.
+    """
+    staged, n_staged = [], 0
+    for X in blocks:
+        staged.append(X)
+        n_staged += X.shape[0]
+        if n_staged >= 2 * TRAIN_CHUNK:
+            rows, staged = np.vstack(staged), None
+            yield rows[:-TRAIN_CHUNK]
+            # a copy, so that the stack is freed before the next one is made
+            staged, n_staged = [rows[-TRAIN_CHUNK:].copy()], TRAIN_CHUNK
+            del rows
+    if staged:
+        yield np.vstack(staged)
 
 
 def _projected(blocks, pca_path) -> list:
     """``preprocess_batch`` of the stacked ``blocks`` in row order, as a list of pieces.
 
-    Rows are staged and projected whenever ``2 * TRAIN_CHUNK`` of them
-    wait, all but the last ``TRAIN_CHUNK``; the rest go in one last call.
-    So no call takes fewer than ``TRAIN_CHUNK`` rows unless all the
-    blocks do, and only the staged rows are ever held unprojected. The
-    model at ``pca_path`` is loaded for the first call. An error in
-    loading or projecting is raised once every block has been read, so
-    a fault in a later file is still reported first.
+    The rows are projected as ``_staged`` pieces, so only the staged
+    rows are ever held unprojected. The model at ``pca_path`` is loaded
+    for the first piece. An error in loading or projecting is raised
+    once every block has been read, so a fault in a later file is
+    still reported first.
     """
     pca = failure = None
-    pieces, staged, n_staged = [], [], 0
-
-    def project(rows):
-        nonlocal pca, failure
+    pieces = []
+    for rows in _staged(blocks):
         try:
             if pca is None:
                 pca = fileio.load_model(pca_path, PcaModel)
             pieces.append(preprocess_batch(rows, pca))
+            del rows
         except (CovaggError, OSError) as exc:
             failure = exc
-
-    for X in blocks:
-        if failure is not None:
-            continue
-        staged.append(X)
-        n_staged += X.shape[0]
-        if n_staged >= 2 * TRAIN_CHUNK:
-            rows, staged = np.vstack(staged), None
-            project(rows[:-TRAIN_CHUNK])
-            # a copy, so that the stack is freed before the next one is made
-            staged, n_staged = [rows[-TRAIN_CHUNK:].copy()], TRAIN_CHUNK
-            del rows
-    if staged and failure is None:
-        rows, staged = np.vstack(staged), None
-        project(rows)
+            break
     if failure is not None:
+        for _ in blocks:  # read the remaining files; a fault in one is raised first
+            pass
         raise failure
     return pieces
 
@@ -160,8 +180,6 @@ def _load_training_matrix(args) -> np.ndarray:
         _require_positive("--sample", args.sample)
     blocks = _training_blocks(_collect_descriptor_paths(args.train_descriptors))
     pieces = _projected(blocks, args.pca) if getattr(args, "pca", None) else list(blocks)
-    if not pieces:
-        raise ContractError("training files contain no descriptors")
     data = np.vstack(pieces)
     del pieces
     if args.sample is not None and args.sample < data.shape[0]:
@@ -297,21 +315,46 @@ _TRAINERS = {
 }
 
 
+def _streamed_pca(args) -> tuple:
+    """``train-pca``'s model without ``--sample``, and the number of descriptors it saw.
+
+    The files are read once, in order, and their rows merged into
+    ``CenteredMoments`` as ``_staged`` pieces, so only the staged rows
+    and a few dim x dim matrices are held, never the corpus. The checks
+    and messages are ``pca_train``'s, made once every file has been read.
+    """
+    moments = CenteredMoments()
+    for rows in _staged(_training_blocks(_collect_descriptor_paths(args.train_descriptors))):
+        moments.add(rows)
+        del rows
+    return pca_from_moments(moments, args.out_dim), moments.count
+
+
 def cmd_train(args) -> int:
-    """Load the training matrix, train the command's model, save it, report it."""
+    """Train the command's model on the training files, save it, report it.
+
+    ``train-pca`` without ``--sample`` streams the files (``_streamed_pca``);
+    the other commands train on ``_load_training_matrix``.
+    """
     train, describe = _TRAINERS[args.command]
-    data = _load_training_matrix(args)
-    model = train(data, args)
+    if args.command == "train-pca" and args.sample is None:
+        model, count = _streamed_pca(args)
+    else:
+        data = _load_training_matrix(args)
+        model, count = train(data, args), data.shape[0]
     fileio.save_model(args.out, model)
-    print(f"trained {describe(model)} from {data.shape[0]} descriptors -> {args.out}")
+    print(f"trained {describe(model)} from {count} descriptors -> {args.out}")
     return 0
 
 
 def cmd_train_rn(args) -> int:
     store = fileio.read_vector_file(args.vectors)
-    model = rn_train(store.vectors, exponent=args.exponent, whiten=args.whiten)
+    count, vectors = len(store), [store.vectors]
+    del store
+    # rn_train is handed the only reference, so it can free the vectors before its eigh
+    model = rn_train(vectors.pop(), exponent=args.exponent, whiten=args.whiten)
     fileio.save_model(args.out, model)
-    print(f"trained rn dim={model.dim} from {len(store)} vectors -> {args.out}")
+    print(f"trained rn dim={model.dim} from {count} vectors -> {args.out}")
     return 0
 
 

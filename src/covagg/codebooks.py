@@ -18,6 +18,7 @@ from .errors import ContractError, DegenerateDataError, check_integer
 ORTHO_TOL = 1e-8
 _RANK_REL_TOL = 1e-10
 VARIANCE_FLOOR_FRACTION = 1e-4
+_KMEANS_ITERS = 25  # kmeans_train's default, and the iterations of a GMM's initial codebook
 
 
 def _as_matrix(data, what: str) -> np.ndarray:
@@ -35,22 +36,77 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _principal_axes(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class CenteredMoments:
+    """Row count, column mean and centered Gram matrix of the row blocks added so far.
+
+    Each block's mean and centered Gram matrix are merged into the
+    running ones with the pairwise update of Chan, Golub & LeVeque
+    (*Algorithms for computing the sample variance*, 1983), which stays
+    stable where the raw second moment less the squared mean cancels:
+    with rows offset by 1e6 and of unit spread, the covariance stays
+    within 1e-10 of the whole-matrix formula's, where that difference is
+    off by 1e-2. It holds one dim x dim matrix, however many rows are
+    added. A single block gives the bits of the whole-matrix formula
+    ``(X - X.mean(0)).T @ (X - X.mean(0))``; more blocks sum in another
+    order, so their bits differ from it by rounding.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.mean = None
+        self.gram = None
+
+    def add(self, block: np.ndarray) -> None:
+        """Merge the rows of the non-empty 2-D float64 ``block``, which is not kept.
+
+        While it runs it holds a centered copy of the block until the
+        block's Gram matrix is formed, and at most three dim x dim
+        matrices.
+        """
+        m = block.shape[0]
+        mean = block.mean(axis=0)
+        centered = block - mean
+        gram = centered.T @ centered
+        del centered
+        if self.count == 0:
+            self.count, self.mean, self.gram = m, mean, gram
+            return
+        n = self.count + m
+        delta = mean - self.mean
+        self.gram += gram
+        del gram
+        # the outer product of one scaled vector with itself is exactly symmetric
+        scaled = delta * np.sqrt(self.count * m / n)
+        self.gram += np.multiply.outer(scaled, scaled)
+        self.mean += delta * (m / n)
+        self.count = n
+
+    def covariance(self) -> np.ndarray:
+        """The sample covariance of the rows added, which needs two of them.
+
+        It is the Gram matrix divided in place and handed over, so that
+        no second dim x dim matrix is made; no row can be added after.
+        """
+        cov, self.gram = self.gram, None
+        cov /= self.count - 1
+        return cov
+
+
+def _principal_axes(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, descending and clipped at 0, and the eigenvectors as rows.
 
-    They decompose the sample covariance of the rows of ``centered``,
-    which must have more than one row and a zero column mean. Each row
-    is flipped so that its largest-magnitude entry is positive.
+    They decompose the symmetric covariance ``cov``, which the call
+    takes over: given the only reference, as from
+    ``moments.covariance()``, it frees it before the eigenvectors are
+    turned into rows. Each row is flipped so that its largest-magnitude
+    entry is positive.
 
-    At most two dim x dim matrices are held at a time: the covariance
-    is divided in place, and the eigenvector rows are made C-contiguous
-    once and flipped in place, so ``RnModel`` takes them without a copy.
-    ``centered`` is dropped before ``eigh``, so that a temporary argument
-    is freed before LAPACK allocates its workspace.
+    Besides LAPACK's workspace (about 47 MB at dim 1344), at most two
+    dim x dim matrices are held at a time: the eigenvector rows are made
+    C-contiguous once and flipped in place, so ``RnModel`` takes them
+    without a copy. The rows behind the covariance play no part, so
+    callers drop them first.
     """
-    cov = centered.T @ centered
-    cov /= centered.shape[0] - 1
-    del centered
     evals, evecs = np.linalg.eigh(cov)
     del cov
     rows = np.ascontiguousarray(evecs[:, ::-1].T)
@@ -104,17 +160,31 @@ def pca_train(data, out_dim: int) -> PcaModel:
     """Mean-centered eigendecomposition of the empirical covariance.
 
     Keeps the top ``out_dim`` components. Raises if the data rank cannot
-    support the request, naming the achievable rank.
+    support the request, naming the achievable rank. The matrix goes to
+    ``CenteredMoments`` as one block, which gives the bits of the
+    whole-matrix formula; it holds the matrix, one centered copy of it
+    until the covariance is formed, and from then on a few dim x dim
+    matrices besides LAPACK's workspace. ``pca_from_moments`` trains the
+    same model from rows that are never held at once.
     """
-    data = _as_matrix(data, "training data")
-    n, d = data.shape
+    moments = CenteredMoments()
+    moments.add(_as_matrix(data, "training data"))
+    return pca_from_moments(moments, out_dim)
+
+
+def pca_from_moments(moments: CenteredMoments, out_dim: int) -> PcaModel:
+    """``pca_train`` of the finite rows merged into ``moments``, with its checks and messages.
+
+    ``moments`` must hold at least one row; its covariance is taken
+    (``CenteredMoments.covariance``), so no row can be added after.
+    """
+    n, d = moments.count, moments.mean.size
     out_dim = check_integer(
         out_dim, f"out_dim must be an integer in [1, {d}], got {out_dim!r}", 1, d
     )
     if n <= out_dim:
         raise ContractError(f"need more than {out_dim} samples, got {n}")
-    mean = data.mean(axis=0)
-    evals, axes = _principal_axes(data - mean)
+    evals, axes = _principal_axes(moments.covariance())
     if evals[0] <= 0.0:
         rank = 0
     else:
@@ -123,7 +193,7 @@ def pca_train(data, out_dim: int) -> PcaModel:
         raise DegenerateDataError(
             f"requested {out_dim} components but the data only supports rank {rank}"
         )
-    return PcaModel(mean=mean, basis=axes[:out_dim], eigenvalues=evals[:out_dim])
+    return PcaModel(mean=moments.mean.copy(), basis=axes[:out_dim], eigenvalues=evals[:out_dim])
 
 
 @dataclass(frozen=True)
@@ -153,9 +223,16 @@ class CodebookModel:
         return self.centroids.shape[1]
 
 
-def _pairwise_sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(X: np.ndarray, C: np.ndarray, x_sq=None) -> np.ndarray:
+    """Squared distances between the rows of ``X`` and of ``C``.
+
+    ``x_sq``, if given, is ``np.sum(X * X, axis=1)``, which a trainer
+    that calls this on every iteration computes once.
+    """
+    if x_sq is None:
+        x_sq = np.sum(X * X, axis=1)
     d2 = (
-        np.sum(X * X, axis=1)[:, None]
+        x_sq[:, None]
         + np.sum(C * C, axis=1)[None, :]
         - 2.0 * (X @ C.T)
     )
@@ -181,12 +258,15 @@ def _plusplus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return data[chosen].copy()
 
 
-def _lloyd(data: np.ndarray, centroids: np.ndarray, max_iter: int) -> np.ndarray:
+def _lloyd(data: np.ndarray, centroids: np.ndarray, max_iter: int, x_sq=None) -> np.ndarray:
+    """Lloyd iterations from ``centroids``; ``x_sq`` as for ``_pairwise_sq_dists``."""
+    if x_sq is None:
+        x_sq = np.sum(data * data, axis=1)
     cents = centroids.copy()
     k = cents.shape[0]
     assign = None
     for _ in range(max_iter):
-        d2 = _pairwise_sq_dists(data, cents)
+        d2 = _pairwise_sq_dists(data, cents, x_sq)
         new_assign = np.argmin(d2, axis=1)  # ties resolve to the lowest index
         min_d2 = d2[np.arange(data.shape[0]), new_assign]
         counts = np.bincount(new_assign, minlength=k)
@@ -210,17 +290,20 @@ def _check_iterations(max_iter: int) -> int:
     )
 
 
-def kmeans_train(data, k: int, max_iter: int = 25, seed: int = 0) -> CodebookModel:
+def kmeans_train(data, k: int, max_iter: int = _KMEANS_ITERS, seed: int = 0) -> CodebookModel:
     """Lloyd iterations from a seeded k-means++ initialization."""
     data = _as_matrix(data, "training data")
     k = check_integer(k, f"k must be a positive integer, got {k!r}", 1)
     if data.shape[0] < k:
         raise ContractError(f"need at least k={k} samples, got {data.shape[0]}")
     max_iter = _check_iterations(max_iter)
-    rng = np.random.default_rng(seed)
-    cents = _plusplus_init(data, k, rng)
-    cents = _lloyd(data, cents, max_iter)
-    return CodebookModel(centroids=cents)
+    return _kmeans(data, k, max_iter, seed)
+
+
+def _kmeans(data: np.ndarray, k: int, max_iter: int, seed: int, x_sq=None) -> CodebookModel:
+    """``kmeans_train`` of checked arguments; ``x_sq`` as for ``_pairwise_sq_dists``."""
+    cents = _plusplus_init(data, k, np.random.default_rng(seed))
+    return CodebookModel(centroids=_lloyd(data, cents, max_iter, x_sq))
 
 
 @dataclass(frozen=True)
@@ -257,36 +340,56 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _log_density(X: np.ndarray, model: GmmModel) -> np.ndarray:
+def _log_density(X: np.ndarray, squares: np.ndarray, model: GmmModel) -> np.ndarray:
+    """Per-point, per-component log of weight times density; ``squares`` is ``X * X``.
+
+    It is log w - (d log 2 pi + log det + maha) / 2, formed in place in
+    one n x k matrix besides one temporary, in the order of operations
+    (and so with the bits) of that expression.
+    """
     inv = 1.0 / model.variances
     logdet = np.sum(np.log(model.variances), axis=1)
-    maha = (
-        (X * X) @ inv.T
-        - 2.0 * (X @ (model.means * inv).T)
-        + np.sum(model.means**2 * inv, axis=1)[None, :]
-    )
+    lp = squares @ inv.T
+    cross = X @ (model.means * inv).T
+    cross *= 2.0
+    lp -= cross
+    del cross
+    lp += np.sum(model.means**2 * inv, axis=1)[None, :]
     const = X.shape[1] * np.log(2.0 * np.pi)
-    return np.log(model.weights)[None, :] - 0.5 * (const + logdet[None, :] + maha)
+    lp += const + logdet[None, :]
+    lp *= -0.5
+    lp += np.log(model.weights)[None, :]
+    return lp
 
 
 def _logsumexp_rows(lp: np.ndarray) -> np.ndarray:
     """log(sum(exp(lp), axis=1)) without overflow, as an (n, 1) column."""
     top = np.max(lp, axis=1, keepdims=True)
-    return top + np.log(np.sum(np.exp(lp - top), axis=1, keepdims=True))
+    shifted = lp - top
+    np.exp(shifted, out=shifted)
+    return top + np.log(np.sum(shifted, axis=1, keepdims=True))
 
 
 def gmm_posteriors(X, model: GmmModel) -> np.ndarray:
     """Per-point component responsibilities; rows sum to 1."""
     X = _as_matrix(X, "data")
-    lp = _log_density(X, model)
-    return np.exp(lp - _logsumexp_rows(lp))
+    return _posteriors(X, X * X, model)
+
+
+def _posteriors(X: np.ndarray, squares: np.ndarray, model: GmmModel) -> np.ndarray:
+    """``gmm_posteriors`` of a checked matrix, given ``squares = X * X``."""
+    lp = _log_density(X, squares, model)
+    lp -= _logsumexp_rows(lp)
+    return np.exp(lp, out=lp)
 
 
 def gmm_train(data, k: int, max_iter: int = 100, seed: int = 0) -> GmmModel:
     """EM on a diagonal mixture, initialized from the k-means codebook.
 
     Variances are floored at ``VARIANCE_FLOOR_FRACTION`` times the global
-    per-dimension variance to prevent collapse.
+    per-dimension variance to prevent collapse. The squared data is
+    computed once and held with the data for the whole run, so that no
+    k-means or EM iteration squares the data again.
     """
     data = _as_matrix(data, "training data")
     n, _ = data.shape
@@ -296,8 +399,10 @@ def gmm_train(data, k: int, max_iter: int = 100, seed: int = 0) -> GmmModel:
     max_iter = _check_iterations(max_iter)
 
     floor = np.maximum(VARIANCE_FLOOR_FRACTION * data.var(axis=0), 1e-12)
-    codebook = kmeans_train(data, k, seed=seed)
-    assign = np.argmin(_pairwise_sq_dists(data, codebook.centroids), axis=1)
+    squares = data * data
+    x_sq = np.sum(squares, axis=1)
+    codebook = _kmeans(data, k, _KMEANS_ITERS, seed, x_sq)
+    assign = np.argmin(_pairwise_sq_dists(data, codebook.centroids, x_sq), axis=1)
     weights = np.maximum(np.bincount(assign, minlength=k) / n, 1e-12)
     weights = weights / weights.sum()
     means = codebook.centroids.copy()
@@ -309,13 +414,14 @@ def gmm_train(data, k: int, max_iter: int = 100, seed: int = 0) -> GmmModel:
     model = GmmModel(weights=weights, means=means, variances=variances)
 
     for _ in range(max_iter):
-        resp = gmm_posteriors(data, model)
+        resp = _posteriors(data, squares, model)
         nk = resp.sum(axis=0)
         safe_nk = np.maximum(nk, 1e-12)
         weights = np.maximum(nk / n, 1e-12)
         weights = weights / weights.sum()
         means = (resp.T @ data) / safe_nk[:, None]
-        second = (resp.T @ (data * data)) / safe_nk[:, None]
+        second = (resp.T @ squares) / safe_nk[:, None]
+        del resp  # freed before the next E-step makes its own
         variances = np.maximum(second - means**2, floor)
         model = GmmModel(weights=weights, means=means, variances=variances)
     return model

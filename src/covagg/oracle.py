@@ -4,8 +4,10 @@ The double-sum kernels are quadratic in the set sizes and deliberately
 naive: 64-bit scalars accumulated in plain loops. The rest are the
 explicit definitions that the runtime never needs in this form: the
 Kronecker modulation of one descriptor, a set seen after a global
-rotation, and the objectives that k-means and EM training must not
-worsen. Not part of the supported public surface.
+rotation, the objectives that k-means and EM training must not worsen,
+and PCA by the whole-matrix covariance formula, which the streamed
+moments of ``CenteredMoments`` must approach. Not part of the supported
+public surface.
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ from __future__ import annotations
 import numpy as np
 
 from .angle_map import FourierCoefficients, truncated_kernel, wrap_angle
-from .codebooks import GmmModel, _as_matrix, _log_density, _logsumexp_rows, _pairwise_sq_dists
+from .codebooks import (
+    GmmModel,
+    PcaModel,
+    _as_matrix,
+    _log_density,
+    _logsumexp_rows,
+    _pairwise_sq_dists,
+    _principal_axes,
+)
 from .descriptors import DescriptorSet, EmbeddingConfig, embed_batch
 from .errors import ContractError, DegenerateDataError
 
@@ -47,7 +57,22 @@ def quantization_error(data, centroids) -> float:
 def gmm_log_likelihood(data, model: GmmModel) -> float:
     """Mean per-point log density under the mixture: the EM objective."""
     data = _as_matrix(data, "data")
-    return float(np.mean(_logsumexp_rows(_log_density(data, model))))
+    return float(np.mean(_logsumexp_rows(_log_density(data, data * data, model))))
+
+
+def whole_matrix_moments(data) -> tuple:
+    """Row count, column mean and sample covariance of ``data``, from one centered copy of it."""
+    data = _as_matrix(data, "data")
+    mean = data.mean(axis=0)
+    centered = data - mean
+    return data.shape[0], mean, centered.T @ centered / (data.shape[0] - 1)
+
+
+def whole_matrix_pca(data, out_dim: int) -> PcaModel:
+    """The leading ``out_dim`` principal axes of ``whole_matrix_moments``' covariance."""
+    _, mean, cov = whole_matrix_moments(data)
+    evals, axes = _principal_axes(cov)
+    return PcaModel(mean=mean, basis=axes[:out_dim], eigenvalues=evals[:out_dim])
 
 
 def _raw_modulated_sum(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import ModulatedVector
-from .codebooks import ORTHO_TOL, _principal_axes
+from .codebooks import ORTHO_TOL, CenteredMoments, _principal_axes
 from .errors import ContractError, check_integer
 
 _ORTHO_PROBE_DIM = 1024
@@ -191,16 +191,28 @@ def rn_train(vectors, exponent: float = 0.5, whiten: bool = False) -> RnModel:
     rank-deficient; the returned rotation is informative on the sample
     span and an arbitrary (deterministic) orthonormal completion on the
     rest, and a warning is emitted. Non-finite vectors are refused.
+
+    With more samples than dimensions the vectors go to
+    ``CenteredMoments`` as one block, with the bits of ``pca_train`` on
+    the same matrix. The call holds the vectors and one centered copy
+    until their covariance is formed, then drops its reference to them,
+    so a caller that passes the only reference (as ``covagg train-rn``
+    does) has neither alive while LAPACK's ``eigh`` workspace is: only
+    the covariance, the eigenvectors and that workspace.
     """
     _check_exponent(exponent)
     V = np.asarray(vectors if isinstance(vectors, np.ndarray) else list(vectors), dtype=np.float64)
+    del vectors
     if V.ndim != 2 or V.shape[0] < 1:
         raise ContractError("need a non-empty 2-D collection of vectors")
     if not np.isfinite(V).all():
         raise ContractError("vectors must be finite")
     n, dim = V.shape
     if n > dim:
-        evals, rotation = _principal_axes(V - V.mean(axis=0))
+        moments = CenteredMoments()
+        moments.add(V)
+        del V
+        evals, rotation = _principal_axes(moments.covariance())
         return RnModel(rotation=rotation, exponent=exponent, whiten=whiten, eigenvalues=evals)
 
     warnings.warn(

@@ -525,6 +525,15 @@ def test_query_and_train_manifests_replay_exactly(corpus_dir, tmp_path, capsys):
     assert main(["run-manifest", str(tmp_path / "pca.json")]) == 0
     assert pca.read_bytes() == trained
 
+    # without --sample the files' moments are merged as they are read
+    assert main(["train-pca", "--train-descriptors", str(corpus_dir / "database"),
+                 str(corpus_dir / "queries"), "--out-dim", "4", "--out", str(pca),
+                 "--manifest", str(tmp_path / "streamed.json")]) == 0
+    trained = pca.read_bytes()
+    pca.unlink()
+    assert main(["run-manifest", str(tmp_path / "streamed.json")]) == 0
+    assert pca.read_bytes() == trained
+
 
 @pytest.mark.parametrize("argv", [
     ["train-gmm", "--k", "2", "--iters", "-1"],
@@ -716,6 +725,64 @@ def test_training_files_of_another_dim_are_3_after_every_file_is_read(staged_cor
         capsys.readouterr().err)
     assert train(other, corpus, cut) == 2
     assert f"{cut}: truncated while reading record" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def pca_fault_corpus(tmp_path_factory):
+    """Files for the train-pca faults: five good raw files of dim 8, then odd ones."""
+    root = tmp_path_factory.mktemp("pca-faults")
+    rng = np.random.default_rng(3)
+
+    def write(path, rows, dim=8):
+        raw = rng.gamma(0.5, 1.0, (rows, dim)) + 1e-3
+        write_descriptor_file(DescriptorSet(raw, np.zeros(rows), raw=True), path)
+
+    good = root / "good"
+    good.mkdir()
+    for i in range(5):
+        write(good / f"g{i}.cvd", 6)
+    write(root / "a_nan.cvd", 6)
+    data = bytearray((root / "a_nan.cvd").read_bytes())
+    data[64:68] = struct.pack("<f", np.nan)  # record 1, component 3
+    (root / "a_nan.cvd").write_bytes(bytes(data))
+    (root / "z_cut.cvd").write_bytes((good / "g0.cvd").read_bytes()[:10])
+    write(root / "other.cvd", 6, dim=16)
+    (root / "empty").mkdir()
+    for i in range(2):
+        write_descriptor_file(DescriptorSet(np.empty((0, 8)), np.empty(0), raw=True),
+                              root / "empty" / f"e{i}.cvd")
+    write(root / "few.cvd", 3)
+    # four copies of 2-D rows: RootSIFT rows of rank 2
+    pairs = rng.gamma(0.5, 1.0, (40, 2)) + 1e-3
+    write_descriptor_file(DescriptorSet(np.hstack([pairs] * 4), np.zeros(40), raw=True),
+                          root / "flat.cvd")
+    return root
+
+
+@pytest.mark.parametrize("sample", [None, "1000"], ids=["streamed", "sample"])
+@pytest.mark.parametrize("inputs, out_dim, code, message", [
+    (["a_nan.cvd", "good", "z_cut.cvd"], 4, 2, "{root}/a_nan.cvd: non-finite record value at byte 64"),
+    (["good", "other.cvd"], 4, 3, "{root}/other.cvd: descriptor dim 16 differs from the 8 of earlier files"),
+    (["good", "other.cvd", "z_cut.cvd"], 4, 2,
+     "{root}/z_cut.cvd: truncated while reading descriptor dim at byte 8: "
+     "expected 12 bytes total, file has 10 (2 missing)"),
+    (["empty"], 4, 3, "training files contain no descriptors"),
+    (["few.cvd"], 3, 3, "need more than 3 samples, got 3"),
+    (["good"], 9, 3, "out_dim must be an integer in [1, 8], got 9"),
+    (["flat.cvd"], 3, 4, "requested 3 components but the data only supports rank 2"),
+], ids=["non-finite-before-cut", "dim-mismatch", "dim-mismatch-before-cut", "empty", "few",
+        "out-dim-above-dim", "rank-deficient"])
+def test_train_pca_faults_are_reported_after_reading_in_order(pca_fault_corpus, tmp_path, capsys,
+                                                              sample, inputs, out_dim, code,
+                                                              message):
+    # the files are read once, in order: the first fault in file order is reported,
+    # and a fault in the data only once every file has been read
+    out = tmp_path / "pca.cvm"
+    argv = ["train-pca", "--train-descriptors", *(str(pca_fault_corpus / name) for name in inputs),
+            "--out-dim", str(out_dim), "--out", str(out)]
+    assert main(argv + (["--sample", sample] if sample else [])) == code
+    assert capsys.readouterr().err == f"covagg: error: {message.format(root=pca_fault_corpus)}\n"
+    assert not out.exists()
 
 
 class TestExitCodes:

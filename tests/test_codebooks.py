@@ -12,8 +12,22 @@ from covagg import (
     kmeans_train,
     pca_train,
 )
-from covagg.codebooks import _lloyd, _plusplus_init
-from covagg.oracle import gmm_log_likelihood, quantization_error
+from covagg.cli import TRAIN_CHUNK
+from covagg.codebooks import (
+    CenteredMoments,
+    _lloyd,
+    _log_density,
+    _plusplus_init,
+    _posteriors,
+    pca_from_moments,
+)
+from covagg.oracle import (
+    gmm_log_likelihood,
+    quantization_error,
+    whole_matrix_moments,
+    whole_matrix_pca,
+)
+from covagg.postprocess import rn_train
 
 
 class TestPca:
@@ -72,6 +86,75 @@ class TestPca:
     def test_requires_enough_samples(self, rng):
         with pytest.raises(ContractError):
             pca_train(rng.standard_normal((3, 4)), 3)
+
+
+def streamed(data, block):
+    """``CenteredMoments`` of ``data`` added ``block`` rows at a time."""
+    moments = CenteredMoments()
+    for lo in range(0, data.shape[0], block):
+        moments.add(data[lo : lo + block])
+    return moments
+
+
+class TestStreamedMoments:
+    N_ROWS, DIM = 2 * TRAIN_CHUNK + 123, 8
+
+    @pytest.fixture(scope="class")
+    def spread(self):
+        # unit-order spread with distinct variances, so the principal axes are well separated
+        rng = np.random.default_rng(5)
+        return rng.standard_normal((self.N_ROWS, self.DIM)) * np.linspace(2.0, 0.5, self.DIM)
+
+    # (offset, mean tolerance, tolerance of the covariance and eigenvalues): blocks
+    # of 1 row drift furthest, 1.2e-16 / 1.2e-14 unshifted and 7e-9 / 9e-11 with
+    # every row offset by 1e6, where the raw second moment less the squared mean
+    # loses 1e-2 to cancellation. A basis row moves by at most about
+    # 2 |dC| / gap (Davis-Kahan), and |dC| <= DIM * tol in the spectral norm
+    @pytest.mark.parametrize("offset, mean_tol, tol", [(0.0, 1e-13, 1e-12), (1e6, 1e-7, 1e-9)],
+                             ids=["centered", "offset-1e6"])
+    @pytest.mark.parametrize("block", [1, 7, TRAIN_CHUNK, N_ROWS],
+                             ids=["1", "7", "chunk", "all"])
+    def test_streamed_moments_and_pca_match_the_whole_matrix_formula(self, spread, offset,
+                                                                     mean_tol, tol, block):
+        data = spread + offset
+        n, mean, cov = whole_matrix_moments(data)
+        moments = streamed(data, block)
+        assert moments.count == n
+        assert np.max(np.abs(moments.mean - mean)) <= mean_tol
+        model = pca_from_moments(streamed(data, block), self.DIM)
+        assert np.max(np.abs(moments.covariance() - cov)) <= tol
+        reference = whole_matrix_pca(data, self.DIM)
+        gap = np.min(-np.diff(reference.eigenvalues))
+        assert np.max(np.abs(model.mean - reference.mean)) <= mean_tol
+        assert np.max(np.abs(model.basis - reference.basis)) <= 2 * self.DIM * tol / gap
+        assert np.max(np.abs(model.eigenvalues - reference.eigenvalues)) <= tol
+        if block == n:  # one block: the formula's own bits
+            assert model.basis.tobytes() == reference.basis.tobytes()
+        if offset:
+            naive = (data.T @ data - n * np.multiply.outer(mean, mean)) / (n - 1)
+            assert np.max(np.abs(naive - cov)) > 1e3 * tol
+
+    def test_matrix_trainers_give_the_whole_matrix_bits(self, spread):
+        data = spread[:500] + 3.0
+        reference = whole_matrix_pca(data, self.DIM)
+        model = pca_train(data, 5)
+        assert model.mean.tobytes() == reference.mean.tobytes()
+        assert model.basis.tobytes() == reference.basis[:5].tobytes()
+        assert model.eigenvalues.tobytes() == reference.eigenvalues[:5].tobytes()
+        rn = rn_train(data)
+        assert rn.rotation.tobytes() == reference.basis.tobytes()
+        assert rn.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, TRAIN_CHUNK])
+    def test_rank_deficient_stream_raises_the_matrix_message(self, rng, block):
+        basis = np.linalg.qr(rng.standard_normal((5, 2)))[0]
+        data = rng.standard_normal((TRAIN_CHUNK + 50, 2)) @ basis.T + 1e6
+        with pytest.raises(DegenerateDataError) as whole:
+            pca_train(data, 3)
+        with pytest.raises(DegenerateDataError) as stream:
+            pca_from_moments(streamed(data, block), 3)
+        assert str(stream.value) == str(whole.value) == (
+            "requested 3 components but the data only supports rank 2")
 
 
 def blobs(rng, centers, per_blob=60, spread=0.05):
@@ -151,6 +234,22 @@ class TestKmeans:
 
 
 class TestGmm:
+    def test_log_density_and_posteriors_have_the_bits_of_their_expressions(self, rng):
+        # formed in place from the squares computed once per training run
+        X = rng.standard_normal((300, 5))
+        model = GmmModel(np.array([0.2, 0.3, 0.5]), rng.standard_normal((3, 5)),
+                         rng.uniform(0.5, 2.0, (3, 5)))
+        inv = 1.0 / model.variances
+        maha = ((X * X) @ inv.T - 2.0 * (X @ (model.means * inv).T)
+                + np.sum(model.means**2 * inv, axis=1)[None, :])
+        logdet = np.sum(np.log(model.variances), axis=1)
+        lp = np.log(model.weights)[None, :] - 0.5 * (5 * np.log(2.0 * np.pi) + logdet[None, :] + maha)
+        top = np.max(lp, axis=1, keepdims=True)
+        resp = np.exp(lp - (top + np.log(np.sum(np.exp(lp - top), axis=1, keepdims=True))))
+        assert _log_density(X, X * X, model).tobytes() == lp.tobytes()
+        assert _posteriors(X, X * X, model).tobytes() == resp.tobytes()
+        assert gmm_posteriors(X, model).tobytes() == resp.tobytes()
+
     def test_recovers_two_gaussians(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((400, 2)) * 0.3 + np.array([0.0, 0.0])

@@ -5,6 +5,7 @@ call holds at once, not just Python objects.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from covagg import (
     write_descriptor_file,
     write_vector_file,
 )
-from covagg.cli import TRAIN_CHUNK, _load_training_matrix, build_parser, main
+from covagg.cli import TRAIN_CHUNK, _load_training_matrix, _streamed_pca, build_parser, main
 from covagg.descriptors import embed_weighted_sum
 from covagg.monomial import phi_monomial_weighted_sum
 
@@ -211,6 +212,54 @@ def test_staged_training_loader_never_holds_the_raw_corpus(tmp_path):
     # copy held at once peaked near 48 MiB
     budget = 2 * data.nbytes + staging + MIB
     assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"
+
+
+def test_streamed_pca_training_never_holds_the_corpus(tmp_path):
+    # 120 raw files of 250 descriptors of dim 64: a 14.6 MiB RootSIFT corpus
+    n_files, per_file, dim = 120, 250, 64
+    rng = np.random.default_rng(0)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i in range(n_files):
+        raw = rng.gamma(0.5, 1.0, (per_file, dim)) + 1e-3
+        write_descriptor_file(DescriptorSet(raw, np.zeros(per_file), image_id=f"t{i}", raw=True),
+                              corpus / f"t{i:04d}.cvd")
+    args = build_parser().parse_args(["train-pca", "--train-descriptors", str(corpus),
+                                      "--out-dim", "16", "--out", str(tmp_path / "pca.cvm")])
+    peak, (model, count) = traced_peak(_streamed_pca, args)
+    assert (model.input_dim, count) == (dim, n_files * per_file)
+    corpus_bytes = count * dim * 8
+    staging = (2 * TRAIN_CHUNK + per_file) * dim * 8
+    # the staged rows, their stack and a centered piece peak near 8.4 MiB; the
+    # stacked corpus and its centered copy peaked near 29 MiB
+    budget = 2 * staging + 4 * dim * dim * 8 + MIB
+    assert budget < corpus_bytes
+    assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"
+
+
+def test_rn_training_drops_the_only_reference_to_its_vectors_before_eigh(monkeypatch):
+    n, dim = 600, 400
+    holder = [np.random.default_rng(0).standard_normal((n, dim))]
+    vectors = weakref.ref(holder[0])
+    seen = []
+    eigh = np.linalg.eigh
+
+    def watched(a):
+        seen.append((vectors() is None, tracemalloc.get_traced_memory()[0]))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", watched)
+    tracemalloc.start()
+    try:
+        model = rn_train(holder.pop())
+    finally:
+        tracemalloc.stop()
+    assert model.dim == dim
+    [(freed, held)] = seen
+    assert freed, "the vectors are alive during eigh"
+    # the 1.2 MiB covariance; the centered copy would add 1.8 MiB
+    budget = dim * dim * 8 + MIB // 4
+    assert held < budget, f"{held / MIB:.2f} MiB held at eigh against a {budget / MIB:.2f} MiB budget"
 
 
 def test_model_save_copies_no_array(tmp_path):
