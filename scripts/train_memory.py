@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Peak RSS of each command that trains the Fisher + RN pipeline, each in a fresh process.
+"""Peak RSS of each training command, each in a fresh process.
 
 perfbench's ``peak_rss_mb`` is the largest RSS of its whole measured
 process, which on fisher-rn trains before it encodes and queries, so it
@@ -7,9 +7,13 @@ cannot tell which command sets it. This script writes a held-out corpus
 of raw histogram descriptors (``--images`` files of ``--descriptors``
 rows of dim ``--dim``; gamma draws around 16 fixed prototypes, so that
 the GMM has clusters to find) and runs the commands fisher-rn trains
-with, each as ``covagg.cli.main`` in its own child process:
+with, and the matrix paths beside them, each as ``covagg.cli.main`` in
+its own child process:
 
-* ``train-pca --out-dim P``;
+* ``train-pca --out-dim P``, which merges each file as it is read;
+* ``train-pca --sample`` of half the corpus rows, which stacks the corpus;
+* ``train-kmeans --k K --iters I`` without ``--pca``, on the RootSIFT
+  matrix;
 * ``train-gmm --pca --k K --iters I``;
 * ``encode`` of the held-out corpus by Fisher with N = 3 and a plain
   power law of 0.4;
@@ -79,10 +83,19 @@ def write_corpus(out_dir: Path, images: int, descriptors: int, dim: int, seed: i
 
 def commands(args, corpus: Path, work: Path) -> list:
     """(name, argv, output) of each command, in the order they depend on each other."""
-    pca, gmm, vectors, rn = (work / name for name in ("pca.cvm", "gmm.cvm", "heldout.cvv", "rn.cvm"))
+    pca, sampled, kmeans, gmm, vectors, rn = (
+        work / name
+        for name in ("pca.cvm", "pca-sample.cvm", "kmeans.cvm", "gmm.cvm", "heldout.cvv", "rn.cvm")
+    )
+    sample = args.images * args.descriptors // 2
     return [
         ("train-pca", ["train-pca", "--train-descriptors", str(corpus),
                        "--out-dim", str(args.pca_dim), "--out", str(pca)], pca),
+        ("train-pca --sample", ["train-pca", "--train-descriptors", str(corpus), "--sample",
+                                str(sample), "--out-dim", str(args.pca_dim), "--out", str(sampled)],
+         sampled),
+        ("train-kmeans", ["train-kmeans", "--train-descriptors", str(corpus), "--k", str(args.k),
+                          "--iters", str(args.iters), "--out", str(kmeans)], kmeans),
         ("train-gmm", ["train-gmm", "--train-descriptors", str(corpus), "--k", str(args.k),
                        "--iters", str(args.iters), "--pca", str(pca), "--out", str(gmm)], gmm),
         ("encode", ["encode", str(corpus), "--out", str(vectors), "--family", "fisher",
@@ -125,8 +138,10 @@ def main():
     parser.add_argument("--descriptors", type=int, default=64, help="descriptors per file (default: %(default)s)")
     parser.add_argument("--dim", type=int, default=64, help="raw descriptor dim (default: %(default)s)")
     parser.add_argument("--pca-dim", type=int, default=24, help="(default: %(default)s)")
-    parser.add_argument("--k", type=int, default=8, help="GMM components (default: %(default)s)")
-    parser.add_argument("--iters", type=int, default=50, help="EM iterations (default: %(default)s)")
+    parser.add_argument("--k", type=int, default=8,
+                        help="GMM components and k-means centroids (default: %(default)s)")
+    parser.add_argument("--iters", type=int, default=50,
+                        help="EM and Lloyd iterations (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=1, help="corpus seed (default: %(default)s)")
     parser.add_argument("--work", default=None, metavar="DIR",
                         help="keep the corpus and the outputs here (default: a temporary directory)")

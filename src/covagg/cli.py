@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -35,10 +36,11 @@ from .angle_map import (
 from .codebooks import (
     CenteredMoments,
     PcaModel,
+    check_iterations,
+    check_k,
     gmm_train,
     kmeans_train,
     pca_from_moments,
-    pca_train,
 )
 from .descriptors import preprocess_batch, rootsift_batch
 from .errors import ContractError, CovaggError, DegenerateDataError, FormatError
@@ -56,15 +58,15 @@ DESCRIPTOR_SUFFIX = ".cvd"
 # larger one buys little and costs memory.
 ROWS_BYTES = 1 << 18
 
-# Rows that each ``_staged`` piece of the training loader holds at least,
-# unless the whole corpus has fewer: ``train-pca`` merges each piece's
-# moments, and ``--pca`` projects each in one ``preprocess_batch`` call.
-# OpenBLAS runs small products through another kernel, which rounds its
-# sums differently: in a probe, projecting blocks of 1-32 rows changed the
-# bits of every block, while blocks of 63 rows or more matched the
-# whole-matrix product. Projecting file by file changed ``train-gmm
-# --pca``'s model on a corpus of 3000 files of 1-19 descriptors; calls of
-# this many rows keep it byte-identical.
+# Rows that ``train-kmeans --pca`` and ``train-gmm --pca`` project in each
+# ``preprocess_batch`` call at least, unless the whole corpus has fewer
+# (``_projected``); no other training path stages rows. OpenBLAS runs
+# small products through another kernel, which rounds its sums
+# differently: in a probe, projecting blocks of 1-32 rows changed the bits
+# of every block, while blocks of 63 rows or more matched the whole-matrix
+# product. Projecting file by file changed ``train-gmm --pca``'s model on
+# a corpus of 3000 files of 1-19 descriptors; calls of this many rows keep
+# it byte-identical.
 TRAIN_CHUNK = 4096
 
 
@@ -90,8 +92,8 @@ def _collect_descriptor_paths(inputs) -> list:
     return paths
 
 
-def _training_blocks(paths):
-    """Each training file's descriptors, in file order, RootSIFT-normalized if raw.
+def _training_blocks(inputs):
+    """The descriptors of each file under ``inputs``, in file order, RootSIFT-normalized if raw.
 
     Files without descriptors yield nothing. A file whose dim differs
     from the files before it ends the blocks, and so does a corpus
@@ -99,7 +101,7 @@ def _training_blocks(paths):
     that a fault in a later file is reported first.
     """
     dim = mismatch = None
-    for path in paths:
+    for path in _collect_descriptor_paths(inputs):
         dset = fileio.read_descriptor_file(path)
         if len(dset) == 0:
             continue
@@ -117,53 +119,41 @@ def _training_blocks(paths):
         raise ContractError("training files contain no descriptors")
 
 
-def _staged(blocks):
-    """The stacked ``blocks`` in row order, as pieces of at least ``TRAIN_CHUNK`` rows.
-
-    Rows are staged, and whenever ``2 * TRAIN_CHUNK`` of them wait all
-    but the last ``TRAIN_CHUNK`` are yielded; the rest come as one last
-    piece. So no piece has fewer than ``TRAIN_CHUNK`` rows unless all
-    the blocks do, and only the staged rows are ever held, provided the
-    caller drops each piece before it asks for the next.
-    """
-    staged, n_staged = [], 0
-    for X in blocks:
-        staged.append(X)
-        n_staged += X.shape[0]
-        if n_staged >= 2 * TRAIN_CHUNK:
-            rows, staged = np.vstack(staged), None
-            yield rows[:-TRAIN_CHUNK]
-            # a copy, so that the stack is freed before the next one is made
-            staged, n_staged = [rows[-TRAIN_CHUNK:].copy()], TRAIN_CHUNK
-            del rows
-    if staged:
-        yield np.vstack(staged)
-
-
 def _projected(blocks, pca_path) -> list:
     """``preprocess_batch`` of the stacked ``blocks`` in row order, as a list of pieces.
 
-    The rows are projected as ``_staged`` pieces, so only the staged
-    rows are ever held unprojected. The model at ``pca_path`` is loaded
-    for the first piece. An error in loading or projecting is raised
-    once every block has been read, so a fault in a later file is
-    still reported first.
+    Rows are staged, and whenever ``2 * TRAIN_CHUNK`` of them wait all
+    but the last ``TRAIN_CHUNK`` are projected; the rest are projected
+    as one last piece. So no call has fewer than ``TRAIN_CHUNK`` rows
+    unless all the blocks do, and only the staged rows are ever held
+    unprojected. The model at ``pca_path`` is loaded for the first
+    piece. An error in loading or projecting is raised once every block
+    has been read, so a fault in a later file is still reported first.
     """
-    pca = failure = None
-    pieces = []
-    for rows in _staged(blocks):
-        try:
-            if pca is None:
-                pca = fileio.load_model(pca_path, PcaModel)
-            pieces.append(preprocess_batch(rows, pca))
-            del rows
-        except (CovaggError, OSError) as exc:
-            failure = exc
-            break
-    if failure is not None:
+    pca = None
+    pieces, staged, n_staged = [], [], 0
+
+    def project(rows):
+        nonlocal pca
+        if pca is None:
+            pca = fileio.load_model(pca_path, PcaModel)
+        pieces.append(preprocess_batch(rows, pca))
+
+    try:
+        for X in blocks:
+            staged.append(X)
+            n_staged += X.shape[0]
+            if n_staged >= 2 * TRAIN_CHUNK:
+                rows, staged = np.vstack(staged), None
+                project(rows[:-TRAIN_CHUNK])
+                # copied once the piece is projected: a view would pin the stack
+                staged, n_staged = [rows[-TRAIN_CHUNK:].copy()], TRAIN_CHUNK
+                del rows
+        project(np.vstack(staged))
+    except (CovaggError, OSError):
         for _ in blocks:  # read the remaining files; a fault in one is raised first
             pass
-        raise failure
+        raise
     return pieces
 
 
@@ -176,9 +166,7 @@ def _load_training_matrix(args) -> np.ndarray:
     the projected one. The pieces are stacked once, and ``--sample`` then
     picks rows.
     """
-    if args.sample is not None:
-        _require_positive("--sample", args.sample)
-    blocks = _training_blocks(_collect_descriptor_paths(args.train_descriptors))
+    blocks = _training_blocks(args.train_descriptors)
     pieces = _projected(blocks, args.pca) if getattr(args, "pca", None) else list(blocks)
     data = np.vstack(pieces)
     del pieces
@@ -298,52 +286,36 @@ def _add_manifest_flag(parser: argparse.ArgumentParser):
     )
 
 
-# per training command: the model it trains on the matrix, and how its report names it
-_TRAINERS = {
-    "train-pca": (
-        lambda data, args: pca_train(data, args.out_dim),
-        lambda model: f"pca {model.out_dim}x{model.input_dim}",
-    ),
-    "train-kmeans": (
-        lambda data, args: kmeans_train(data, args.k, max_iter=args.iters, seed=args.seed),
-        lambda model: f"k-means k={model.k} d={model.dim}",
-    ),
-    "train-gmm": (
-        lambda data, args: gmm_train(data, args.k, max_iter=args.iters, seed=args.seed),
-        lambda model: f"gmm k={model.k} d={model.dim}",
-    ),
-}
-
-
-def _streamed_pca(args) -> tuple:
-    """``train-pca``'s model without ``--sample``, and the number of descriptors it saw.
-
-    The files are read once, in order, and their rows merged into
-    ``CenteredMoments`` as ``_staged`` pieces, so only the staged rows
-    and a few dim x dim matrices are held, never the corpus. The checks
-    and messages are ``pca_train``'s, made once every file has been read.
-    """
-    moments = CenteredMoments()
-    for rows in _staged(_training_blocks(_collect_descriptor_paths(args.train_descriptors))):
-        moments.add(rows)
-        del rows
-    return pca_from_moments(moments, args.out_dim), moments.count
-
-
 def cmd_train(args) -> int:
     """Train the command's model on the training files, save it, report it.
 
-    ``train-pca`` without ``--sample`` streams the files (``_streamed_pca``);
-    the other commands train on ``_load_training_matrix``.
+    The flags that need no data are checked before any file is read.
+    ``train-pca`` merges rows into ``CenteredMoments``: each file's rows
+    as the file is read, so it holds one file and a few dim x dim
+    matrices, never the corpus; with ``--sample``, the sampled matrix as
+    one block, which is ``pca_train``. The other commands train on
+    ``_load_training_matrix``.
     """
-    train, describe = _TRAINERS[args.command]
-    if args.command == "train-pca" and args.sample is None:
-        model, count = _streamed_pca(args)
+    if args.sample is not None:
+        _require_positive("--sample", args.sample)
+    if args.command == "train-pca":
+        moments = CenteredMoments()
+        if args.sample is None:
+            blocks = _training_blocks(args.train_descriptors)
+        else:
+            blocks = [_load_training_matrix(args)]
+        for X in blocks:
+            moments.add(X)
+        model, count = pca_from_moments(moments, args.out_dim), moments.count
+        name = f"pca {model.out_dim}x{model.input_dim}"
     else:
+        k, iters = check_k(args.k), check_iterations(args.iters)
         data = _load_training_matrix(args)
-        model, count = train(data, args), data.shape[0]
+        train = kmeans_train if args.command == "train-kmeans" else gmm_train
+        model, count = train(data, k, max_iter=iters, seed=args.seed), data.shape[0]
+        name = f"{'k-means' if train is kmeans_train else 'gmm'} k={model.k} d={model.dim}"
     fileio.save_model(args.out, model)
-    print(f"trained {describe(model)} from {count} descriptors -> {args.out}")
+    print(f"trained {name} from {count} descriptors -> {args.out}")
     return 0
 
 
@@ -369,7 +341,6 @@ def _naming(path):
 
 def _map_jobs(func, items, jobs: int) -> list:
     """``func`` over ``items`` in order, on ``jobs`` threads."""
-    _require_positive("--jobs", jobs)
     if jobs == 1:
         return [func(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -391,6 +362,7 @@ def _open_database(path):
 
 def cmd_encode(args) -> int:
     config = _pipeline_config(args)
+    _require_positive("--jobs", args.jobs)
     pipeline = config.build()
     paths = _collect_descriptor_paths(args.descriptors)
     vectors = np.empty((len(paths), pipeline.output_dim), dtype="<f4")
@@ -443,6 +415,7 @@ def cmd_query(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _check_rotations(args.rotations)
+    _require_positive("--jobs", args.jobs)
     store, pipeline = _open_database(args.db)
     ground_truth = retrieval.read_ground_truth(args.gt, exclude_query=args.exclude_query)
     paths = _collect_descriptor_paths(args.queries)
@@ -453,8 +426,8 @@ def cmd_evaluate(args) -> int:
             if query.image_id not in ground_truth:
                 raise ContractError(f"no ground-truth entry for query {query.image_id!r}")
             scores, _ = query_multi_rotation(query, pipeline, store.vectors, args.rotations)
-        ranked = retrieval.rank_by_score(store.image_ids, scores)
-        return query.image_id, retrieval.average_precision(ranked, ground_truth[query.image_id])
+            ranked = retrieval.rank_by_score(store.image_ids, scores)
+            return query.image_id, retrieval.average_precision(ranked, ground_truth[query.image_id])
 
     results = _map_jobs(evaluate_one, paths, args.jobs)
     for query_id, ap in results:
@@ -694,6 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a library warning reaches the user as one line, like an error
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"covagg: warning: {message}\n"
     try:
         code = args.func(args)
         if code == 0:
@@ -705,6 +681,8 @@ def main(argv=None) -> int:
     except (OSError, MemoryError) as exc:  # an unreadable path, or a size too large to allocate
         print(f"covagg: error: {exc}", file=sys.stderr)
         return ContractError.exit_code
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -46,7 +46,9 @@ class CenteredMoments:
     with rows offset by 1e6 and of unit spread, the covariance stays
     within 1e-10 of the whole-matrix formula's, where that difference is
     off by 1e-2. It holds one dim x dim matrix, however many rows are
-    added. A single block gives the bits of the whole-matrix formula
+    added, and a block may have any number of rows, down to one:
+    ``covagg train-pca`` adds each file's rows as the file is read. A
+    single block gives the bits of the whole-matrix formula
     ``(X - X.mean(0)).T @ (X - X.mean(0))``; more blocks sum in another
     order, so their bits differ from it by rounding.
     """
@@ -284,7 +286,11 @@ def _lloyd(data: np.ndarray, centroids: np.ndarray, max_iter: int, x_sq=None) ->
     return cents
 
 
-def _check_iterations(max_iter: int) -> int:
+def check_k(k: int) -> int:
+    return check_integer(k, f"k must be a positive integer, got {k!r}", 1)
+
+
+def check_iterations(max_iter: int) -> int:
     return check_integer(
         max_iter, f"iteration count must be a non-negative integer, got {max_iter!r}", 0
     )
@@ -293,10 +299,10 @@ def _check_iterations(max_iter: int) -> int:
 def kmeans_train(data, k: int, max_iter: int = _KMEANS_ITERS, seed: int = 0) -> CodebookModel:
     """Lloyd iterations from a seeded k-means++ initialization."""
     data = _as_matrix(data, "training data")
-    k = check_integer(k, f"k must be a positive integer, got {k!r}", 1)
+    k = check_k(k)
     if data.shape[0] < k:
         raise ContractError(f"need at least k={k} samples, got {data.shape[0]}")
-    max_iter = _check_iterations(max_iter)
+    max_iter = check_iterations(max_iter)
     return _kmeans(data, k, max_iter, seed)
 
 
@@ -393,10 +399,10 @@ def gmm_train(data, k: int, max_iter: int = 100, seed: int = 0) -> GmmModel:
     """
     data = _as_matrix(data, "training data")
     n, _ = data.shape
-    k = check_integer(k, f"k must be a positive integer, got {k!r}", 1)
+    k = check_k(k)
     if n < 10 * k:
         raise ContractError(f"need at least 10*k={10 * k} samples, got {n}")
-    max_iter = _check_iterations(max_iter)
+    max_iter = check_iterations(max_iter)
 
     floor = np.maximum(VARIANCE_FLOOR_FRACTION * data.var(axis=0), 1e-12)
     squares = data * data

@@ -1,7 +1,11 @@
 import json
+import os
 import struct
+import subprocess
 import sys
 import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from covagg import (
 )
 from covagg import cli
 from covagg.cli import main
+from covagg.oracle import whole_matrix_pca
 from covagg.fileio import MODEL_MAGIC, VECTOR_MAGIC
 
 
@@ -785,6 +790,34 @@ def test_train_pca_faults_are_reported_after_reading_in_order(pca_fault_corpus, 
     assert not out.exists()
 
 
+# (offset, mean tolerance, tolerance of the covariance and eigenvalues), as in
+# test_codebooks.py's streamed-moments oracle test
+@pytest.mark.parametrize("offset, mean_tol, tol", [(0.0, 1e-13, 1e-12), (1e6, 1e-7, 1e-9)],
+                         ids=["centered", "offset-1e6"])
+def test_streamed_train_pca_matches_the_whole_matrix_oracle(tmp_path, capsys, offset, mean_tol,
+                                                            tol):
+    # files of 1 and 17 rows, each merged into the moments as it is read
+    dim, rng = 8, np.random.default_rng(5)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    blocks = []
+    for i, n in enumerate([1, 17, 1, 1] * 30):
+        rows = rng.standard_normal((n, dim)) * np.linspace(2.0, 0.5, dim) + offset
+        path = corpus / f"f{i:04d}.cvd"
+        write_descriptor_file(DescriptorSet(rows, np.zeros(n), image_id=f"f{i}"), path)
+        blocks.append(read_descriptor_file(path).descriptors)  # as stored, in float32
+    out = tmp_path / "pca.cvm"
+    assert main(["train-pca", "--train-descriptors", str(corpus), "--out-dim", str(dim),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"trained pca {dim}x{dim} from 600 descriptors -> {out}\n"
+    model = load_model(out, PcaModel)
+    reference = whole_matrix_pca(np.vstack(blocks), dim)
+    gap = np.min(-np.diff(reference.eigenvalues))
+    assert np.max(np.abs(model.mean - reference.mean)) <= mean_tol
+    assert np.max(np.abs(model.basis - reference.basis)) <= 2 * dim * tol / gap
+    assert np.max(np.abs(model.eigenvalues - reference.eigenvalues)) <= tol
+
+
 class TestExitCodes:
     def test_format_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cvd"
@@ -1011,6 +1044,39 @@ class TestExitCodes:
         assert main([*argv, "--iters", "0"]) == 0
         assert (tmp_path / "model.cvm").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["encode", "missing", "--out", "o.cvv", "--family", "phi1", "--input-dim", "8",
+          "--jobs", "0"], "--jobs must be a positive integer, got 0"),
+        (["evaluate", "--db", "missing.cvv", "--queries", "missing", "--gt", "missing.txt",
+          "--jobs", "0"], "--jobs must be a positive integer, got 0"),
+        (["train-kmeans", "--k", "0"], "k must be a positive integer, got 0"),
+        (["train-gmm", "--k", "0"], "k must be a positive integer, got 0"),
+        (["train-kmeans", "--k", "2", "--iters", "-1"],
+         "iteration count must be a non-negative integer, got -1"),
+        (["train-gmm", "--k", "2", "--iters", "-1"],
+         "iteration count must be a non-negative integer, got -1"),
+    ], ids=["encode-jobs", "evaluate-jobs", "kmeans-k", "gmm-k", "kmeans-iters", "gmm-iters"])
+    def test_flags_needing_no_data_are_refused_before_any_file_is_read(
+            self, tmp_path, monkeypatch, capsys, argv, message):
+        # every input is missing, so only a check made before any read names the flag
+        monkeypatch.chdir(tmp_path)
+        if argv[0].startswith("train-"):
+            argv = [*argv, "--train-descriptors", "missing", "--out", "model.cvm"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"covagg: error: {message}\n"
+
+    def test_empty_relevant_set_names_the_query_file(self, corpus_dir, tmp_path, capsys):
+        db = tmp_path / "db.cvv"
+        assert main(encode_args(corpus_dir, db)) == 0
+        query = sorted((corpus_dir / "queries").iterdir())[0]
+        gt = tmp_path / "gt.txt"
+        gt.write_text(f"{query.stem}\trelevant: \tjunk: \n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--db", str(db), "--queries", str(query), "--gt", str(gt)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"covagg: error: {query}: query has an empty relevant set\n"
+
     def test_missing_input_is_3(self, tmp_path, capsys):
         code = main(["encode", str(tmp_path / "nope.cvd"),
                      "--out", str(tmp_path / "o.cvv"),
@@ -1153,3 +1219,23 @@ class TestExitCodes:
                      "--rotations", str(10**15)])
         assert code == 3
         assert f"--rotations must be at most 360, got {10**15}" in capsys.readouterr().err
+
+
+def test_library_warning_reaches_the_user_as_one_line(corpus_dir, tmp_path):
+    # 18 vectors of 56 dims: rn_train warns that the rotation is partly arbitrary
+    db = tmp_path / "db.cvv"
+    formatwarning = warnings.formatwarning
+    assert main(encode_args(corpus_dir, db)) == 0
+    assert warnings.formatwarning is formatwarning
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from covagg.cli import main; sys.exit(main())",
+         "train-rn", "--vectors", str(db), "--out", str(tmp_path / "rn.cvm")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == (
+        "covagg: warning: learning a 56-dim rotation from only 18 vectors; directions "
+        "outside the sample span are an arbitrary orthonormal completion\n")

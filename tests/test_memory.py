@@ -17,6 +17,7 @@ from covagg import (
     GmmModel,
     DescriptorSet,
     MonomialConfig,
+    PcaModel,
     PipelineConfig,
     RnModel,
     VladEmbedding,
@@ -29,7 +30,7 @@ from covagg import (
     write_descriptor_file,
     write_vector_file,
 )
-from covagg.cli import TRAIN_CHUNK, _load_training_matrix, _streamed_pca, build_parser, main
+from covagg.cli import TRAIN_CHUNK, _load_training_matrix, build_parser, cmd_train, main
 from covagg.descriptors import embed_weighted_sum
 from covagg.monomial import phi_monomial_weighted_sum
 
@@ -190,19 +191,27 @@ def test_float32_store_is_widened_a_tile_at_a_time_by_the_single_product(truncat
     assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"
 
 
-def test_staged_training_loader_never_holds_the_raw_corpus(tmp_path):
-    # 120 raw files of 250 descriptors of dim 64: a 14.6 MiB RootSIFT corpus
-    # projected to 16 dims, a 3.7 MiB prepared matrix
-    n_files, per_file, dim, out_dim = 120, 250, 64, 16
+def raw_corpus(root, n_files=120, per_file=250, dim=64):
+    """``n_files`` raw files of ``per_file`` descriptors of dim ``dim`` under ``root``.
+
+    The defaults make a 14.6 MiB RootSIFT corpus.
+    """
     rng = np.random.default_rng(0)
-    corpus = tmp_path / "corpus"
+    corpus = root / "corpus"
     corpus.mkdir()
     for i in range(n_files):
         raw = rng.gamma(0.5, 1.0, (per_file, dim)) + 1e-3
         write_descriptor_file(DescriptorSet(raw, np.zeros(per_file), image_id=f"t{i}", raw=True),
                               corpus / f"t{i:04d}.cvd")
+    return corpus
+
+
+def test_staged_training_loader_never_holds_the_raw_corpus(tmp_path):
+    # the RootSIFT corpus projected to 16 dims, a 3.7 MiB prepared matrix
+    n_files, per_file, dim, out_dim = 120, 250, 64, 16
+    corpus = raw_corpus(tmp_path, n_files, per_file, dim)
     pca = tmp_path / "pca.cvm"
-    save_model(pca, pca_train(rng.standard_normal((200, dim)), out_dim))
+    save_model(pca, pca_train(np.random.default_rng(0).standard_normal((200, dim)), out_dim))
     args = build_parser().parse_args(["train-gmm", "--train-descriptors", str(corpus), "--k", "2",
                                       "--pca", str(pca), "--out", str(tmp_path / "gmm.cvm")])
     peak, data = traced_peak(_load_training_matrix, args)
@@ -214,26 +223,38 @@ def test_staged_training_loader_never_holds_the_raw_corpus(tmp_path):
     assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"
 
 
-def test_streamed_pca_training_never_holds_the_corpus(tmp_path):
-    # 120 raw files of 250 descriptors of dim 64: a 14.6 MiB RootSIFT corpus
-    n_files, per_file, dim = 120, 250, 64
-    rng = np.random.default_rng(0)
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    for i in range(n_files):
-        raw = rng.gamma(0.5, 1.0, (per_file, dim)) + 1e-3
-        write_descriptor_file(DescriptorSet(raw, np.zeros(per_file), image_id=f"t{i}", raw=True),
-                              corpus / f"t{i:04d}.cvd")
-    args = build_parser().parse_args(["train-pca", "--train-descriptors", str(corpus),
+def streamed_pca(tmp_path, capsys):
+    """Peak traced bytes of ``train-pca`` without ``--sample`` on ``raw_corpus``, its model
+    and the count of descriptors it reports."""
+    args = build_parser().parse_args(["train-pca", "--train-descriptors", str(raw_corpus(tmp_path)),
                                       "--out-dim", "16", "--out", str(tmp_path / "pca.cvm")])
-    peak, (model, count) = traced_peak(_streamed_pca, args)
+    capsys.readouterr()
+    peak, code = traced_peak(cmd_train, args)
+    assert code == 0
+    count = int(capsys.readouterr().out.split(" from ")[1].split()[0])
+    return peak, load_model(args.out, PcaModel), count
+
+
+def test_streamed_pca_training_never_holds_the_corpus(tmp_path, capsys):
+    n_files, per_file, dim = 120, 250, 64
+    peak, model, count = streamed_pca(tmp_path, capsys)
     assert (model.input_dim, count) == (dim, n_files * per_file)
     corpus_bytes = count * dim * 8
     staging = (2 * TRAIN_CHUNK + per_file) * dim * 8
-    # the staged rows, their stack and a centered piece peak near 8.4 MiB; the
-    # stacked corpus and its centered copy peaked near 29 MiB
+    # the stacked corpus and its centered copy peaked near 29 MiB
     budget = 2 * staging + 4 * dim * dim * 8 + MIB
     assert budget < corpus_bytes
+    assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"
+
+
+def test_streamed_pca_training_holds_one_file_and_square_matrices(tmp_path, capsys):
+    per_file, dim = 250, 64
+    peak, model, _ = streamed_pca(tmp_path, capsys)
+    assert model.input_dim == dim
+    # merging each file's rows as the file is read peaks near 0.6 MiB; staged
+    # pieces of at least TRAIN_CHUNK rows, two of them held at once, peaked
+    # near 8.4 MiB
+    budget = per_file * dim * 8 + 4 * dim * dim * 8 + MIB
     assert peak < budget, f"peak {peak / MIB:.2f} MiB against a {budget / MIB:.2f} MiB budget"
 
 

@@ -113,9 +113,11 @@ def test_train_memory(tmp_path):
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert set(report["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
-    assert [e["command"] for e in report["results"]] == ["train-pca", "train-gmm", "encode", "train-rn"]
+    assert [e["command"] for e in report["results"]] == [
+        "train-pca", "train-pca --sample", "train-kmeans", "train-gmm", "encode", "train-rn"]
     assert report["baseline_rss_mb"] > 0.0
-    for entry, output in zip(report["results"], ["pca.cvm", "gmm.cvm", "heldout.cvv", "rn.cvm"]):
+    outputs = ["pca.cvm", "pca-sample.cvm", "kmeans.cvm", "gmm.cvm", "heldout.cvv", "rn.cvm"]
+    for entry, output in zip(report["results"], outputs, strict=True):
         assert entry["peak_rss_mb"] > 0.0 and entry["seconds"] > 0.0
         assert entry["sha256"] == hashlib.sha256((work / output).read_bytes()).hexdigest()
     assert len(list((work / "heldout").iterdir())) == 24
